@@ -7,11 +7,14 @@ three line integrals along the parametric edges xi=0, eta=1, xi=1 with the
 edge speed as arc-length factor.  The inverse geometry map is never
 evaluated.
 
-Matrices are accumulated over the full ``N x N`` index set in triplet form
-and restricted to free/Dirichlet blocks in :func:`build_system`.  The
-element loop is serial; evaluation of the immutable spaces and geometry is
-pure, so a parallel loop with a deterministic merge could replace it
-without changing results beyond summation order.
+Each direction's basis is tabulated once on all its Gauss nodes
+(:func:`igarad.bspline.tabulate`); the geometry Jacobian is evaluated once
+on the volume nodes and once per edge.  Matrices are accumulated over the
+full ``N x N`` index set in triplet form and restricted to free/Dirichlet
+blocks in :func:`build_system`.  The element loop is serial; evaluation of
+the immutable spaces and geometry is pure, so a parallel loop with a
+deterministic merge could replace it without changing results beyond
+summation order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import KnotVector, TensorProductSpace, eval_basis
+from .bspline import KnotVector, TensorProductSpace, tabulate
+from .bspline import eval_basis  # noqa: F401  bench/layers.py traces this name
 from .geometry import CoonsSurface, DomainConfig
 
 
@@ -42,20 +46,21 @@ class NonPositiveJacobianError(RuntimeError):
 class _DirectionRule:
     """Per-span Gauss-Legendre rule along one parametric direction."""
 
-    spans: np.ndarray
     nodes: np.ndarray    # (n_elements, n_points)
     weights: np.ndarray  # (n_elements, n_points)
 
 
-def _direction_rule(kv: KnotVector, npoints: int) -> _DirectionRule:
+def _direction_rule(kv: KnotVector, npoints: int, lo=0.0, hi=1.0) -> _DirectionRule:
+    """Gauss rule per span, restricted to the parametric interval [lo, hi]."""
     spans = kv.spans()
     ref_x, ref_w = np.polynomial.legendre.leggauss(npoints)
-    t0 = kv.knots[spans]
-    t1 = kv.knots[spans + 1]
+    t0 = np.maximum(kv.knots[spans], lo)
+    t1 = np.minimum(kv.knots[spans + 1], hi)
+    keep = t1 - t0 > 1e-15
+    t0, t1 = t0[keep], t1[keep]
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
     return _DirectionRule(
-        spans=spans,
         nodes=mid[:, None] + half[:, None] * ref_x[None, :],
         weights=half[:, None] * ref_w[None, :],
     )
@@ -105,17 +110,10 @@ def _tabulate(kv: KnotVector, rule: _DirectionRule):
     function at node q of element e and ``first[e]`` its global offset.
     """
     n_el, n_q = rule.nodes.shape
-    k = kv.order
-    vals = np.empty((n_el, k, n_q))
-    ders = np.empty((n_el, k, n_q))
-    first = np.empty(n_el, dtype=np.int64)
-    for e in range(n_el):
-        first[e] = rule.spans[e] - kv.degree
-        for q in range(n_q):
-            be = eval_basis(kv, rule.nodes[e, q], 1)
-            vals[e, :, q] = be.values
-            ders[e, :, q] = be.derivatives[0]
-    return vals, ders, first
+    first, vals, ders = tabulate(kv, rule.nodes.ravel())
+    shape = (n_el, n_q, kv.order)
+    vals, ders = (v.reshape(shape).transpose(0, 2, 1) for v in (vals, ders))
+    return vals, ders, first[::n_q]
 
 
 @dataclass(frozen=True)
@@ -142,15 +140,9 @@ class DofPartition:
 
 
 def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
-    """Locate the Dirichlet dofs from the aperture preimage.
-
-    The bottom edge is traversed affinely, so the aperture endpoints
-    (-a, 0) and (a, 0) pull back to ``(r -/+ a) / (2 r)``.
-    """
-    if not 0.0 < cfg.a < cfg.r:
-        raise ValueError("aperture must satisfy 0 < a < r")
-    xi_left = (cfg.r - cfg.a) / (2.0 * cfg.r)
-    xi_right = (cfg.r + cfg.a) / (2.0 * cfg.r)
+    """Locate the Dirichlet dofs from the aperture preimage
+    (:attr:`DomainConfig.aperture_preimage`)."""
+    xi_left, xi_right = cfg.aperture_preimage
     kv = space.kv_xi
     # B_i is not identically null on the aperture iff its open support
     # (t_i, t_{i+order}) meets (xi_left, xi_right).  When the aperture
@@ -268,36 +260,6 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
 _ROBIN_EDGES = ("left", "top", "right")
 
 
-def _edge_geometry(space, edge):
-    if edge in ("left", "right"):
-        kv = space.kv_eta
-    elif edge in ("bottom", "top"):
-        kv = space.kv_xi
-    else:
-        raise ValueError(f"unknown edge {edge!r}")
-    return kv
-
-
-def _edge_speed_points_normals(geometry: CoonsSurface, edge: str, ts: np.ndarray):
-    """Physical points, edge speed (arc-length factor) and outward normals."""
-    if edge in ("left", "right"):
-        xi0 = 0.0 if edge == "left" else 1.0
-        F, _, F_t, _, _ = geometry.jacobian_grid([xi0], ts)
-        F, F_t = F[0], F_t[0]
-    else:
-        eta0 = 0.0 if edge == "bottom" else 1.0
-        F, F_t, _, _, _ = geometry.jacobian_grid(ts, [eta0])
-        F, F_t = F[:, 0], F_t[:, 0]
-    speed = np.hypot(F_t[:, 0], F_t[:, 1])
-    # Outward normal for a positively oriented patch (det J > 0): rotate
-    # the edge tangent by -90 deg on bottom/right, +90 deg on top/left.
-    if edge in ("bottom", "right"):
-        normal = np.column_stack([F_t[:, 1], -F_t[:, 0]]) / speed[:, None]
-    else:
-        normal = np.column_stack([-F_t[:, 1], F_t[:, 0]]) / speed[:, None]
-    return F, speed, normal
-
-
 def _edge_dofs(space: TensorProductSpace, edge: str, idx: np.ndarray) -> np.ndarray:
     """Flat dof indices of the edge's active 1D basis functions."""
     if edge == "left":
@@ -309,40 +271,52 @@ def _edge_dofs(space: TensorProductSpace, edge: str, idx: np.ndarray) -> np.ndar
     return (space.m - 1) * space.n + idx
 
 
+def _edge_table(
+    space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule, edge: str, t_range=(0.0, 1.0)
+):
+    """Quadrature data of an integral over the parametric range ``t_range`` of ``edge``.
+
+    Returns ``(vals, dofs, points, wds, normals)``: basis values
+    ``vals[e, a, q]``, the flat dofs ``dofs[e, a]`` of the active
+    functions, and per node the physical point, quadrature weight times
+    edge speed ``wds[e, q]`` and outward unit normal.
+    """
+    along_eta = edge in ("left", "right")
+    if not along_eta and edge not in ("bottom", "top"):
+        raise ValueError(f"unknown edge {edge!r}")
+    kv, rule = (space.kv_eta, quad.edge_eta) if along_eta else (space.kv_xi, quad.edge_xi)
+    rule = _direction_rule(kv, rule.nodes.shape[1], *t_range)
+    ts, fixed = rule.nodes.ravel(), [0.0 if edge in ("left", "bottom") else 1.0]
+    if along_eta:
+        F, _, F_t, _, _ = geometry.jacobian_grid(fixed, ts)
+        F, F_t = F[0], F_t[0]
+    else:
+        F, F_t, _, _, _ = geometry.jacobian_grid(ts, fixed)
+        F, F_t = F[:, 0], F_t[:, 0]
+    speed = np.hypot(F_t[:, 0], F_t[:, 1])
+    # Outward normal for a positively oriented patch (det J > 0): rotate
+    # the edge tangent by -90 deg on bottom/right, +90 deg on top/left.
+    sign = 1.0 if edge in ("bottom", "right") else -1.0
+    normals = sign * np.column_stack([F_t[:, 1], -F_t[:, 0]]) / speed[:, None]
+    vals, _, first = _tabulate(kv, rule)
+    dofs = _edge_dofs(space, edge, first[:, None] + np.arange(kv.order))
+    return vals, dofs, F, rule.weights * speed.reshape(rule.weights.shape), normals
+
+
 def _robin_mass(space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule) -> sp.csr_matrix:
     """Boundary mass over the three impedance edges (xi=0, eta=1, xi=1)."""
     N = space.size
     rows, cols, vals = [], [], []
     for edge in _ROBIN_EDGES:
-        kv = _edge_geometry(space, edge)
-        rule = quad.edge_eta if edge in ("left", "right") else quad.edge_xi
-        bvals, _, first = _tabulate(kv, rule)
-        n_el, k, n_q = bvals.shape
-        for e in range(n_el):
-            ts = rule.nodes[e]
-            _, speed, _ = _edge_speed_points_normals(geometry, edge, ts)
-            q = bvals[e] * np.sqrt(rule.weights[e] * speed)[None, :]
-            loc = q @ q.T
-            dofs = _edge_dofs(space, edge, first[e] + np.arange(k))
-            rows.append(np.repeat(dofs, k))
-            cols.append(np.tile(dofs, k))
-            vals.append(loc.ravel())
+        bvals, dofs, _, wds, _ = _edge_table(space, geometry, quad, edge)
+        q = bvals * np.sqrt(wds)[:, None, :]
+        shape = dofs.shape + dofs.shape[-1:]
+        rows.append(np.broadcast_to(dofs[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(dofs[:, None, :], shape).ravel())
+        vals.append(np.matmul(q, q.transpose(0, 2, 1)).ravel())
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
     ).tocsr()
-
-
-def _subspan_rule(kv: KnotVector, npoints: int, lo: float, hi: float):
-    """Gauss nodes/weights per span restricted to the interval [lo, hi]."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(npoints)
-    out = []
-    for s in kv.spans():
-        t0, t1 = max(kv.knots[s], lo), min(kv.knots[s + 1], hi)
-        if t1 - t0 <= 1e-15:
-            continue
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        out.append((s, mid + half * ref_x, half * ref_w))
-    return out
 
 
 def edge_load(
@@ -359,19 +333,10 @@ def edge_load(
     outward unit normals and returns complex values.  ``t_range``
     restricts the integral to a parametric sub-interval of the edge.
     """
-    kv = _edge_geometry(space, edge)
-    rule = quad.edge_eta if edge in ("left", "right") else quad.edge_xi
-    npts = rule.nodes.shape[1]
+    bvals, dofs, points, wds, normals = _edge_table(space, geometry, quad, edge, t_range)
+    g = np.asarray(data(points, normals), dtype=complex).reshape(wds.shape)
     load = np.zeros(space.size, dtype=complex)
-    for s, ts, ws in _subspan_rule(kv, npts, *t_range):
-        pts, speed, normal = _edge_speed_points_normals(geometry, edge, ts)
-        g = np.asarray(data(pts, normal), dtype=complex)
-        bvals = np.empty((kv.order, ts.size))
-        for qi, t in enumerate(ts):
-            bvals[:, qi] = eval_basis(kv, t, 0).values
-        first = s - kv.degree
-        dofs = _edge_dofs(space, edge, first + np.arange(kv.order))
-        load[dofs] += bvals @ (ws * speed * g)
+    np.add.at(load, dofs, np.matmul(bvals, (wds * g)[:, :, None])[:, :, 0])
     return load
 
 

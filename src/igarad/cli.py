@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -82,8 +83,10 @@ def _cmd_run(args) -> int:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # the pipeline logs one line per stage at INFO
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
     try:
-        result = run(config, verbose=True)
+        result = run(config)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -98,6 +98,16 @@ class DomainConfig:
             raise ValueError("wavelength undefined: config has no frequency")
         return self.sound_speed / self.frequency
 
+    @property
+    def aperture_preimage(self) -> tuple[float, float]:
+        """Parameters ``(xi_left, xi_right)`` of the aperture end points.
+
+        The patch traverses its bottom edge affinely
+        (:func:`make_patch_boundary`), so (-a, 0) and (a, 0) pull back to
+        ``(r -/+ a) / (2 r)``.
+        """
+        return (self.r - self.a) / (2.0 * self.r), (self.r + self.a) / (2.0 * self.r)
+
 
 def near_field_length(cfg: DomainConfig) -> float:
     """Near-field (natural focus) distance ``a^2 / lambda``."""
@@ -455,19 +465,6 @@ class CoonsSurface:
         etas = (np.arange(grid_res) + 0.5) / grid_res
         F, _, _, _, mr = self.jacobian_grid(xis, etas)
         return xis, etas, F, mr
-
-    def edge_curve(self, edge: str) -> RationalCurve:
-        """Boundary restriction as a curve; edge in {bottom, top, left, right}."""
-        hom = self._hom
-        if edge == "bottom":
-            return RationalCurve.from_homogeneous(hom[:, 0, :], self.kv_xi)
-        if edge == "top":
-            return RationalCurve.from_homogeneous(hom[:, -1, :], self.kv_xi)
-        if edge == "left":
-            return RationalCurve.from_homogeneous(hom[0, :, :], self.kv_eta)
-        if edge == "right":
-            return RationalCurve.from_homogeneous(hom[-1, :, :], self.kv_eta)
-        raise ValueError(f"unknown edge {edge!r}")
 
 
 def _design(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:

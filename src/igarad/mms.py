@@ -17,12 +17,14 @@ from .assembly import (
     DofPartition,
     QuadratureRule,
     SystemMatrices,
-    _subspan_rule,
+    _direction_rule,
+    _tabulate,
     build_system,
     edge_load,
     expand_solution,
 )
-from .bspline import TensorProductSpace, basis_matrix, eval_basis
+from .bspline import TensorProductSpace, basis_matrix
+from .bspline import eval_basis  # noqa: F401  bench/layers.py traces this name
 from .geometry import CoonsSurface
 
 
@@ -72,27 +74,18 @@ def dirichlet_trace(
     Gram system is well posed.
     """
     kv = space.kv_xi
-    npoints = npoints or kv.order + 2
-    idx = partition.dirichlet  # flat == xi index on the bottom row
-    ng = idx.size
-    gram = np.zeros((ng, ng))
-    rhs = np.zeros(ng, dtype=complex)
-    pos = {int(i): a for a, i in enumerate(idx)}
-    for s, ts, ws in _subspan_rule(kv, npoints, partition.xi_left, partition.xi_right):
-        pts = geometry.evaluate_grid(ts, [0.0])[:, 0, :]
-        vals = wave.value(pts)
-        first = s - kv.degree
-        bloc = np.empty((kv.order, ts.size))
-        for qi, t in enumerate(ts):
-            bloc[:, qi] = eval_basis(kv, t, 0).values
-        cols = [pos.get(first + a) for a in range(kv.order)]
-        for a, ca in enumerate(cols):
-            if ca is None:
-                continue
-            rhs[ca] += np.sum(ws * vals * bloc[a])
-            for b, cb in enumerate(cols):
-                if cb is not None:
-                    gram[ca, cb] += np.sum(ws * bloc[a] * bloc[b])
+    rule = _direction_rule(kv, npoints or kv.order + 2, partition.xi_left, partition.xi_right)
+    pts = geometry.evaluate_grid(rule.nodes.ravel(), [0.0])[:, 0, :]
+    wv = rule.weights * wave.value(pts).reshape(rule.weights.shape)
+    b, _, first = _tabulate(kv, rule)  # b[e, a, q]
+    # every function active on the aperture is a Dirichlet dof; the flat
+    # index of a bottom-row function is its xi index
+    loc = np.searchsorted(partition.dirichlet, first[:, None] + np.arange(kv.order))
+    local = np.sum(rule.weights[:, None, None] * b[:, :, None] * b[:, None], axis=-1)
+    gram = np.zeros((partition.n_dirichlet,) * 2)
+    rhs = np.zeros(partition.n_dirichlet, dtype=complex)
+    np.add.at(gram, (loc[:, :, None], loc[:, None, :]), local)
+    np.add.at(rhs, loc, np.sum(wv[:, None] * b, axis=-1))
     return np.linalg.solve(gram, rhs)
 
 

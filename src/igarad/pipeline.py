@@ -10,6 +10,7 @@ runs produce bit-identical numeric outputs.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -43,6 +44,8 @@ from .solver import (
 )
 
 FULL_SCALE_DOFS = 150_000
+
+log = logging.getLogger(__name__)
 
 
 class PipelineError(RuntimeError):
@@ -88,6 +91,10 @@ class RunConfig:
     outdir: str = "out"
 
     def __post_init__(self):
+        reals = ("frequency", "sound_speed", "half_aperture", "radius_factor", "theta", "beta_factor", "tol")
+        bad = [name for name in reals if not math.isfinite(getattr(self, name))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.frequency <= 0 or self.sound_speed <= 0 or self.half_aperture <= 0:
             raise ValueError("physical parameters must be positive")
         if self.radius_factor <= 0:
@@ -98,6 +105,15 @@ class RunConfig:
             self.amplitude = complex(self.amplitude[0], self.amplitude[1])
         else:
             self.amplitude = complex(self.amplitude)
+        # fail before any work: the domain and the GMRES settings check themselves
+        self.domain()
+        GmresConfig(self.restart, self.tol, self.max_outer)
+        if not (2 <= self.order_xi <= self.n and 2 <= self.order_eta <= self.m):
+            raise ValueError("need 2 <= order_xi <= n and 2 <= order_eta <= m")
+        if self.quad_points is not None and self.quad_points < 1:
+            raise ValueError("quad_points must be at least 1")
+        if self.grid_res < 2:
+            raise ValueError("grid_res must be at least 2")
 
     def domain(self) -> DomainConfig:
         return DomainConfig.from_frequency(
@@ -133,19 +149,42 @@ class Discretization:
     quadrature: QuadratureRule
 
 
+def build_discretization(
+    domain: DomainConfig,
+    geometry: CoonsSurface,
+    order_xi: int,
+    order_eta: int,
+    n: int,
+    m: int,
+    quad_points: int | None = None,
+    align_aperture_knots: bool = True,
+) -> Discretization:
+    """Uniform ``n x m`` B-spline spaces on ``geometry``, their dof split and quadrature.
+
+    Runs (:func:`discretize`) and both studies build every mesh here;
+    ``align_aperture_knots`` inserts the aperture preimages as xi knots.
+    """
+    kv_xi = make_uniform_open_knots(order_xi, n)
+    if align_aperture_knots:
+        kv_xi = kv_xi.with_breakpoints(domain.aperture_preimage)
+    space = TensorProductSpace(kv_xi, make_uniform_open_knots(order_eta, m))
+    partition = classify_dofs(space, domain)
+    quadrature = QuadratureRule(space, quad_points, quad_points)
+    return Discretization(domain, geometry, space, partition, quadrature)
+
+
 def discretize(config: RunConfig) -> Discretization:
     domain = config.domain()
-    geometry = make_semicircle_patch(domain)
-    kv_xi = make_uniform_open_knots(config.order_xi, config.n)
-    if config.align_aperture_knots:
-        xi_l = (domain.r - domain.a) / (2.0 * domain.r)
-        xi_r = (domain.r + domain.a) / (2.0 * domain.r)
-        kv_xi = kv_xi.with_breakpoints([xi_l, xi_r])
-    kv_eta = make_uniform_open_knots(config.order_eta, config.m)
-    space = TensorProductSpace(kv_xi, kv_eta)
-    partition = classify_dofs(space, domain)
-    quadrature = QuadratureRule(space, config.quad_points, config.quad_points)
-    return Discretization(domain, geometry, space, partition, quadrature)
+    return build_discretization(
+        domain,
+        make_semicircle_patch(domain),
+        config.order_xi,
+        config.order_eta,
+        config.n,
+        config.m,
+        config.quad_points,
+        config.align_aperture_knots,
+    )
 
 
 class SolutionField:
@@ -222,9 +261,7 @@ def bottom_profile(sol: SolutionField, samples: int = 400):
 
 def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int = 200) -> float:
     """max |u - C| over the transducer segment."""
-    xi_l = (domain.r - domain.a) / (2.0 * domain.r)
-    xi_r = (domain.r + domain.a) / (2.0 * domain.r)
-    xis = np.linspace(xi_l, xi_r, samples)
+    xis = np.linspace(*domain.aperture_preimage, samples)
     vals = sol.evaluate_grid(xis, [0.0])[:, 0]
     return float(np.max(np.abs(vals - domain.amplitude)))
 
@@ -246,8 +283,8 @@ class RunResult:
     dirichlet_deviation: float
 
 
-def run(config: RunConfig, write_outputs: bool = True, verbose: bool = False) -> RunResult:
-    """Execute the full pipeline for ``config``."""
+def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
+    """Execute the full pipeline for ``config``; stage times are logged at INFO."""
     timings: dict[str, float] = {}
 
     def stage(name, fn):
@@ -257,8 +294,7 @@ def run(config: RunConfig, write_outputs: bool = True, verbose: bool = False) ->
         except Exception as exc:
             raise PipelineError(name, exc) from exc
         timings[name] = time.perf_counter() - t0
-        if verbose:
-            print(f"[{name}] {timings[name]:.3f}s")
+        log.info("[%s] %.3fs", name, timings[name])
         return out
 
     disc = stage("discretize", lambda: discretize(config))
@@ -273,7 +309,7 @@ def run(config: RunConfig, write_outputs: bool = True, verbose: bool = False) ->
         )
     if config.full_scale:
         est = _estimate_lu_gib(N, disc.space.n, disc.space.m, max(config.order_xi, config.order_eta))
-        print(f"full-scale run: {N} dofs, rough LU memory estimate {est:.1f} GiB")
+        log.info("full-scale run: %d dofs, rough LU memory estimate %.1f GiB", N, est)
 
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
@@ -452,6 +488,14 @@ def _write_outputs(config, disc, sol, solve_report, dev, timings, matrices, syst
     return outputs
 
 
+def _manufactured_level(domain: DomainConfig, geometry: CoonsSurface, order: int, n: int, wave):
+    """One study mesh (``n x n/2``, aperture-aligned) and its discrete solution for ``wave``."""
+    disc = build_discretization(domain, geometry, order, order, n, max(order, n // 2))
+    matrices = assemble(disc.space, geometry, disc.quadrature)
+    space, quad = disc.space, disc.quadrature
+    return disc, mms.solve_manufactured(space, geometry, quad, disc.partition, matrices, wave)
+
+
 @dataclass
 class ConvergenceRow:
     mesh_size: float
@@ -480,22 +524,15 @@ def convergence_study(
     """
     cfg = DomainConfig(a=aperture_fraction * radius, r=radius, theta=theta)
     geometry = make_semicircle_patch(cfg)
-    xi_l = (cfg.r - cfg.a) / (2.0 * cfg.r)
-    xi_r = (cfg.r + cfg.a) / (2.0 * cfg.r)
     wave = mms.PlaneWave(wavenumber, tuple(direction))
     rows: list[ConvergenceRow] = []
     n = base_n
     for level in range(levels):
-        kvx = make_uniform_open_knots(order, n).with_breakpoints([xi_l, xi_r])
-        kve = make_uniform_open_knots(order, max(order, n // 2))
-        space = TensorProductSpace(kvx, kve)
-        partition = classify_dofs(space, cfg)
-        quad = QuadratureRule(space)
-        matrices = assemble(space, geometry, quad)
-        alpha = mms.solve_manufactured(space, geometry, quad, partition, matrices, wave)
+        disc, alpha = _manufactured_level(cfg, geometry, order, n, wave)
+        space, quad = disc.space, disc.quadrature
         e2 = mms.l2_error(space, geometry, alpha, wave, quad)
         eh = mms.h1_semi_error(space, geometry, alpha, wave, quad)
-        h = float(np.max(np.diff(kvx.breakpoints)))
+        h = float(np.max(np.diff(space.kv_xi.breakpoints)))
         if rows:
             ratio = math.log(rows[-1].mesh_size / h)
             r2 = math.log(rows[-1].l2_error / e2) / ratio if e2 > 0 else None
@@ -544,20 +581,13 @@ def pollution_study(
     """
     cfg = DomainConfig(a=aperture_fraction * radius, r=radius, theta=theta)
     geometry = make_semicircle_patch(cfg)
-    xi_l = (cfg.r - cfg.a) / (2.0 * cfg.r)
-    xi_r = (cfg.r + cfg.a) / (2.0 * cfg.r)
     rows: list[PollutionRow] = []
     for order in orders:
         for k in wavenumbers:
             n = max(order + 2, int(math.ceil(points_per_wavelength * k * radius / math.pi)))
-            kvx = make_uniform_open_knots(order, n).with_breakpoints([xi_l, xi_r])
-            kve = make_uniform_open_knots(order, max(order, n // 2))
-            space = TensorProductSpace(kvx, kve)
-            partition = classify_dofs(space, cfg)
-            quad = QuadratureRule(space)
-            matrices = assemble(space, geometry, quad)
             wave = mms.PlaneWave(k, (0.0, 1.0))
-            alpha = mms.solve_manufactured(space, geometry, quad, partition, matrices, wave)
+            disc, alpha = _manufactured_level(cfg, geometry, order, n, wave)
+            space, quad = disc.space, disc.quadrature
             rel = mms.l2_error(space, geometry, alpha, wave, quad) / mms.l2_norm(
                 space, geometry, wave, quad
             )

@@ -75,6 +75,14 @@ class SolveReport:
         return text
 
 
+def _factorize(matrix, what: str):
+    """SuperLU factorization (default ordering) of a CSC matrix; ``what`` names it if singular."""
+    try:
+        return spla.splu(matrix)
+    except RuntimeError as exc:
+        raise RuntimeError(f"singular {what}: {exc}") from exc
+
+
 class CslpPreconditioner:
     """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by LU.
 
@@ -91,10 +99,7 @@ class CslpPreconditioner:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
         self.matrix = (A - 1j * self.beta * M).tocsc()
-        try:
-            self._lu = spla.splu(self.matrix)
-        except RuntimeError as exc:
-            raise RuntimeError(f"singular shifted-Laplacian factorization: {exc}") from exc
+        self._lu = _factorize(self.matrix, "shifted-Laplacian factorization")
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(v, dtype=complex))
@@ -107,11 +112,7 @@ def build_cslp(A, M, beta: float) -> CslpPreconditioner:
 
 def direct_solve(A, b) -> np.ndarray:
     """Sparse LU solve; oracle path and default for small systems."""
-    A = as_csr(A).tocsc()
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise RuntimeError(f"singular matrix in direct solve: {exc}") from exc
+    lu = _factorize(as_csr(A).tocsc(), "matrix in direct solve")
     return lu.solve(np.asarray(b, dtype=complex))
 
 

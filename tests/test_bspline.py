@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from igarad.bspline import (
     KnotVector,
@@ -125,7 +127,30 @@ class TestFindSpan:
             find_span(kv, 1.0001)
 
 
+@st.composite
+def clamped_knot_vectors(draw, min_span=1e-300):
+    """Clamped knot vectors of order 2-6, interior knots repeated up to the degree.
+
+    Nonempty spans are at least ``min_span`` wide: derivatives over spans
+    near the smallest normal float overflow in both evaluators.
+    """
+    order = draw(st.integers(2, 6))
+    interior = draw(st.lists(st.floats(min_span, 1.0 - min_span), max_size=8, unique=True))
+    assume(np.all(np.diff(np.concatenate([[0.0], np.sort(interior), [1.0]])) >= min_span))
+    mult = [draw(st.integers(1, order - 1)) for _ in interior]
+    knots = [0.0] * order + sorted(np.repeat(interior, mult).tolist()) + [1.0] * order
+    return KnotVector(order, knots)
+
+
 class TestTabulate:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        kv=clamped_knot_vectors(),
+        ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_matches_eval_basis_on_random_knots(self, kv, ts):
+        self.check_against_eval_basis(kv, np.concatenate([ts, kv.knots]))
+
     @pytest.mark.parametrize(
         "kv",
         [
@@ -137,6 +162,10 @@ class TestTabulate:
     )
     def test_matches_eval_basis(self, kv):
         ts = np.concatenate([np.random.default_rng(3).uniform(0, 1, 50), [0.0, 0.3, 0.5, 1.0]])
+        self.check_against_eval_basis(kv, ts)
+
+    @staticmethod
+    def check_against_eval_basis(kv, ts):
         first, values, derivs = tabulate(kv, ts)
         for p, t in enumerate(ts):
             be = eval_basis(kv, t, 1)

@@ -71,6 +71,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(frequency=-1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"n": 2},
+            {"theta": 2.0},
+            {"frequency": math.nan},
+            {"frequency": math.inf},
+            {"beta_factor": math.nan},
+            {"quad_points": 0},
+            {"restart": 0},
+            {"tol": -1.0},
+            {"grid_res": 1},
+        ],
+        ids=lambda f: "{}={}".format(*next(iter(f.items()))),
+    )
+    def test_bad_field_rejected_at_construction(self, field):
+        with pytest.raises(ValueError):
+            RunConfig(**field)
+
 
 class TestDiscretize:
     def test_aligned_knots_contain_aperture_preimages(self):
@@ -403,12 +422,19 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
+        assert "[assemble]" in proc.stdout  # stage lines are logged at INFO
 
     def test_run_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"solver": "nope"}')
         proc = self._run("run", "--config", str(bad))
         assert proc.returncode == 2
+
+    def test_run_invalid_value_exit_code(self, tmp_path):
+        proc = self._run("run", "--frequency", "nan", "--outdir", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "bad configuration" in proc.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_quality_map_subcommand(self, tmp_path):
         out = tmp_path / "q.csv"
