@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -179,6 +180,13 @@ def _cmd_solve_mm(args) -> int:
     )
 
     try:
+        config = GmresConfig(args.restart, args.tol, args.max_outer)
+        if not args.beta >= 0:
+            raise ValueError("--beta must be nonnegative")
+    except ValueError as exc:
+        print(f"error: bad configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         A = load_matrix_market(args.matrix)
         b = load_vector(args.rhs)
     except (OSError, ValueError) as exc:
@@ -199,13 +207,13 @@ def _cmd_solve_mm(args) -> int:
                 print(f"error: cannot read mass matrix: {exc}", file=sys.stderr)
                 return EXIT_IO
             precond = build_cslp(A, M, args.beta)
-        x, rep, _ = gmres(A, b, precond, GmresConfig(args.restart, args.tol, args.max_outer))
+        x, rep = gmres(A, b, precond, config)
         print(
             f"gmres: outer={rep.outer_iterations} inner={rep.inner_iterations} "
             f"precond_residual={rep.preconditioned_residual:.3e} true={rep.true_residual:.3e}"
         )
         code = EXIT_OK if rep.converged else EXIT_SOLVER
-        report_data = json.loads(rep.to_json())
+        report_data = asdict(rep)
     if args.out:
         save_vector(args.out, x)
         print(f"solution written to {args.out}")

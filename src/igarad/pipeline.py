@@ -99,6 +99,8 @@ class RunConfig:
             raise ValueError("physical parameters must be positive")
         if self.radius_factor <= 0:
             raise ValueError("radius_factor must be positive")
+        if self.beta_factor < 0:
+            raise ValueError("beta_factor must be nonnegative")
         if self.solver not in ("gmres", "direct"):
             raise ValueError("solver must be 'gmres' or 'direct'")
         if isinstance(self.amplitude, (list, tuple)):
@@ -283,6 +285,25 @@ class RunResult:
     dirichlet_deviation: float
 
 
+def _solve_direct(A, b):
+    """Direct sparse solve of the restricted system, with its report."""
+    t0 = time.perf_counter()
+    x = direct_solve(A, b)
+    b_norm = float(np.linalg.norm(b))
+    res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
+    rep = SolveReport(
+        method="direct",
+        n=b.size,
+        outer_iterations=1,
+        inner_iterations=1,
+        preconditioned_residual=res,
+        true_residual=res,
+        wall_time_s=time.perf_counter() - t0,
+        converged=True,
+    )
+    return x, rep
+
+
 def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     """Execute the full pipeline for ``config``; stage times are logged at INFO."""
     timings: dict[str, float] = {}
@@ -319,34 +340,14 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         lambda: build_system(matrices, disc.partition, k, disc.domain.amplitude),
     )
 
-    def _solve():
-        if config.solver == "direct":
-            t0 = time.perf_counter()
-            x = direct_solve(A, b)
-            b_norm = float(np.linalg.norm(b))
-            res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
-            rep = SolveReport(
-                method="direct",
-                n=b.size,
-                outer_iterations=1,
-                inner_iterations=1,
-                preconditioned_residual=res,
-                true_residual=res,
-                wall_time_s=time.perf_counter() - t0,
-                converged=True,
-            )
-            return x, rep
+    if config.solver == "direct":
+        x, solve_report = stage("solve", lambda: _solve_direct(A, b))
+    else:
+        free = disc.partition.free
         beta = config.beta_factor / k
-        precond = build_cslp(A, matrices.mass[disc.partition.free][:, disc.partition.free], beta)
-        x, rep, _ = gmres(
-            A,
-            b,
-            precond,
-            GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer),
-        )
-        return x, rep
-
-    x, solve_report = stage("solve", _solve)
+        precond = stage("factor", lambda: build_cslp(A, matrices.mass[free][:, free], beta))
+        gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
+        x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
 
     def _post():
         alpha = expand_solution(disc.partition, x, disc.domain.amplitude)
@@ -476,7 +477,7 @@ def _write_outputs(config, disc, sol, solve_report, dev, timings, matrices, syst
             "n_dirichlet": disc.partition.n_dirichlet,
             "dirichlet_deviation": dev,
         },
-        "solve": json.loads(solve_report.to_json()),
+        "solve": asdict(solve_report),
         "timings": timings,
         "outputs": outputs,
     }

@@ -1,18 +1,19 @@
-"""Sparse complex linear algebra: restarted GMRES and the shifted-Laplacian
-preconditioner applied through a sparse LU factorization.
+"""Sparse complex linear algebra: left-preconditioned restarted GMRES and
+the shifted-Laplacian preconditioner applied through a sparse LU
+factorization.
 
-Matrices are scipy CSR with sorted, deduplicated indices.  The
-preconditioned residual reported everywhere is the left-preconditioned one,
-``|P^-1 (b - A x)| / |P^-1 b|``; the unpreconditioned ("true") residual is
-reported alongside as a guard.  Solver objects hold factorizations and are
-not safe to share across threads; distinct instances are independent.
+Matrices are scipy CSR with sorted, deduplicated indices.  GMRES reports
+``converged`` only when the explicit preconditioned residual
+``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
+cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
+alongside as a guard.  Solver objects hold factorizations and are not safe
+to share across threads; distinct instances are independent.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
@@ -30,30 +31,27 @@ def as_csr(A) -> sp.csr_matrix:
 
 @dataclass
 class GmresConfig:
-    """Restart length, relative tolerance and outer-iteration budget.
-
-    ``side`` selects left preconditioning (default; residuals are
-    preconditioned ones) or right preconditioning (residuals are true
-    residuals), for experimentation.
-    """
+    """Restart length, relative tolerance on the explicit preconditioned
+    residual, and outer-iteration (restart cycle) budget."""
 
     restart: int = 50
     tol: float = 1e-8
     max_outer: int = 20
-    side: str = "left"
 
     def __post_init__(self):
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 @dataclass
 class SolveReport:
-    """Iteration counts and residuals of one linear solve."""
+    """Iteration counts and residuals of one linear solve; ``history`` holds
+    the GMRES Arnoldi estimate after every inner iteration (empty for a
+    direct solve)."""
 
     method: str
     n: int
@@ -66,13 +64,7 @@ class SolveReport:
     restart: int | None = None
     tol: float | None = None
     shift: float | None = None
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    history: list[float] = field(default_factory=list)
 
 
 def _factorize(matrix, what: str):
@@ -117,119 +109,79 @@ def direct_solve(A, b) -> np.ndarray:
 
 
 def gmres(A, b, precond: CslpPreconditioner | None = None, config: GmresConfig | None = None):
-    """Left-preconditioned restarted GMRES.
+    """Left-preconditioned restarted GMRES; returns ``(x, report)``.
 
-    Returns ``(x, report, history)`` where ``history`` holds the
-    preconditioned relative residual after every inner iteration
-    (non-increasing within each restart cycle).  Non-convergence within
-    the outer budget returns the best iterate with ``converged=False``
-    rather than raising.
+    Convergence is decided only by the explicit preconditioned residual
+    ``|P^-1 (b - A x)| / |P^-1 b|``, computed once at the end of every
+    cycle.  Within a cycle the Arnoldi estimate (the least-squares residual
+    of the Hessenberg system, relative to ``|P^-1 b|``) is recorded in
+    ``report.history`` after every inner iteration; it, or a breakdown,
+    only ends the cycle early.  Non-convergence within the outer budget
+    returns the last iterate with ``converged=False`` rather than raising.
     """
     config = config or GmresConfig()
     A = as_csr(A)
     b = np.asarray(b, dtype=complex)
-    n = b.size
-    right = config.side == "right"
+    n, mdim = b.size, config.restart
 
     def apply_p(v):
         return precond.solve(v) if precond is not None else v
 
-    def operator(v):
-        # left: P^-1 A v;  right: A P^-1 v (solution recovered through P^-1)
-        return A @ apply_p(v) if right else apply_p(A @ v)
-
     t0 = time.perf_counter()
-    pb = b if right else apply_p(b)
-    pb_norm = np.linalg.norm(pb)
     x = np.zeros(n, dtype=complex)
+    true_r = b
+    r = apply_p(b)  # cycle 1 starts from x = 0, so its residual is P^-1 b
+    pb_norm = np.linalg.norm(r)
+    res = 1.0 if pb_norm else 0.0
     history: list[float] = []
-    inner_total = 0
-    converged = False
-    outer = 0
-
-    if pb_norm == 0.0:
-        converged = True
-    while not converged and outer < config.max_outer:
+    inner_total = outer = 0
+    while res > config.tol and outer < config.max_outer:
         outer += 1
-        r = b - A @ x if right else apply_p(b - A @ x)
         beta = np.linalg.norm(r)
-        if beta / pb_norm <= config.tol:
-            converged = True
-            break
-        mdim = config.restart
         V = np.empty((n, mdim + 1), dtype=complex)
         H = np.zeros((mdim + 1, mdim), dtype=complex)
-        cs = np.empty(mdim, dtype=complex)
-        sn = np.empty(mdim, dtype=complex)
         g = np.zeros(mdim + 1, dtype=complex)
-        V[:, 0] = r / beta
         g[0] = beta
-        j_used = 0
+        V[:, 0] = r / beta
+        y = np.zeros(0, dtype=complex)
         for j in range(mdim):
-            w = operator(V[:, j])
+            w = apply_p(A @ V[:, j])
             # modified Gram-Schmidt
             for i in range(j + 1):
                 H[i, j] = np.vdot(V[:, i], w)
                 w -= H[i, j] * V[:, i]
-            H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] != 0.0:
-                V[:, j + 1] = w / H[j + 1, j]
-            else:
-                V[:, j + 1] = 0.0  # lucky breakdown; loop exits on the residual check
-            # apply stored Givens rotations
-            for i in range(j):
-                temp = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -np.conj(sn[i]) * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = temp
-            denom = np.hypot(abs(H[j, j]), abs(H[j + 1, j]))
-            if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
-            else:
-                cs[j] = abs(H[j, j]) / denom
-                sn[j] = (
-                    cs[j] * H[j + 1, j] / H[j, j]
-                    if H[j, j] != 0.0
-                    else H[j + 1, j] / denom
-                )
-                sn[j] = np.conj(sn[j])
-            temp = cs[j] * g[j] + sn[j] * g[j + 1]
-            g[j + 1] = -np.conj(sn[j]) * g[j] + cs[j] * g[j + 1]
-            g[j] = temp
-            H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-            H[j + 1, j] = 0.0
+            h_next = np.linalg.norm(w)
+            H[j + 1, j] = h_next
+            if not np.isfinite(h_next):
+                break  # NaN or inf in A, b or P: end with a non-finite residual
             inner_total += 1
-            j_used = j + 1
-            history.append(abs(g[j + 1]) / pb_norm)
-            if history[-1] <= config.tol:
-                converged = True
-                break
-        if j_used:
-            y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
-            update = V[:, :j_used] @ y
-            x = x + (apply_p(update) if right else update)
-        if np.isnan(history[-1] if history else 0.0):
-            break
+            Hj, gj = H[: j + 2, : j + 1], g[: j + 2]
+            y = np.linalg.lstsq(Hj, gj)[0]
+            history.append(float(np.linalg.norm(gj - Hj @ y) / pb_norm))
+            if h_next == 0.0 or history[-1] <= config.tol:
+                break  # converged estimate or breakdown
+            V[:, j + 1] = w / h_next
+        x = x + V[:, : y.size] @ y
+        true_r = b - A @ x
+        r = apply_p(true_r)
+        res = np.linalg.norm(r) / pb_norm
 
-    if right:
-        final_p = np.linalg.norm(b - A @ x) / pb_norm if pb_norm else 0.0
-    else:
-        final_p = np.linalg.norm(apply_p(b - A @ x)) / pb_norm if pb_norm else 0.0
     b_norm = np.linalg.norm(b)
-    final_t = np.linalg.norm(b - A @ x) / b_norm if b_norm else 0.0
     report = SolveReport(
         method="gmres",
         n=n,
         outer_iterations=outer,
         inner_iterations=inner_total,
-        preconditioned_residual=float(final_p),
-        true_residual=float(final_t),
+        preconditioned_residual=float(res),
+        true_residual=float(np.linalg.norm(true_r) / b_norm) if b_norm else 0.0,
         wall_time_s=time.perf_counter() - t0,
-        converged=bool(converged and final_p <= 10 * config.tol),
+        converged=bool(res <= config.tol),
         restart=config.restart,
         tol=config.tol,
         shift=precond.beta if precond is not None else None,
+        history=history,
     )
-    return x, report, np.asarray(history)
+    return x, report
 
 
 def save_matrix_market(path, A) -> None:

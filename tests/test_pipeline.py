@@ -79,9 +79,11 @@ class TestRunConfig:
             {"frequency": math.nan},
             {"frequency": math.inf},
             {"beta_factor": math.nan},
+            {"beta_factor": -1.0},
             {"quad_points": 0},
             {"restart": 0},
             {"tol": -1.0},
+            {"max_outer": 0},
             {"grid_res": 1},
         ],
         ids=lambda f: "{}={}".format(*next(iter(f.items()))),
@@ -127,6 +129,12 @@ class TestRun:
         num = np.linalg.norm(res_g.field.coefficients - res_d.field.coefficients)
         den = np.linalg.norm(res_d.field.coefficients)
         assert num / den <= 1e-7
+        # the preconditioner factorization is timed apart from the Krylov solve
+        assert "factor" in res_g.timings and "solve" in res_g.timings
+        assert "factor" not in res_d.timings
+        rep_g = res_g.solve_report
+        assert len(rep_g.history) == rep_g.inner_iterations >= 1
+        assert res_d.solve_report.history == []
 
     def test_serial_determinism_bit_identical(self):
         a = run(smoke_config(), write_outputs=False)
@@ -464,7 +472,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         x = load_vector(out)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-8
-        assert json.loads(rep.read_text())["converged"] is True
+        report = json.loads(rep.read_text())
+        assert report["converged"] is True
+        assert len(report["history"]) == report["inner_iterations"]
+
+    @pytest.mark.parametrize(
+        "flag", [("--restart", "0"), ("--tol", "-1"), ("--max-outer", "0"), ("--beta", "-1")]
+    )
+    def test_solve_mm_bad_setting_exit_code(self, tmp_path, flag):
+        # the inputs do not exist: settings are checked before any file is read
+        missing = str(tmp_path / "missing.mtx")
+        proc = self._run("solve-mm", missing, missing, *flag)
+        assert proc.returncode == 2, proc.stderr
+        assert "bad configuration" in proc.stderr
 
     def test_solve_mm_direct(self, tmp_path):
         import scipy.sparse as sp
