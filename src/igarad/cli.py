@@ -9,7 +9,7 @@ Subcommands:
 * ``solve-mm``     standalone preconditioned solve of Matrix Market files
 
 Exit codes: 0 success, 2 configuration/usage error, 3 pipeline failure,
-4 solver non-convergence, 5 I/O failure.
+4 solver non-convergence or a singular factorization, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -193,7 +193,11 @@ def _cmd_solve_mm(args) -> int:
         print(f"error: cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.direct:
-        x = direct_solve(A, b)
+        try:
+            x = direct_solve(A, b)
+        except RuntimeError as exc:  # "singular matrix in direct solve: ..."
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
         res = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
         print(f"direct solve: true residual {res:.3e}")
         code = EXIT_OK
@@ -206,7 +210,14 @@ def _cmd_solve_mm(args) -> int:
             except (OSError, ValueError) as exc:
                 print(f"error: cannot read mass matrix: {exc}", file=sys.stderr)
                 return EXIT_IO
-            precond = build_cslp(A, M, args.beta)
+            try:
+                precond = build_cslp(A, M, args.beta)
+            except ValueError as exc:
+                print(f"error: bad configuration: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            except RuntimeError as exc:  # "singular shifted-Laplacian factorization: ..."
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_SOLVER
         x, rep = gmres(A, b, precond, config)
         print(
             f"gmres: outer={rep.outer_iterations} inner={rep.inner_iterations} "

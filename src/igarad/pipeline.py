@@ -268,10 +268,17 @@ def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int =
     return float(np.max(np.abs(vals - domain.amplitude)))
 
 
-def _estimate_lu_gib(dofs: int, n: int, m: int, order: int) -> float:
-    # rough banded-fill model: two triangular factors of bandwidth ~ order*min(n, m)
-    bandwidth = order * min(n, m)
-    return 2.0 * 16.0 * dofs * bandwidth / 2**30
+def _estimate_lu_nnz(dofs: int, order_xi: int, order_eta: int) -> float:
+    """LU fill of the shifted-Laplacian matrix under ``solver._factorize``.
+
+    Power-law fit ``1.255 * order_xi * order_eta * dofs^1.307`` to SuperLU's
+    ``nnz`` measured on the desk physics (``desk_radiation_k300.json`` with
+    n x m from 40 x 30 to 300 x 220): cubic 1,260 dofs 0.215M, 4,920 1.40M,
+    10,980 4.00M, 27,936 12.75M, 66,440 39.5M; every cubic point within 6 %
+    of the fit, quadratic (1,260 / 10,980 / 43,560 dofs) and quartic
+    (10,980) within 6 % with the ``order_xi * order_eta`` factor.
+    """
+    return 1.255 * order_xi * order_eta * dofs**1.307
 
 
 @dataclass
@@ -329,8 +336,9 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
             ),
         )
     if config.full_scale:
-        est = _estimate_lu_gib(N, disc.space.n, disc.space.m, max(config.order_xi, config.order_eta))
-        log.info("full-scale run: %d dofs, rough LU memory estimate %.1f GiB", N, est)
+        # complex128 value plus int32 row index per stored entry
+        est = 20.0 * _estimate_lu_nnz(N, config.order_xi, config.order_eta) / 2**30
+        log.info("full-scale run: %d dofs, LU memory estimate %.1f GiB (fitted fill)", N, est)
 
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
@@ -340,12 +348,14 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         lambda: build_system(matrices, disc.partition, k, disc.domain.amplitude),
     )
 
+    lu_nnz = None  # the direct solve keeps no factor
     if config.solver == "direct":
         x, solve_report = stage("solve", lambda: _solve_direct(A, b))
     else:
         free = disc.partition.free
         beta = config.beta_factor / k
         precond = stage("factor", lambda: build_cslp(A, matrices.mass[free][:, free], beta))
+        lu_nnz = precond.lu_nnz
         gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
         x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
 
@@ -360,7 +370,7 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     if write_outputs:
         outputs = stage(
             "write",
-            lambda: _write_outputs(config, disc, sol, solve_report, dev, timings, matrices, A),
+            lambda: _write_outputs(config, disc, sol, solve_report, dev, lu_nnz, timings, matrices, A),
         )
     return RunResult(config, disc, sol, solve_report, timings, outputs, dev)
 
@@ -427,7 +437,7 @@ def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
                     fh.write(f"{data[i, j]:.17g}\n")
 
 
-def _write_outputs(config, disc, sol, solve_report, dev, timings, matrices, system) -> dict:
+def _write_outputs(config, disc, sol, solve_report, dev, lu_nnz, timings, matrices, system) -> dict:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -476,6 +486,7 @@ def _write_outputs(config, disc, sol, solve_report, dev, timings, matrices, syst
             "n_free": disc.partition.n_free,
             "n_dirichlet": disc.partition.n_dirichlet,
             "dirichlet_deviation": dev,
+            "lu_nnz": lu_nnz,
         },
         "solve": asdict(solve_report),
         "timings": timings,

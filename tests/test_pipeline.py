@@ -401,7 +401,23 @@ class TestOutputs:
         assert report["derived"]["wavenumber"] == dom.wavenumber
         assert report["derived"]["dofs"] == result.discretization.space.size
         assert report["solve"]["method"] == "direct"
+        assert report["derived"]["lu_nnz"] is None  # the direct solve keeps no factor
         assert report["config"]["n"] == cfg.n
+
+    def test_report_lu_fill(self, tmp_path):
+        from igarad.pipeline import _estimate_lu_nnz
+
+        cfg = smoke_config(solver="gmres", outdir=str(tmp_path))
+        result = run(cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        lu_nnz = report["derived"]["lu_nnz"]
+        assert lu_nnz > 0
+        # the full-scale memory estimate's fill model holds at desk scale too
+        estimate = _estimate_lu_nnz(result.discretization.space.size, cfg.order_xi, cfg.order_eta)
+        assert 0.5 <= estimate / lu_nnz <= 2.0
+        solve = report["solve"]
+        assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
+        assert solve["cycle_residuals"][-1] == solve["preconditioned_residual"]
 
     def test_vtk_header(self, outputs):
         _, result, outdir = outputs
@@ -496,6 +512,43 @@ class TestCli:
         save_vector(tmp_path / "b.mtx", np.ones(4, dtype=complex))
         proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
         assert proc.returncode == 0, proc.stderr
+
+    def test_solve_mm_mass_shape_mismatch_exit_code(self, tmp_path):
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market, save_vector
+
+        save_matrix_market(tmp_path / "A.mtx", sp.identity(5, format="csr", dtype=complex))
+        save_matrix_market(tmp_path / "M.mtx", sp.identity(6, format="csr", dtype=complex))
+        save_vector(tmp_path / "b.mtx", np.ones(5, dtype=complex))
+        proc = self._run(
+            "solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"),
+            "--mass", str(tmp_path / "M.mtx"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "bad configuration" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--mass", "M.mtx"), "singular shifted-Laplacian factorization"),
+            (("--direct",), "singular matrix in direct solve"),
+        ],
+    )
+    def test_solve_mm_singular_exit_code(self, tmp_path, flags, message):
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market, save_vector
+
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+        save_matrix_market(tmp_path / "A.mtx", A)
+        save_matrix_market(tmp_path / "M.mtx", sp.csr_matrix((2, 2), dtype=complex))
+        save_vector(tmp_path / "b.mtx", np.ones(2, dtype=complex))
+        flags = [str(tmp_path / f) if f.endswith(".mtx") else f for f in flags]
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), *flags)
+        assert proc.returncode == 4, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_input_exit_code(self, tmp_path):
         proc = self._run("solve-mm", str(tmp_path / "nope.mtx"), str(tmp_path / "nope2.mtx"))

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from igarad.solver import (
     GmresConfig,
+    _factorize,
     build_cslp,
     direct_solve,
     gmres,
@@ -50,11 +51,10 @@ class TestGmres:
         _, rep = gmres(A, b, None, GmresConfig(restart=25, tol=1e-9, max_outer=50))
         assert rep.converged
         hist = np.asarray(rep.history)
-        assert hist.size == rep.inner_iterations
+        assert hist.size == rep.inner_iterations == sum(rep.cycle_lengths)
+        assert len(rep.cycle_lengths) == rep.outer_iterations > 1
         # within each restart cycle the estimate never increases
-        per_cycle = np.split(np.arange(hist.size), np.arange(25, hist.size, 25))
-        for idx in per_cycle:
-            h = hist[idx]
+        for h in np.split(hist, np.cumsum(rep.cycle_lengths)[:-1]):
             assert np.all(np.diff(h) <= 1e-12 + 1e-12 * h[:-1])
 
     def test_restarted_path_converges(self, rng):
@@ -138,7 +138,7 @@ class TestCslp:
     def test_singular_factorization_reported(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
         M = sp.csr_matrix(np.zeros((2, 2), dtype=complex))
-        with pytest.raises(RuntimeError, match="singular"):
+        with pytest.raises(RuntimeError, match="^singular shifted-Laplacian factorization: "):
             build_cslp(A, M, 0.0)
 
 
@@ -157,7 +157,7 @@ class TestDirectSolve:
 
     def test_singular_reported(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
-        with pytest.raises(RuntimeError, match="singular"):
+        with pytest.raises(RuntimeError, match="^singular matrix in direct solve: "):
             direct_solve(A, np.ones(2, dtype=complex))
 
 
@@ -233,6 +233,54 @@ class TestExplicitResidualStop:
         assert rep.outer_iterations >= 2
         explicit = np.linalg.norm(precond.solve(b - A @ x)) / np.linalg.norm(precond.solve(b))
         assert explicit == pytest.approx(rep.preconditioned_residual, rel=1e-6)
+
+    def test_cycles_record_why_the_solve_continued(self):
+        """Every cycle but the last ends above tol; the record adds up to the history."""
+        k = 80.0
+        A, b, M = semicircle_system(k, 30, 20)
+        precond = SinglePrecisionCslp(A, M, 1.0 / (3 * k))
+        config = GmresConfig(restart=50, tol=1e-8, max_outer=20)
+        _, rep = gmres(A, b, precond, config)
+        assert len(rep.cycle_lengths) == len(rep.cycle_residuals) == rep.outer_iterations >= 2
+        assert sum(rep.cycle_lengths) == len(rep.history) == rep.inner_iterations
+        assert all(r > config.tol for r in rep.cycle_residuals[:-1])
+        assert rep.cycle_residuals[-1] == rep.preconditioned_residual <= config.tol
+        # the first cycle's estimate passed tol, its explicit residual did not
+        assert rep.history[rep.cycle_lengths[0] - 1] <= config.tol
+
+
+class TestFactorize:
+    def test_less_fill_than_default_ordering(self):
+        A, b, _ = semicircle_system(150.0, 60, 40)
+        matrix = A.tocsc()
+        assert _factorize(matrix, "system").nnz < spla.splu(matrix).nnz
+        x = direct_solve(A, b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+
+    def test_preconditioner_keeps_its_fill(self):
+        k = 150.0
+        A, _, M = semicircle_system(k, 60, 40)
+        precond = build_cslp(A, M, 1.0 / (3 * k))
+        assert precond.lu_nnz == _factorize(precond.matrix, "P").nnz > A.nnz
+
+    def test_tiny_diagonal_is_pivoted_away(self):
+        """A symmetric matrix whose diagonal is 1e-13: diagonal pivots alone
+        lose the solution, threshold partial pivoting keeps it."""
+        rng = np.random.default_rng(0)
+        n = 300
+        B = sp.random(n, n, density=0.02, random_state=1, data_rvs=rng.standard_normal)
+        S = sp.triu(B, 1)
+        A = (S + S.T + 1e-13 * sp.identity(n)).tocsc().astype(complex)
+        b = rng.standard_normal(n).astype(complex)
+
+        def residual(lu):
+            return np.linalg.norm(A @ lu.solve(b) - b) / np.linalg.norm(b)
+
+        diagonal_only = spla.splu(
+            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+        )
+        assert residual(diagonal_only) > 1e-3
+        assert residual(_factorize(A, "matrix")) <= 1e-8
 
 
 class TestMatrixMarketIO:
