@@ -9,10 +9,11 @@ evaluated.
 
 Each direction's basis is tabulated once on all its Gauss nodes
 (:func:`igarad.bspline.tabulate`); the geometry Jacobian is evaluated once
-on the volume nodes and once per edge.  Matrices are accumulated over the
-full ``N x N`` index set in triplet form and restricted to free/Dirichlet
-blocks in :func:`build_system`.  The element loop is serial; evaluation of
-the immutable spaces and geometry is pure, so a parallel loop with a
+on the volume nodes and once per edge.  Stiffness and mass are summed into
+CSR ``data`` over the full ``N x N`` index set, in the Kronecker product of
+the knot vectors' 1D coupling bands, and restricted to free/Dirichlet blocks
+in :func:`build_system`.  The element loop is serial; evaluation of the
+immutable spaces and geometry is pure, so a parallel loop with a
 deterministic merge could replace it without changing results beyond
 summation order.
 """
@@ -116,6 +117,23 @@ def _tabulate(kv: KnotVector, rule: _DirectionRule):
     return vals, ders, first[::n_q]
 
 
+def _band(kv: KnotVector):
+    """1D coupling pattern of ``kv``'s basis as a CSR matrix of ones, and
+    each row's first column.
+
+    ``B_i`` and ``B_i'`` couple iff their open supports ``(t_i, t_{i+order})``
+    overlap, which holds for one contiguous range of ``i'`` per row; with
+    repeated interior knots that range is narrower than ``|i - i'| < order``.
+    """
+    t, nb = kv.knots, kv.num_basis
+    # row i runs from the first i' with t_{i'+order} > t_i to the last with t_{i'} < t_{i+order}
+    first = np.searchsorted(t[kv.order:], t[:nb], side="right")
+    stop = np.searchsorted(t[:nb], t[kv.order:], side="left")
+    indptr = np.concatenate([[0], np.cumsum(stop - first)])
+    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - first, stop - first)
+    return sp.csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=(nb, nb)), first
+
+
 @dataclass(frozen=True)
 class DofPartition:
     """Split of the flattened dof indices into free and Dirichlet sets.
@@ -207,15 +225,19 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
     W12 = -g12 / det * w2d
     W22 = g11 / det * w2d
     Wm = det * w2d
+    del _, F_xi, F_eta, det, g11, g12, g22, w2d  # only the four weights are used below
 
-    n_entries = E1 * E2 * L * L
-    rows = np.empty(n_entries, dtype=np.int64)
-    cols = np.empty(n_entries, dtype=np.int64)
-    s_vals = np.empty(n_entries)
-    m_vals = np.empty(n_entries)
+    # eta band outer, xi band inner (flat index j * n + i): a local pair (i, j), (i', j')
+    # sits at indptr[j * n + i] + (j' - first_e[j]) * len_x[i] + i' - first_x[i]
+    band_x, first_x = _band(kvx)
+    band_e, first_e = _band(kve)
+    pattern = sp.kron(band_e, band_x, format="csr")
+    len_x = np.diff(band_x.indptr)
+    s_data = np.zeros(pattern.nnz)
+    m_data = np.zeros(pattern.nnz)
 
     ge = fe[:, None] + np.arange(k2)[None, :]  # (E2, k2) eta dof indices
-    block = E2 * L * L
+    off_e = ge[:, None, :] - first_e[ge][:, :, None]  # (E2, b, b')
     for e1 in range(E1):
         sl = slice(e1 * q1, (e1 + 1) * q1)
 
@@ -241,19 +263,19 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
         qm = p_val * np.sqrt(wm)[:, None, :]
         m_loc = np.matmul(qm, qm.transpose(0, 2, 1))
 
-        gdof = (ge[:, None, :] * n + (fx[e1] + np.arange(k1))[None, :, None]).reshape(E2, L)
-        out = slice(e1 * block, (e1 + 1) * block)
-        rows[out] = np.broadcast_to(gdof[:, :, None], (E2, L, L)).ravel()
-        cols[out] = np.broadcast_to(gdof[:, None, :], (E2, L, L)).ravel()
-        s_vals[out] = k_loc.ravel()
-        m_vals[out] = m_loc.ravel()
+        ix = fx[e1] + np.arange(k1)
+        rows = ge[:, None, :] * n + ix[None, :, None]  # (E2, a, b)
+        pos = (
+            pattern.indptr[rows][:, :, :, None, None]
+            + off_e[:, None, :, None, :] * len_x[ix][None, :, None, None, None]
+            + (ix[None, :] - first_x[ix][:, None])[None, :, None, :, None]
+        ).reshape(E2, L, L)
+        np.add.at(s_data, pos, k_loc)
+        np.add.at(m_data, pos, m_loc)
 
-    stiffness = sp.coo_matrix((s_vals, (rows, cols)), shape=(N, N)).tocsr()
-    mass = sp.coo_matrix((m_vals, (rows, cols)), shape=(N, N)).tocsr()
+    stiffness = sp.csr_matrix((s_data, pattern.indices, pattern.indptr), shape=(N, N))
+    mass = sp.csr_matrix((m_data, pattern.indices.copy(), pattern.indptr.copy()), shape=(N, N))
     robin = _robin_mass(space, geometry, quad)
-    for mat in (stiffness, mass, robin):
-        mat.sum_duplicates()
-        mat.sort_indices()
     return SystemMatrices(stiffness=stiffness, mass=mass, robin_mass=robin)
 
 

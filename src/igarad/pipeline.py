@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import resource
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -288,6 +289,7 @@ class RunResult:
     field: SolutionField
     solve_report: SolveReport
     timings: dict
+    peak_rss_mib: dict
     outputs: dict
     dirichlet_deviation: float
 
@@ -312,8 +314,13 @@ def _solve_direct(A, b):
 
 
 def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
-    """Execute the full pipeline for ``config``; stage times are logged at INFO."""
+    """Execute the full pipeline for ``config``.
+
+    Each stage's wall time and the process's peak resident memory at its
+    end are logged at INFO and kept in ``timings`` and ``peak_rss_mib``.
+    """
     timings: dict[str, float] = {}
+    peak_rss_mib: dict[str, float] = {}
 
     def stage(name, fn):
         t0 = time.perf_counter()
@@ -322,7 +329,9 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         except Exception as exc:
             raise PipelineError(name, exc) from exc
         timings[name] = time.perf_counter() - t0
-        log.info("[%s] %.3fs", name, timings[name])
+        # ru_maxrss is in KiB on Linux
+        peak_rss_mib[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        log.info("[%s] %.3fs, peak RSS %.0f MiB", name, timings[name], peak_rss_mib[name])
         return out
 
     disc = stage("discretize", lambda: discretize(config))
@@ -370,9 +379,11 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     if write_outputs:
         outputs = stage(
             "write",
-            lambda: _write_outputs(config, disc, sol, solve_report, dev, lu_nnz, timings, matrices, A),
+            lambda: _write_outputs(
+                config, disc, sol, solve_report, dev, lu_nnz, timings, peak_rss_mib, matrices, A
+            ),
         )
-    return RunResult(config, disc, sol, solve_report, timings, outputs, dev)
+    return RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev)
 
 
 def _field_table(sol: SolutionField, grid_res: int) -> np.ndarray:
@@ -437,7 +448,9 @@ def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
                     fh.write(f"{data[i, j]:.17g}\n")
 
 
-def _write_outputs(config, disc, sol, solve_report, dev, lu_nnz, timings, matrices, system) -> dict:
+def _write_outputs(
+    config, disc, sol, solve_report, dev, lu_nnz, timings, peak_rss_mib, matrices, system
+) -> dict:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -486,10 +499,12 @@ def _write_outputs(config, disc, sol, solve_report, dev, lu_nnz, timings, matric
             "n_free": disc.partition.n_free,
             "n_dirichlet": disc.partition.n_dirichlet,
             "dirichlet_deviation": dev,
+            "system_nnz": system.nnz,
             "lu_nnz": lu_nnz,
         },
         "solve": asdict(solve_report),
         "timings": timings,
+        "peak_rss_mib": peak_rss_mib,
         "outputs": outputs,
     }
     report_path = outdir / "report.json"

@@ -22,11 +22,15 @@ import scipy.sparse.linalg as spla
 
 
 def as_csr(A) -> sp.csr_matrix:
-    """CSR with sorted, deduplicated indices and complex dtype."""
+    """CSR with sorted, deduplicated indices and complex dtype.
+
+    A canonical complex CSR input shares its arrays with the result; nothing
+    is copied.
+    """
     A = sp.csr_matrix(A)
     A.sum_duplicates()
     A.sort_indices()
-    return A.astype(complex)
+    return A.astype(complex, copy=False)
 
 
 @dataclass
@@ -108,12 +112,10 @@ class CslpPreconditioner:
     def __init__(self, A, M, beta: float):
         if beta < 0:
             raise ValueError("shift beta must be nonnegative")
-        A = as_csr(A)
-        M = as_csr(M)
         if A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
-        self.matrix = (A - 1j * self.beta * M).tocsc()
+        self.matrix = as_csr(A - 1j * self.beta * M).tocsc()
         self._lu = _factorize(self.matrix, "shifted-Laplacian factorization")
         self.lu_nnz = int(self._lu.nnz)
 

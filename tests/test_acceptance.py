@@ -279,6 +279,11 @@ class TestCriterion8PhysicalSanity:
         n_min_before = int((ys[minima] < nf).sum())
         n_max_after = int((ys[maxima] >= nf).sum())
         y_peak = float(ys[np.argmax(mag)])
+        # The far-field maximum is flat to within the 2% ripple, so argmax
+        # jumps between near-equal ripple crests as the mesh changes; the
+        # middle of the range where |p| is within 2% of its maximum does not.
+        top = ys[mag >= mag.max() - prom]
+        y_top = 0.5 * float(top[0] + top[-1])
 
         xs, bvals = bottom_profile(desk_run.field, 400)
         on_ap = np.abs(xs) <= dom.a * (1 - 1e-12)
@@ -304,7 +309,8 @@ class TestCriterion8PhysicalSanity:
             "criterion 8 (physical sanity)",
             ok,
             f"near-field maxima/minima {n_max_before}/{n_min_before}, far-field maxima "
-            f"{n_max_after} (<=1), peak at y = {y_peak:.4f} = {y_peak / nf:.2f} N_f (> N_f), "
+            f"{n_max_after} (<=1), peak (middle of |p| >= 98% max) at y = {y_top:.4f} = "
+            f"{y_top / nf:.2f} N_f (argmax > N_f: {y_peak > nf}), "
             f"aperture plateau dev {plateau:.2e}, max baffle increment {jumps:.3f}",
         )
         assert oscillates, "no oscillation before the natural focus"

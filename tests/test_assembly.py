@@ -1,11 +1,15 @@
 """Assembly: quadrature, dof classification, matrices, system formation."""
 
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igarad.assembly import (
     NonPositiveJacobianError,
@@ -16,9 +20,13 @@ from igarad.assembly import (
     edge_load,
     expand_solution,
 )
-from igarad.bspline import TensorProductSpace, basis_matrix, make_uniform_open_knots
+from igarad.bspline import KnotVector, TensorProductSpace, basis_matrix, make_uniform_open_knots
 from igarad.geometry import CoonsSurface, DomainConfig, coons_patch, make_line, make_semicircle_patch
 from igarad.solver import direct_solve
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SEMICIRCLE = make_semicircle_patch(DomainConfig(a=0.01, r=0.133, theta=math.pi / 4))
 
 
 def unit_square_patch():
@@ -32,6 +40,27 @@ def unit_square_patch():
 
 def make_space(order, n, m):
     return TensorProductSpace(make_uniform_open_knots(order, n), make_uniform_open_knots(order, m))
+
+
+def repeated_knots(order, breakpoints, mult):
+    """Clamped knot vector with each interior breakpoint repeated ``mult`` times."""
+    interior = np.repeat(np.asarray(breakpoints, dtype=float), mult)
+    return KnotVector(order, np.concatenate([np.zeros(order), interior, np.ones(order)]))
+
+
+def element_pattern(space):
+    """CSR pattern of all pairs of functions active on a common element."""
+    kvx, kve = space.kv_xi, space.kv_eta
+    ax = kvx.spans()[:, None] - kvx.degree + np.arange(kvx.order)  # (E1, k1)
+    ae = kve.spans()[:, None] - kve.degree + np.arange(kve.order)  # (E2, k2)
+    dofs = ae[None, :, :, None] * space.n + ax[:, None, None, :]  # (E1, E2, k2, k1)
+    dofs = dofs.reshape(-1, kvx.order * kve.order)
+    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
+    cols = np.tile(dofs, dofs.shape[1]).ravel()
+    ref = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(space.size, space.size)).tocsr()
+    ref.sum_duplicates()
+    ref.sort_indices()
+    return ref
 
 
 def brute_force_matrices(space, geometry, points=12):
@@ -178,6 +207,102 @@ class TestAssembleIdentityGeometry:
             d = (x - y).tocoo()
             rel = np.max(np.abs(d.data)) / np.max(np.abs(y.data)) if d.nnz else 0.0
             assert rel <= 1e-12
+
+
+class TestAssemblePattern:
+    """S and M are filled into the tensor product of the two 1D coupling
+    bands, built from the knots; with repeated interior knots that band is
+    narrower than ``|i - i'| < order``."""
+
+    SPACES = {
+        # cubic: C^0 in xi (multiplicity order - 1), C^1 in eta (multiplicity 2)
+        "cubic_c0_c1": (repeated_knots(4, [0.5], 3), repeated_knots(4, [1 / 3, 2 / 3], 2)),
+        # quadratic: C^0 in xi (multiplicity 2 = order - 1), simple knots in eta
+        "quadratic_c0": (repeated_knots(3, [0.25, 0.6], 2), repeated_knots(3, [0.3, 0.7], 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_repeated_knots_against_oracle(self, name):
+        space = TensorProductSpace(*self.SPACES[name])
+        geometry = unit_square_patch()
+        mats = assemble(space, geometry, QuadratureRule(space))
+        S_o, M_o = brute_force_matrices(space, geometry)
+        assert np.max(np.abs(mats.stiffness.toarray() - S_o)) / np.max(np.abs(S_o)) <= 1e-9
+        assert np.max(np.abs(mats.mass.toarray() - M_o)) / np.max(np.abs(M_o)) <= 1e-9
+        # the |i - i'| < order rule would store couplings these spaces do not have
+        band = [np.abs(np.subtract.outer(*2 * [np.arange(kv.num_basis)])) < kv.order
+                for kv in (space.kv_eta, space.kv_xi)]
+        assert mats.stiffness.nnz < np.count_nonzero(np.kron(*band))
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_pattern_is_element_couplings(self, name):
+        space = TensorProductSpace(*self.SPACES[name])
+        self.check_pattern(space, assemble(space, unit_square_patch(), QuadratureRule(space)))
+
+    def test_pattern_on_aperture_aligned_desk_mesh(self):
+        from igarad.pipeline import RunConfig, discretize
+
+        disc = discretize(RunConfig.from_json(CONFIGS / "desk_radiation_k300.json"))
+        assert disc.space.kv_xi.knots.size > 120 + 4  # aligned: breakpoints were inserted
+        self.check_pattern(disc.space, assemble(disc.space, disc.geometry, disc.quadrature))
+
+    @staticmethod
+    def check_pattern(space, mats):
+        ref = element_pattern(space)
+        for mat in (mats.stiffness, mats.mass):
+            assert mat.has_canonical_format
+            assert np.array_equal(mat.indptr, ref.indptr)
+            assert np.array_equal(mat.indices, ref.indices)
+
+
+class TestAssembleMemory:
+    def test_peak_is_a_small_multiple_of_the_output(self):
+        # No array of all E1 * E2 * order^4 element-local pairs may exist:
+        # row, column, stiffness and mass values of all 117 * 87 * 256 of
+        # them would take 32 B each, about 7x the output on their own.
+        space = make_space(4, 120, 90)
+        quad = QuadratureRule(space)
+        tracemalloc.start()
+        try:
+            mats = assemble(space, SEMICIRCLE, quad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            for m in (mats.stiffness, mats.mass, mats.robin_mass)
+        )
+        assert peak <= 6 * out
+
+
+@st.composite
+def knot_vectors(draw):
+    """Order 2-5, up to four interior breakpoints on a 1/20 grid, each
+    repeated up to the degree."""
+    order = draw(st.integers(2, 5))
+    breaks = sorted(draw(st.lists(st.integers(1, 19), max_size=4, unique=True)))
+    mult = [draw(st.integers(1, order - 1)) for _ in breaks]
+    return repeated_knots(order, np.asarray(breaks) / 20, mult)
+
+
+class TestAssembleProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kv_xi=knot_vectors(), kv_eta=knot_vectors())
+    def test_unit_square_totals(self, kv_xi, kv_eta):
+        # total mass is the area and total Robin mass the length of the
+        # three impedance edges, by partition of unity
+        space = TensorProductSpace(kv_xi, kv_eta)
+        mats = assemble(space, unit_square_patch(), QuadratureRule(space))
+        assert abs(mats.mass.sum() - 1.0) <= 1e-13
+        assert abs(mats.robin_mass.sum() - 3.0) <= 1e-13
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kv_xi=knot_vectors(), kv_eta=knot_vectors())
+    def test_stiffness_annihilates_constants(self, kv_xi, kv_eta):
+        space = TensorProductSpace(kv_xi, kv_eta)
+        mats = assemble(space, SEMICIRCLE, QuadratureRule(space))
+        S = mats.stiffness
+        assert np.max(np.abs(S @ np.ones(space.size))) <= 1e-12 * np.max(np.abs(S.data))
 
 
 @pytest.fixture(scope="module")

@@ -419,6 +419,21 @@ class TestOutputs:
         assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
         assert solve["cycle_residuals"][-1] == solve["preconditioned_residual"]
 
+    def test_report_peak_memory(self, outputs):
+        from igarad.solver import load_matrix_market
+
+        _, result, outdir = outputs
+        report = json.loads((outdir / "report.json").read_text())
+        # the report is written inside the last stage, before that stage is timed
+        assert list(report["peak_rss_mib"]) == list(report["timings"])
+        assert list(result.peak_rss_mib) == list(result.timings)
+        peaks = list(result.peak_rss_mib.values())
+        assert peaks[0] > 0
+        assert all(b >= a for a, b in zip(peaks, peaks[1:]))
+        assert report["peak_rss_mib"] == {k: result.peak_rss_mib[k] for k in report["timings"]}
+        A = load_matrix_market(outdir / "system.mtx")
+        assert report["derived"]["system_nnz"] == A.nnz > 0
+
     def test_vtk_header(self, outputs):
         _, result, outdir = outputs
         lines = (outdir / "field.vtk").read_text().splitlines()
