@@ -417,14 +417,20 @@ class CoonsSurface:
         acc = self._blend(_design(self.kv_xi, xis)[0], _design(self.kv_eta, etas)[0])
         return acc[..., :2] / acc[..., 2:3]
 
-    def jacobian_grid(self, xis, etas):
+    def designs(self, xis, etas):
+        """Dense value and derivative designs ``((bx, dbx), (be, dbe))`` at
+        ``xis`` and ``etas``, for :meth:`jacobian_grid` calls on slices."""
+        return _design(self.kv_xi, xis), _design(self.kv_eta, etas)
+
+    def jacobian_grid(self, xis, etas, designs=None):
         """Points, first derivatives, det and mean ratio on a tensor grid.
 
         Returns ``(F, F_xi, F_eta, det, mean_ratio)`` with leading shape
-        ``(len(xis), len(etas))``.
+        ``(len(xis), len(etas))``.  ``designs``, :meth:`designs` at ``xis``
+        and ``etas``, saves tabulating the bases again when many calls (one
+        per slab of xi nodes) share them.
         """
-        bx, dbx = _design(self.kv_xi, xis)
-        be, dbe = _design(self.kv_eta, etas)
+        (bx, dbx), (be, dbe) = designs if designs is not None else self.designs(xis, etas)
         acc = self._blend(bx, be)
         acc_x = self._blend(dbx, be)
         acc_e = self._blend(bx, dbe)

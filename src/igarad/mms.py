@@ -10,6 +10,7 @@ Discretization errors against ``u*`` then measure the scheme directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .assembly import (
     build_system,
     edge_load,
     expand_solution,
+    nested_dissection,
 )
 from .bspline import TensorProductSpace, basis_matrix
 from .bspline import eval_basis  # noqa: F401  bench/layers.py traces this name
@@ -127,12 +129,17 @@ def solve_manufactured(
     wave: PlaneWave,
     solve=None,
 ) -> np.ndarray:
-    """Full coefficient vector of the discrete solution for ``wave``."""
+    """Full coefficient vector of the discrete solution for ``wave``.
+
+    ``solve(A, b)`` defaults to a direct solve under the grid's nested
+    dissection (:func:`igarad.assembly.nested_dissection`).
+    """
     from .solver import direct_solve
 
     load, values = manufactured_data(space, geometry, quad, partition, wave)
     A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
-    solve = solve or direct_solve
+    if solve is None:
+        solve = partial(direct_solve, perm=nested_dissection(space, partition))
     x = solve(A, b)
     return expand_solution(partition, x, values)
 

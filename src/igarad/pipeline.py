@@ -15,6 +15,7 @@ import math
 import resource
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from .assembly import (
     build_system,
     classify_dofs,
     expand_solution,
+    free_block,
+    nested_dissection,
 )
 from .bspline import TensorProductSpace, basis_matrix, make_uniform_open_knots
 from .geometry import (
@@ -151,6 +154,12 @@ class Discretization:
     partition: DofPartition
     quadrature: QuadratureRule
 
+    @cached_property
+    def ordering(self) -> np.ndarray:
+        """Nested-dissection ordering of the free dofs, the symmetric
+        permutation every factorization of this mesh's system uses."""
+        return nested_dissection(self.space, self.partition)
+
 
 def build_discretization(
     domain: DomainConfig,
@@ -270,16 +279,18 @@ def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int =
 
 
 def _estimate_lu_nnz(dofs: int, order_xi: int, order_eta: int) -> float:
-    """LU fill of the shifted-Laplacian matrix under ``solver._factorize``.
+    """LU fill of the shifted-Laplacian matrix under the grid's nested
+    dissection (``solver._factorize`` with ``Discretization.ordering``).
 
-    Power-law fit ``1.255 * order_xi * order_eta * dofs^1.307`` to SuperLU's
-    ``nnz`` measured on the desk physics (``desk_radiation_k300.json`` with
-    n x m from 40 x 30 to 300 x 220): cubic 1,260 dofs 0.215M, 4,920 1.40M,
-    10,980 4.00M, 27,936 12.75M, 66,440 39.5M; every cubic point within 6 %
-    of the fit, quadratic (1,260 / 10,980 / 43,560 dofs) and quartic
-    (10,980) within 6 % with the ``order_xi * order_eta`` factor.
+    Power-law fit ``1.845 * order_xi * order_eta * dofs^1.2534`` to SuperLU's
+    ``nnz`` on the desk physics scaled at fixed points per wavelength
+    (``tools/ordering_ladder.py``: n x m from 40 x 30 to 400 x 290): cubic
+    1,260 dofs 0.213M, 4,920 1.30M, 10,980 3.60M, 27,936 11.57M, 66,440
+    32.1M, 116,580 62.9M; every cubic point within 7 % of the fit,
+    quadratic (1,260 / 10,980 / 43,560 dofs) and quartic (10,980) within
+    5 % with the ``order_xi * order_eta`` factor.
     """
-    return 1.255 * order_xi * order_eta * dofs**1.307
+    return 1.845 * order_xi * order_eta * dofs**1.2534
 
 
 @dataclass
@@ -294,10 +305,11 @@ class RunResult:
     dirichlet_deviation: float
 
 
-def _solve_direct(A, b):
-    """Direct sparse solve of the restricted system, with its report."""
+def _solve_direct(A, b, perm):
+    """Direct sparse solve of the restricted system under the symmetric
+    permutation ``perm``, with its report."""
     t0 = time.perf_counter()
-    x = direct_solve(A, b)
+    x = direct_solve(A, b, perm=perm)
     b_norm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
     rep = SolveReport(
@@ -352,18 +364,24 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
     k = disc.domain.wavenumber
-    A, b = stage(
-        "system",
-        lambda: build_system(matrices, disc.partition, k, disc.domain.amplitude),
-    )
+
+    def _system():
+        A, b = build_system(matrices, disc.partition, k, disc.domain.amplitude)
+        # the preconditioner's mass block, on A's pattern
+        mass = free_block(matrices.mass, disc.partition, A) if config.solver == "gmres" else None
+        return A, b, mass
+
+    A, b, mass = stage("system", _system)
+    if not config.dump_matrices:
+        matrices = None  # S, M and E are not needed past here
 
     lu_nnz = None  # the direct solve keeps no factor
     if config.solver == "direct":
-        x, solve_report = stage("solve", lambda: _solve_direct(A, b))
+        x, solve_report = stage("solve", lambda: _solve_direct(A, b, disc.ordering))
     else:
-        free = disc.partition.free
         beta = config.beta_factor / k
-        precond = stage("factor", lambda: build_cslp(A, matrices.mass[free][:, free], beta))
+        precond = stage("factor", lambda: build_cslp(A, mass, beta, disc.ordering))
+        mass = None
         lu_nnz = precond.lu_nnz
         gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
         x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
@@ -377,11 +395,10 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     outputs: dict[str, str] = {}
     if write_outputs:
-        outputs = stage(
-            "write",
-            lambda: _write_outputs(
-                config, disc, sol, solve_report, dev, lu_nnz, timings, peak_rss_mib, matrices, A
-            ),
+        outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A))
+        # after the write stage, so that its time and memory are in the report
+        outputs["report"] = _write_report(
+            config, disc, solve_report, dev, lu_nnz, A.nnz, timings, peak_rss_mib, outputs
         )
     return RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev)
 
@@ -448,9 +465,8 @@ def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
                     fh.write(f"{data[i, j]:.17g}\n")
 
 
-def _write_outputs(
-    config, disc, sol, solve_report, dev, lu_nnz, timings, peak_rss_mib, matrices, system
-) -> dict:
+def _write_outputs(config, sol, matrices, system) -> dict:
+    """Field, profiles, optional VTK and Matrix Market files; returns their paths."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -484,7 +500,11 @@ def _write_outputs(
             p = outdir / f"{name}.mtx"
             save_matrix_market(p, mat)
             outputs[name] = str(p)
+    return outputs
 
+
+def _write_report(config, disc, solve_report, dev, lu_nnz, system_nnz, timings, peak_rss_mib, outputs) -> str:
+    """Dump ``report.json`` next to the outputs; returns its path."""
     domain = disc.domain
     report = {
         "config": config.to_dict(),
@@ -499,7 +519,7 @@ def _write_outputs(
             "n_free": disc.partition.n_free,
             "n_dirichlet": disc.partition.n_dirichlet,
             "dirichlet_deviation": dev,
-            "system_nnz": system.nnz,
+            "system_nnz": system_nnz,
             "lu_nnz": lu_nnz,
         },
         "solve": asdict(solve_report),
@@ -507,12 +527,11 @@ def _write_outputs(
         "peak_rss_mib": peak_rss_mib,
         "outputs": outputs,
     }
-    report_path = outdir / "report.json"
+    report_path = Path(config.outdir) / "report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    outputs["report"] = str(report_path)
-    return outputs
+    return str(report_path)
 
 
 def _manufactured_level(domain: DomainConfig, geometry: CoonsSurface, order: int, n: int, wave):

@@ -78,21 +78,44 @@ class SolveReport:
     cycle_residuals: list[float] = field(default_factory=list)
 
 
-def _factorize(matrix, what: str):
-    """SuperLU factorization of a CSC matrix; ``what`` names it if singular.
+def _permuted_transpose(matrix, perm) -> sp.csc_matrix:
+    """``matrix[perm][:, perm]`` transposed, in CSC: the CSR arrays of the
+    permuted matrix read column by column.  One row gather, with the
+    column indices relabelled and sorted in place."""
+    iperm = np.empty(perm.size, dtype=np.int32)
+    iperm[perm] = np.arange(perm.size, dtype=np.int32)
+    rows = as_csr(matrix)[perm]
+    np.take(iperm, rows.indices, out=rows.indices)
+    rows.has_sorted_indices = False
+    rows.sort_indices()
+    return sp.csc_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape[::-1])
 
-    The systems here are structurally symmetric, so the columns are ordered
-    by minimum degree on the pattern of ``A^T + A`` and SuperLU runs in
-    symmetric mode, preferring diagonal pivots.  Threshold partial pivoting
-    stays on: a diagonal entry is kept only while it is at least 0.001 times
-    the largest entry of its column, so a tiny diagonal is still pivoted
-    away.  The ordering needs the small threshold to pay off: with the
-    default threshold 1.0 it gives more fill than SuperLU's COLAMD.
+
+def _factorize(matrix, what: str, perm=None):
+    """SuperLU factorization of a square sparse matrix; ``what`` names it if singular.
+
+    The systems here are structurally symmetric, so SuperLU runs in
+    symmetric mode, preferring diagonal pivots.  Without a permutation the
+    columns are ordered by minimum degree on the pattern of ``A^T + A``.
+    With a symmetric permutation ``perm`` (the grid's nested dissection,
+    :func:`igarad.assembly.nested_dissection`) the factor is of
+    ``matrix[perm][:, perm].T`` in natural order, which needs no CSC copy
+    of the permuted matrix; :func:`_lu_solve` with the same ``perm`` turns
+    it into a solve with ``matrix``.  Threshold partial pivoting stays on:
+    a diagonal entry is kept only while it is at least 0.001 times the
+    largest entry of its column, so a tiny diagonal is still pivoted away.
+    The orderings need the small threshold to pay off: with the default
+    threshold 1.0 minimum degree gives more fill than SuperLU's COLAMD.
     """
+    if perm is None:
+        matrix, permc_spec = sp.csc_matrix(matrix), "MMD_AT_PLUS_A"
+    else:
+        # rebinding drops the last reference to an unpermuted temporary
+        matrix, permc_spec = _permuted_transpose(matrix, perm), "NATURAL"
     try:
         return spla.splu(
             matrix,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec=permc_spec,
             diag_pivot_thresh=0.001,
             options=dict(SymmetricMode=True),
         )
@@ -100,38 +123,65 @@ def _factorize(matrix, what: str):
         raise RuntimeError(f"singular {what}: {exc}") from exc
 
 
+def _lu_solve(lu, v, perm=None) -> np.ndarray:
+    """Solve with a factor that :func:`_factorize` made with the same ``perm``."""
+    v = np.asarray(v, dtype=complex)
+    if perm is None:
+        return lu.solve(v)
+    x = np.empty_like(v)
+    x[perm] = lu.solve(v[perm], trans="T")
+    return x
+
+
+def _shifted(A, M, beta: float) -> sp.csr_matrix:
+    """``A - i beta M`` as canonical complex CSR.
+
+    When M is stored on A's pattern (as :func:`igarad.assembly.free_block`
+    gathers it), the shift is formed on A's data alone and shares A's index
+    arrays.
+    """
+    A, M = as_csr(A), sp.csr_matrix(M)
+    if np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices):
+        data = (1j * beta) * M.data
+        np.subtract(A.data, data, out=data)
+        return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    return as_csr(A - 1j * beta * M)
+
+
 class CslpPreconditioner:
     """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by LU.
 
-    P is factored by :func:`_factorize` (symmetric minimum-degree ordering,
-    threshold partial pivoting); ``lu_nnz`` is the factor's fill, SuperLU's
-    count of stored L and U entries.  ``beta = 0`` makes the preconditioner
-    an exact solve of A.
+    P is formed, factored by :func:`_factorize` (under the symmetric
+    permutation ``perm`` if one is given, else minimum degree; threshold
+    partial pivoting) and dropped: only the factor is kept.  ``lu_nnz`` is
+    the factor's fill, SuperLU's count of stored L and U entries.
+    ``beta = 0`` makes the preconditioner an exact solve of A.
     """
 
-    def __init__(self, A, M, beta: float):
+    def __init__(self, A, M, beta: float, perm=None):
         if beta < 0:
             raise ValueError("shift beta must be nonnegative")
         if A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
-        self.matrix = as_csr(A - 1j * self.beta * M).tocsc()
-        self._lu = _factorize(self.matrix, "shifted-Laplacian factorization")
+        self.perm = perm
+        self._lu = _factorize(_shifted(A, M, self.beta), "shifted-Laplacian factorization", perm)
         self.lu_nnz = int(self._lu.nnz)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(v, dtype=complex))
+        return _lu_solve(self._lu, v, self.perm)
 
 
-def build_cslp(A, M, beta: float) -> CslpPreconditioner:
+def build_cslp(A, M, beta: float, perm=None) -> CslpPreconditioner:
     """Factorized shifted-Laplacian preconditioner (see :class:`CslpPreconditioner`)."""
-    return CslpPreconditioner(A, M, beta)
+    return CslpPreconditioner(A, M, beta, perm)
 
 
-def direct_solve(A, b) -> np.ndarray:
-    """Sparse LU solve; oracle path and default for small systems."""
-    lu = _factorize(as_csr(A).tocsc(), "matrix in direct solve")
-    return lu.solve(np.asarray(b, dtype=complex))
+def direct_solve(A, b, *, perm=None) -> np.ndarray:
+    """Sparse LU solve, under the symmetric permutation ``perm`` if given;
+    oracle path and default for small systems."""
+    lu = _factorize(as_csr(A), "matrix in direct solve", perm)
+    return _lu_solve(lu, b, perm)
 
 
 def gmres(A, b, precond: CslpPreconditioner | None = None, config: GmresConfig | None = None):
@@ -168,18 +218,19 @@ def gmres(A, b, precond: CslpPreconditioner | None = None, config: GmresConfig |
     while res > config.tol and outer < config.max_outer:
         outer += 1
         beta = np.linalg.norm(r)
-        V = np.empty((n, mdim + 1), dtype=complex)
+        # one contiguous array per Arnoldi vector: memory grows with the
+        # iterations done, not with the restart length
+        V = [r / beta]
         H = np.zeros((mdim + 1, mdim), dtype=complex)
         g = np.zeros(mdim + 1, dtype=complex)
         g[0] = beta
-        V[:, 0] = r / beta
         y = np.zeros(0, dtype=complex)
         for j in range(mdim):
-            w = apply_p(A @ V[:, j])
+            w = apply_p(A @ V[j])
             # modified Gram-Schmidt
-            for i in range(j + 1):
-                H[i, j] = np.vdot(V[:, i], w)
-                w -= H[i, j] * V[:, i]
+            for i, v in enumerate(V):
+                H[i, j] = np.vdot(v, w)
+                w -= H[i, j] * v
             h_next = np.linalg.norm(w)
             H[j + 1, j] = h_next
             if not np.isfinite(h_next):
@@ -189,8 +240,11 @@ def gmres(A, b, precond: CslpPreconditioner | None = None, config: GmresConfig |
             history.append(float(np.linalg.norm(gj - Hj @ y) / pb_norm))
             if h_next == 0.0 or history[-1] <= config.tol:
                 break  # converged estimate or breakdown
-            V[:, j + 1] = w / h_next
-        x = x + V[:, : y.size] @ y
+            w /= h_next
+            V.append(w)
+        for yi, v in zip(y, V):
+            x += yi * v
+        del V, w  # the explicit residual needs no basis
         true_r = b - A @ x
         r = apply_p(true_r)
         res = np.linalg.norm(r) / pb_norm

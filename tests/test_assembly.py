@@ -255,24 +255,38 @@ class TestAssemblePattern:
             assert np.array_equal(mat.indices, ref.indices)
 
 
+def assembly_peak_and_output():
+    """tracemalloc peak of assembling the 120 x 90 cubic semicircle, and the
+    bytes of the S, M and E it returns."""
+    space = make_space(4, 120, 90)
+    quad = QuadratureRule(space)
+    tracemalloc.start()
+    try:
+        mats = assemble(space, SEMICIRCLE, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = sum(
+        m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        for m in (mats.stiffness, mats.mass, mats.robin_mass)
+    )
+    return peak, out
+
+
 class TestAssembleMemory:
     def test_peak_is_a_small_multiple_of_the_output(self):
         # No array of all E1 * E2 * order^4 element-local pairs may exist:
         # row, column, stiffness and mass values of all 117 * 87 * 256 of
         # them would take 32 B each, about 7x the output on their own.
-        space = make_space(4, 120, 90)
-        quad = QuadratureRule(space)
-        tracemalloc.start()
-        try:
-            mats = assemble(space, SEMICIRCLE, quad)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        out = sum(
-            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-            for m in (mats.stiffness, mats.mass, mats.robin_mass)
-        )
+        peak, out = assembly_peak_and_output()
         assert peak <= 6 * out
+
+    def test_volume_geometry_is_held_one_slab_at_a_time(self):
+        # The Jacobian and metric weights on all 117 * 4 x 87 * 4 volume
+        # nodes at once, about 14 arrays of that size, came to 3.3x the
+        # output; per slab of xi nodes they are a few hundred kB.
+        peak, out = assembly_peak_and_output()
+        assert peak <= 2 * out
 
 
 @st.composite
@@ -497,6 +511,82 @@ class TestBuildSystem:
         )
         with pytest.raises(ValueError, match="Dirichlet"):
             build_system(mats, empty, 10.0, 1.0)
+
+
+class TestBuildSystemGather:
+    """``build_system`` gathers A and b from the shared pattern of S and M;
+    the scipy expression it replaces is the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("mult", [3, 1], ids=["cubic_c0", "cubic_c2"])
+    def test_matches_scipy_restriction(self, mult):
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        kvx = repeated_knots(4, np.arange(1, 10) / 10, mult).with_breakpoints(cfg.aperture_preimage)
+        space = TensorProductSpace(kvx, repeated_knots(4, np.arange(1, 6) / 6, mult))
+        quad = QuadratureRule(space)
+        mats = assemble(space, make_semicircle_patch(cfg), quad)
+        part = classify_dofs(space, cfg)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(part.n_dirichlet) + 1j * rng.standard_normal(part.n_dirichlet)
+        load = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+        k = 25.0
+        A, b = build_system(mats, part, k, values, load=load)
+
+        S, M, E = mats.stiffness, mats.mass, mats.robin_mass
+        full = (S - k**2 * M + 1j * k * E).tocsr()
+        free, diri = part.free, part.dirichlet
+        ref = full[free][:, free].tocsr()
+        ref.sort_indices()
+        ref_b = -full[free][:, diri] @ values + load[free]
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+        assert np.array_equal(b, ref_b)
+
+    def test_free_mass_block_on_the_system_pattern(self, sys_setup):
+        from igarad.assembly import free_block
+
+        cfg, _, space, _, mats = sys_setup
+        part = classify_dofs(space, cfg)
+        A, _ = build_system(mats, part, 40.0, 1.0)
+        block = free_block(mats.mass, part, A)
+        ref = mats.mass[part.free][:, part.free]
+        assert np.array_equal(block.indptr, ref.indptr)
+        assert np.array_equal(block.indices, ref.indices)
+        assert np.array_equal(block.data, ref.data)
+        assert np.shares_memory(block.indices, A.indices)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("order, n, m", [(2, 9, 7), (4, 40, 23), (6, 31, 40)])
+    def test_ordering_is_a_permutation_of_the_free_dofs(self, order, n, m):
+        from igarad.assembly import nested_dissection
+
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        space = make_space(order, n, m)
+        part = classify_dofs(space, cfg)
+        perm = nested_dissection(space, part)
+        assert np.array_equal(np.sort(perm), np.arange(part.n_free))
+
+    def test_separators_split_the_coupling_graph(self):
+        """Ordered last, a separator's lines disconnect the two halves: no
+        entry of A couples a dof of the first half with one of the second."""
+        from igarad.assembly import nested_dissection
+
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        space = make_space(4, 40, 20)
+        part = classify_dofs(space, cfg)
+        mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
+        A, _ = build_system(mats, part, 10.0, 1.0)
+        perm = nested_dissection(space, part)
+        # the first cut is across xi (the longer side): 3 lines in the middle
+        i = part.free % space.n
+        a = (space.n - 3) // 2
+        left, right = np.flatnonzero(i < a), np.flatnonzero(i >= a + 3)
+        assert abs(A[left][:, right]).sum() == 0.0
+        rank = np.argsort(perm)
+        separator = np.flatnonzero((i >= a) & (i < a + 3))
+        assert rank[separator].min() == part.n_free - separator.size
+        assert rank[left].max() < rank[right].min()
 
 
 class TestEdgeLoad:

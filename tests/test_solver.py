@@ -1,5 +1,7 @@
 """Solver: restarted GMRES, shifted-Laplacian preconditioner, direct solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -100,6 +102,23 @@ class TestGmres:
         assert np.isnan(rep.preconditioned_residual)
 
 
+class TestGmresMemory:
+    def test_basis_grows_with_the_iterations(self):
+        """Three distinct eigenvalues: converged after 3 inner iterations of
+        a restart-50 cycle, with a handful of n-vectors allocated, not 51."""
+        n = 24_000
+        A = sp.diags(np.resize([1.0, 2.0, 3.0], n).astype(complex), format="csr")
+        b = np.random.default_rng(0).standard_normal(n).astype(complex)
+        tracemalloc.start()
+        try:
+            _, rep = gmres(A, b, None, GmresConfig(restart=50, tol=1e-10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.inner_iterations <= 3
+        assert peak <= 8 * n * 16
+
+
 class TestCslp:
     def test_zero_shift_is_exact_preconditioner(self, rng):
         A, b = random_complex_system(rng, n=70)
@@ -119,10 +138,22 @@ class TestCslp:
         A, _ = random_complex_system(rng, n=60)
         M = sp.identity(60, format="csr", dtype=complex)
         precond = build_cslp(A, M, 3.7)
+        P = A - 1j * 3.7 * M
         for _ in range(20):
             v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-            w = precond.solve(precond.matrix @ v)
+            w = precond.solve(P @ v)
             assert np.linalg.norm(w - v) / np.linalg.norm(v) <= 1e-10
+
+    def test_permuted_factor_solves_the_unpermuted_system(self, rng):
+        # a nonsymmetric A: the permuted factor must solve A, not A^T
+        A, b = random_complex_system(rng, n=60)
+        M = sp.identity(60, format="csr", dtype=complex)
+        perm = rng.permutation(60)
+        precond = build_cslp(A, M, 3.7, perm)
+        P = A - 1j * 3.7 * M
+        assert np.linalg.norm(P @ precond.solve(b) - b) / np.linalg.norm(b) <= 1e-12
+        x = direct_solve(A, b, perm=perm)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
         A, _ = random_complex_system(rng, n=10)
@@ -260,8 +291,30 @@ class TestFactorize:
     def test_preconditioner_keeps_its_fill(self):
         k = 150.0
         A, _, M = semicircle_system(k, 60, 40)
-        precond = build_cslp(A, M, 1.0 / (3 * k))
-        assert precond.lu_nnz == _factorize(precond.matrix, "P").nnz > A.nnz
+        beta = 1.0 / (3 * k)
+        precond = build_cslp(A, M, beta)
+        P = (A - 1j * beta * M).tocsc()
+        assert precond.lu_nnz == _factorize(P, "P").nnz > A.nnz
+
+    def test_nested_dissection_on_the_desk_mesh(self):
+        """The grid's nested dissection fills less than minimum degree on
+        the desk run's P and solves A to a direct residual of 1e-10."""
+        from pathlib import Path
+
+        from igarad.assembly import assemble, build_system, free_block
+        from igarad.pipeline import RunConfig, discretize
+
+        config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
+        disc = discretize(config)
+        mats = assemble(disc.space, disc.geometry, disc.quadrature)
+        k = disc.domain.wavenumber
+        A, b = build_system(mats, disc.partition, k, config.amplitude)
+        P = A - 1j * (config.beta_factor / k) * free_block(mats.mass, disc.partition, A)
+        perm = disc.ordering
+        assert np.array_equal(np.sort(perm), np.arange(b.size))
+        assert _factorize(P, "P", perm).nnz <= _factorize(P, "P").nnz
+        x = direct_solve(A, b, perm=perm)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_tiny_diagonal_is_pivoted_away(self):
         """A symmetric matrix whose diagonal is 1e-13: diagonal pivots alone
