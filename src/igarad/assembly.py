@@ -288,6 +288,9 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
     s_data = np.zeros(indices.size)
     m_data = np.zeros(indices.size)
 
+    def _slab(W):  # (q1, E2 * q2) node values to (E2, q1 * q2), element by element
+        return np.ascontiguousarray(W.reshape(q1, E2, q2).transpose(1, 0, 2).reshape(E2, q1 * q2))
+
     ge = fe[:, None] + np.arange(k2)[None, :]  # (E2, k2) eta dof indices
     off_e = ge[:, None, :] - first_e[ge][:, :, None]  # (E2, b, b')
     for e1 in range(E1):
@@ -300,10 +303,6 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
             p, q = np.unravel_index(int(np.argmin(det)), det.shape)
             raise NonPositiveJacobianError(xi_flat[sl][p], eta_flat[q], float(det.min()))
         w2d = np.outer(quad.xi.weights[e1], w_eta)
-
-        def _slab(W):
-            return np.ascontiguousarray(W.reshape(q1, E2, q2).transpose(1, 0, 2).reshape(E2, q1 * q2))
-
         w11 = _slab((F_eta**2).sum(axis=-1) / det * w2d)
         w12 = _slab(-(F_xi * F_eta).sum(axis=-1) / det * w2d)
         w22 = _slab((F_xi**2).sum(axis=-1) / det * w2d)
