@@ -56,7 +56,6 @@ from .pipeline import (
     axis_profile,
     bottom_profile,
     convergence_study,
-    eval_field,
     pollution_study,
     run,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "axis_profile",
     "bottom_profile",
     "convergence_study",
-    "eval_field",
     "pollution_study",
     "run",
 ]

@@ -12,6 +12,13 @@ Conventions used throughout the package (stated once here):
   ``knots[s] <= t < knots[s+1]``; evaluation at ``t = 1`` uses the last
   nonempty span, so the final basis function attains the value 1 there.
 
+Every spline the package evaluates goes through :func:`tabulate`, which
+runs the Cox-de Boor recurrence over many points at once, or through
+:func:`design`, the dense matrices built from it.  :func:`eval_basis` and
+:func:`basis_matrix` evaluate one point at a time (Piegl & Tiller, *The
+NURBS Book*, A2.3) and are kept as the references the tests compare
+against.
+
 All types are immutable after construction and evaluation is pure, so
 concurrent use from multiple threads is safe.
 """
@@ -242,7 +249,8 @@ def eval_basis(kv: KnotVector, t: float, num_derivs: int = 1) -> BasisEval:
 
 
 def basis_matrix(kv: KnotVector, ts, deriv: int = 0) -> np.ndarray:
-    """Dense design matrix ``D[i, j] = (d/dt)^deriv B_j(ts[i])``.
+    """Dense design matrix ``D[i, j] = (d/dt)^deriv B_j(ts[i])``, one
+    :func:`eval_basis` call per point: the reference for :func:`design`.
 
     Entries outside each parameter's active span are exact zeros.
     """
@@ -290,10 +298,29 @@ def tabulate(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return span - p, vals.T, p * derivs.T
 
 
+def design(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Dense value and first-derivative design matrices of ``kv`` at ``ts``.
+
+    ``values[i, j] = B_j(ts[i])`` and ``derivatives[i, j] = B_j'(ts[i])``,
+    scattered from :func:`tabulate`; entries outside each parameter's
+    active span are exact zeros.
+    """
+    first, vals, ders = tabulate(kv, ts)
+    rows = np.arange(first.size)[:, None]
+    cols = first[:, None] + np.arange(kv.order)
+    design = np.zeros((2, first.size, kv.num_basis))
+    design[0][rows, cols] = vals
+    design[1][rows, cols] = ders
+    return design[0], design[1]
+
+
 def evaluate_spline(coeffs: np.ndarray, kv: KnotVector, ts, deriv: int = 0) -> np.ndarray:
-    """Evaluate a spline with coefficient rows ``coeffs`` (shape (n, d))."""
+    """Evaluate a spline (``deriv=0``) or its first derivative (``deriv=1``)
+    with coefficient rows ``coeffs`` (shape (n, d))."""
+    if deriv not in (0, 1):
+        raise ValueError(f"deriv must be 0 or 1, got {deriv}")
     coeffs = np.asarray(coeffs, dtype=float)
-    return basis_matrix(kv, ts, deriv) @ coeffs
+    return design(kv, ts)[deriv] @ coeffs
 
 
 def insert_knots(coeffs: np.ndarray, kv: KnotVector, new_knots) -> tuple[np.ndarray, KnotVector]:
@@ -346,9 +373,9 @@ def elevate_order(coeffs: np.ndarray, kv: KnotVector) -> tuple[np.ndarray, KnotV
     values, counts = np.unique(kv.knots, return_counts=True)
     target = KnotVector(kv.order + 1, np.repeat(values, counts + 1))
     params = target.greville()
-    design = basis_matrix(target, params)
+    collocation = design(target, params)[0]
     samples = evaluate_spline(coeffs, kv, params)
-    new_coeffs = np.linalg.solve(design, samples)
+    new_coeffs = np.linalg.solve(collocation, samples)
     return new_coeffs, target
 
 
@@ -378,18 +405,22 @@ class TensorProductSpace:
         q = np.asarray(q)
         return q % self.n, q // self.n
 
-    def evaluate(self, coeffs: np.ndarray, xis, etas) -> np.ndarray:
+    def evaluate(self, coeffs: np.ndarray, xis, etas, deriv=(0, 0)) -> np.ndarray:
         """Evaluate ``sum_q coeffs[q] B_q`` on the grid ``xis x etas``.
 
+        ``deriv = (dx, de)``, each 0 or 1, differentiates along xi and eta.
         Returns an array of shape ``(len(xis), len(etas))``; complex
         coefficients are supported.
         """
         coeffs = np.asarray(coeffs)
         if coeffs.size != self.size:
             raise ValueError("coefficient vector has wrong length")
+        dx, de = deriv
+        if dx not in (0, 1) or de not in (0, 1):
+            raise ValueError(f"deriv entries must be 0 or 1, got {deriv}")
         grid = coeffs.reshape(self.m, self.n).T
-        bx = basis_matrix(self.kv_xi, xis)
-        be = basis_matrix(self.kv_eta, etas)
+        bx = design(self.kv_xi, xis)[dx]
+        be = design(self.kv_eta, etas)[de]
         return bx @ grid @ be.T
 
     def __repr__(self) -> str:

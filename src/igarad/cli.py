@@ -65,13 +65,10 @@ def _add_run_parser(sub):
 def _cmd_run(args) -> int:
     from .pipeline import PipelineError, RunConfig, run
 
-    override_keys = [
-        "frequency", "sound_speed", "half_aperture", "radius_factor", "theta",
-        "order_xi", "order_eta", "n", "m", "beta_factor", "restart", "tol",
-        "max_outer", "solver", "grid_res", "profile_samples", "quad_points",
-        "outdir", "align_aperture_knots", "full_scale", "dump_matrices", "vtk",
-    ]
-    overrides = {k: getattr(args, k) for k in override_keys if getattr(args, k) is not None}
+    # every option of the run parser but --config is a RunConfig field
+    overrides = {
+        k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None
+    }
     try:
         if args.config:
             config = RunConfig.from_json(args.config, **overrides)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import KnotVector, basis_matrix, elevate_order, insert_knots, tabulate
+from .bspline import KnotVector, design, elevate_order, insert_knots
+from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
 
 _CORNER_TOL = 1e-10
 
@@ -149,13 +150,14 @@ class RationalCurve:
 
     def evaluate(self, ts) -> np.ndarray:
         """Curve points, shape (len(ts), 2)."""
-        hom = basis_matrix(self.kv, ts) @ self.homogeneous()
+        hom = design(self.kv, ts)[0] @ self.homogeneous()
         return hom[:, :2] / hom[:, 2:3]
 
     def derivative(self, ts) -> np.ndarray:
         """First derivative via the quotient rule, shape (len(ts), 2)."""
-        hom = basis_matrix(self.kv, ts) @ self.homogeneous()
-        dhom = basis_matrix(self.kv, ts, deriv=1) @ self.homogeneous()
+        values, derivs = design(self.kv, ts)
+        hom = values @ self.homogeneous()
+        dhom = derivs @ self.homogeneous()
         pts = hom[:, :2] / hom[:, 2:3]
         return (dhom[:, :2] - pts * dhom[:, 2:3]) / hom[:, 2:3]
 
@@ -414,13 +416,13 @@ class CoonsSurface:
 
     def evaluate_grid(self, xis, etas) -> np.ndarray:
         """Surface points on the tensor grid, shape (len(xis), len(etas), 2)."""
-        acc = self._blend(_design(self.kv_xi, xis)[0], _design(self.kv_eta, etas)[0])
+        acc = self._blend(design(self.kv_xi, xis)[0], design(self.kv_eta, etas)[0])
         return acc[..., :2] / acc[..., 2:3]
 
     def designs(self, xis, etas):
         """Dense value and derivative designs ``((bx, dbx), (be, dbe))`` at
         ``xis`` and ``etas``, for :meth:`jacobian_grid` calls on slices."""
-        return _design(self.kv_xi, xis), _design(self.kv_eta, etas)
+        return design(self.kv_xi, xis), design(self.kv_eta, etas)
 
     def jacobian_grid(self, xis, etas, designs=None):
         """Points, first derivatives, det and mean ratio on a tensor grid.
@@ -471,17 +473,6 @@ class CoonsSurface:
         etas = (np.arange(grid_res) + 0.5) / grid_res
         F, _, _, _, mr = self.jacobian_grid(xis, etas)
         return xis, etas, F, mr
-
-
-def _design(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Dense value and first-derivative design matrices of ``kv`` at ``ts``."""
-    first, vals, ders = tabulate(kv, ts)
-    rows = np.arange(first.size)[:, None]
-    cols = first[:, None] + np.arange(kv.order)
-    design = np.zeros((2, first.size, kv.num_basis))
-    design[0][rows, cols] = vals
-    design[1][rows, cols] = ders
-    return design[0], design[1]
 
 
 def coons_patch(c_b, c_t, c_l, c_r) -> CoonsSurface:
@@ -571,16 +562,13 @@ def make_semicircle_patch(cfg: DomainConfig) -> CoonsSurface:
 def _spline_coefficients(kv: KnotVector, f) -> np.ndarray:
     """Coefficients of the polynomial ``f`` on ``kv`` (collocation at the Greville abscissae)."""
     g = kv.greville()
-    return np.linalg.solve(basis_matrix(kv, g), f(g))
+    return np.linalg.solve(design(kv, g)[0], f(g))
 
 
 def write_quality_csv(path, surface: CoonsSurface, grid_res: int) -> None:
     """Quality-map CSV with columns xi, eta, x, y, mean_ratio."""
     xis, etas, F, mr = surface.quality_grid(grid_res)
-    rows = []
-    for p, xi in enumerate(xis):
-        for q, eta in enumerate(etas):
-            rows.append((xi, eta, F[p, q, 0], F[p, q, 1], mr[p, q]))
-    data = np.asarray(rows)
+    xi_g, eta_g = np.meshgrid(xis, etas, indexing="ij")
+    data = np.column_stack([xi_g.ravel(), eta_g.ravel(), F[..., 0].ravel(), F[..., 1].ravel(), mr.ravel()])
     header = "xi,eta,x,y,mean_ratio"
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")

@@ -10,7 +10,6 @@ Discretization errors against ``u*`` then measure the scheme directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .assembly import (
     expand_solution,
     nested_dissection,
 )
-from .bspline import TensorProductSpace, basis_matrix
-from .bspline import eval_basis  # noqa: F401  bench/layers.py traces this name
+from .bspline import TensorProductSpace
+from .bspline import basis_matrix, eval_basis  # noqa: F401  bench/layers.py traces these names
 from .geometry import CoonsSurface
 
 
@@ -127,28 +126,16 @@ def solve_manufactured(
     partition: DofPartition,
     matrices: SystemMatrices,
     wave: PlaneWave,
-    solve=None,
 ) -> np.ndarray:
-    """Full coefficient vector of the discrete solution for ``wave``.
-
-    ``solve(A, b)`` defaults to a direct solve under the grid's nested
-    dissection (:func:`igarad.assembly.nested_dissection`).
-    """
+    """Full coefficient vector of the discrete solution for ``wave``, by a
+    direct solve under the grid's nested dissection
+    (:func:`igarad.assembly.nested_dissection`)."""
     from .solver import direct_solve
 
     load, values = manufactured_data(space, geometry, quad, partition, wave)
     A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
-    if solve is None:
-        solve = partial(direct_solve, perm=nested_dissection(space, partition))
-    x = solve(A, b)
+    x = direct_solve(A, b, perm=nested_dissection(space, partition))
     return expand_solution(partition, x, values)
-
-
-def _field_on_quad(space, alpha, xis, etas, dx=0, de=0):
-    grid = np.asarray(alpha, dtype=complex).reshape(space.m, space.n).T
-    bx = basis_matrix(space.kv_xi, xis, deriv=dx)
-    be = basis_matrix(space.kv_eta, etas, deriv=de)
-    return bx @ grid @ be.T
 
 
 def l2_error(
@@ -161,7 +148,7 @@ def l2_error(
     """L2(domain) error of the coefficient field against the plane wave."""
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
     F, _, _, det, _ = geometry.jacobian_grid(xis, etas)
-    uh = _field_on_quad(space, alpha, xis, etas)
+    uh = space.evaluate(alpha, xis, etas)
     diff2 = np.abs(uh - wave.value(F)) ** 2
     w2d = np.outer(quad.xi.weights.ravel(), quad.eta.weights.ravel())
     return float(np.sqrt(np.sum(diff2 * det * w2d)))
@@ -177,8 +164,8 @@ def h1_semi_error(
     """H1 seminorm (energy) error against the plane wave."""
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
     F, F_xi, F_eta, det, _ = geometry.jacobian_grid(xis, etas)
-    du_dxi = _field_on_quad(space, alpha, xis, etas, dx=1)
-    du_deta = _field_on_quad(space, alpha, xis, etas, de=1)
+    du_dxi = space.evaluate(alpha, xis, etas, (1, 0))
+    du_deta = space.evaluate(alpha, xis, etas, (0, 1))
     # physical gradient via J^{-T} (columns F_xi, F_eta)
     gx = (F_eta[..., 1] * du_dxi - F_xi[..., 1] * du_deta) / det
     gy = (-F_eta[..., 0] * du_dxi + F_xi[..., 0] * du_deta) / det

@@ -31,7 +31,8 @@ from .assembly import (
     free_block,
     nested_dissection,
 )
-from .bspline import TensorProductSpace, basis_matrix, make_uniform_open_knots
+from .bspline import TensorProductSpace, design, make_uniform_open_knots
+from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
 from .geometry import (
     CoonsSurface,
     DomainConfig,
@@ -228,14 +229,9 @@ class SolutionField:
         """Complex field values at a list of ``(xi, eta)`` points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         grid = self.coefficients.reshape(self.space.m, self.space.n).T
-        bx = basis_matrix(self.space.kv_xi, points[:, 0])
-        be = basis_matrix(self.space.kv_eta, points[:, 1])
+        bx = design(self.space.kv_xi, points[:, 0])[0]
+        be = design(self.space.kv_eta, points[:, 1])[0]
         return np.einsum("pi,ij,pj->p", bx, grid, be)
-
-
-def eval_field(sol: SolutionField, points) -> np.ndarray:
-    """Field values at parametric points (see :meth:`SolutionField.evaluate_points`)."""
-    return sol.evaluate_points(points)
 
 
 def axis_profile(sol: SolutionField, samples: int = 400):
@@ -440,29 +436,19 @@ def write_profile_csv(path, coord_name: str, coords, values) -> None:
 
 
 def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
-    """Legacy-format VTK structured grid of the parametric sample grid."""
-    xis = np.linspace(0.0, 1.0, grid_res)
-    etas = np.linspace(0.0, 1.0, grid_res)
-    pts = sol.geometry.evaluate_grid(xis, etas)
-    vals = sol.evaluate_grid(xis, etas)
+    """Legacy-format VTK structured grid of the parametric sample grid:
+    the columns of :func:`write_field_csv`, reordered with xi running fastest."""
+    table = _field_table(sol, grid_res).reshape(grid_res, grid_res, 7).swapaxes(0, 1).reshape(-1, 7)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nacoustic field\nASCII\n")
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {grid_res} {grid_res} 1\n")
         fh.write(f"POINTS {grid_res * grid_res} double\n")
-        for j in range(grid_res):
-            for i in range(grid_res):
-                fh.write(f"{pts[i, j, 0]:.17g} {pts[i, j, 1]:.17g} 0\n")
+        np.savetxt(fh, table[:, 2:4], fmt="%.17g %.17g 0")
         fh.write(f"POINT_DATA {grid_res * grid_res}\n")
-        for name, data in (
-            ("re", vals.real),
-            ("im", vals.imag),
-            ("abs", np.abs(vals)),
-        ):
+        for name, col in (("re", 4), ("im", 5), ("abs", 6)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for j in range(grid_res):
-                for i in range(grid_res):
-                    fh.write(f"{data[i, j]:.17g}\n")
+            np.savetxt(fh, table[:, col], fmt="%.17g")
 
 
 def _write_outputs(config, sol, matrices, system) -> dict:

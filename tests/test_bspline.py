@@ -9,6 +9,7 @@ from igarad.bspline import (
     KnotVector,
     TensorProductSpace,
     basis_matrix,
+    design,
     elevate_order,
     eval_basis,
     evaluate_spline,
@@ -172,6 +173,11 @@ class TestTabulate:
             assert first[p] == be.first_index
             assert np.max(np.abs(values[p] - be.values)) <= 1e-14
             assert np.max(np.abs(derivs[p] - be.derivatives[0])) <= 1e-12 * max(1.0, np.abs(be.derivatives[0]).max())
+        dense_values, dense_derivs = design(kv, ts)
+        assert np.array_equal(dense_values, basis_matrix(kv, ts))
+        ref = basis_matrix(kv, ts, deriv=1)
+        scale = np.maximum(1.0, np.abs(ref).max(axis=1))
+        assert np.all(np.abs(dense_derivs - ref).max(axis=1) <= 1e-12 * scale)
 
 
 class TestEvalBasis:

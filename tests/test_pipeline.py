@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from igarad.pipeline import (
     axis_profile,
     bottom_profile,
     discretize,
-    eval_field,
     run,
 )
 
@@ -165,6 +165,27 @@ class TestRun:
         assert res.solve_report.converged
         assert res.dirichlet_deviation <= 1e-10
 
+    def test_no_per_point_basis_evaluation(self, tmp_path, monkeypatch):
+        # runs, writers and studies evaluate splines through the batched
+        # tabulation only; the per-point evaluator is the tests' reference
+        import igarad.assembly
+        import igarad.bspline
+        import igarad.mms
+        from igarad.pipeline import convergence_study
+
+        calls = []
+        reference = igarad.bspline.eval_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reference(*args, **kwargs)
+
+        for owner in (igarad.bspline, igarad.assembly, igarad.mms):
+            monkeypatch.setattr(owner, "eval_basis", counted)
+        run(smoke_config(outdir=str(tmp_path), vtk=True))
+        convergence_study(wavenumber=5.0, order=3, levels=2, base_n=10)
+        assert calls == []
+
 
 class TestStudies:
     def test_pollution_single_k_matches_direct_solve(self):
@@ -225,7 +246,7 @@ class TestSolutionField:
     def test_eval_field_matches_grid(self, smoke_result):
         sol = smoke_result.field
         pts = [(0.25, 0.5), (0.5, 0.25), (0.9, 0.1)]
-        vals = eval_field(sol, pts)
+        vals = sol.evaluate_points(pts)
         for (xi, eta), v in zip(pts, vals):
             # identical values up to summation-order roundoff
             ref = sol.evaluate_grid([xi], [eta])[0, 0]
@@ -233,14 +254,14 @@ class TestSolutionField:
 
     def test_out_of_domain_rejected(self, smoke_result):
         with pytest.raises(ValueError):
-            eval_field(smoke_result.field, [(1.2, 0.5)])
+            smoke_result.field.evaluate_points([(1.2, 0.5)])
 
 
 class TestProfiles:
     def test_axis_profile_matches_eval_field(self, smoke_result):
         ys, vals = axis_profile(smoke_result.field, 60)
         etas = np.linspace(0, 1, 60)
-        direct = eval_field(smoke_result.field, [(0.5, e) for e in etas])
+        direct = smoke_result.field.evaluate_points([(0.5, e) for e in etas])
         np.testing.assert_allclose(direct, vals, rtol=1e-13, atol=1e-16)
 
     def test_axis_profile_starts_at_amplitude(self, smoke_result):
@@ -441,6 +462,21 @@ class TestOutputs:
         assert lines[0].startswith("# vtk DataFile")
         assert "STRUCTURED_GRID" in lines[3]
 
+    def test_vtk_matches_field_csv(self, outputs):
+        cfg, _, outdir = outputs
+        g = cfg.grid_res
+        # field.csv runs xi outer, the VTK grid runs xi fastest
+        table = np.loadtxt(outdir / "field.csv", delimiter=",", skiprows=1)
+        table = table.reshape(g, g, 7).swapaxes(0, 1).reshape(-1, 7)
+        lines = (outdir / "field.vtk").read_text().splitlines()
+        start = lines.index(f"POINTS {g * g} double") + 1
+        points = np.array([line.split() for line in lines[start : start + g * g]], dtype=float)
+        assert np.array_equal(points, np.column_stack([table[:, 2:4], np.zeros(g * g)]))
+        for name, col in (("re", 4), ("im", 5), ("abs", 6)):
+            start = lines.index(f"SCALARS {name} double 1") + 2
+            assert np.array_equal(np.array(lines[start : start + g * g], dtype=float), table[:, col])
+        assert len(lines) == start + g * g
+
     def test_matrix_market_dump_solvable(self, outputs):
         from igarad.solver import direct_solve, load_matrix_market
 
@@ -463,6 +499,20 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
         assert "[assemble]" in proc.stdout  # stage lines are logged at INFO
+
+    def test_run_overrides_reach_the_report(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "configs" / "desk_smoke.json"
+        proc = self._run(
+            "run", "--config", str(config), "--grid-res", "7", "--profile-samples", "9",
+            "--no-align-aperture-knots", "--outdir", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert written["grid_res"] == 7
+        assert written["profile_samples"] == 9
+        assert written["align_aperture_knots"] is False
+        assert written["outdir"] == str(tmp_path)
+        assert written["n"] == 40  # from the config file
 
     def test_run_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
