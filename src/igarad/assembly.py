@@ -13,7 +13,10 @@ per slab of xi nodes on the volume (from designs tabulated once) and once
 per edge.  Stiffness and mass are summed into CSR ``data`` over the full
 ``N x N`` index set, in the Kronecker product of the knot vectors' 1D
 coupling bands, and :func:`build_system` gathers the free/Dirichlet blocks
-entry by entry from that shared pattern.  The element loop is serial;
+entry by entry from that shared pattern.  The free dofs are numbered in
+the elimination order of the grid's nested dissection
+(:func:`classify_dofs`), so the restricted system comes out ready to
+factor.  The element loop is serial;
 evaluation of the immutable spaces and geometry is pure, so a parallel
 loop with a deterministic merge could replace it without changing results
 beyond summation order.
@@ -78,7 +81,8 @@ class QuadratureRule:
     under-integration warning.
 
     Edge integrals (Robin boundary mass and boundary loads) use one more
-    point per span (``edge_xi``, ``edge_eta``).  They are one-dimensional,
+    point per span than ``points_xi`` and ``points_eta``, built on the
+    edge's parametric range.  They are one-dimensional,
     so this costs little, and their arc-speed factor is far from
     polynomial next to the arc junctions, where the boundary
     parametrization slows to zero speed.
@@ -101,8 +105,6 @@ class QuadratureRule:
                 )
         self.xi = _direction_rule(space.kv_xi, self.points_xi)
         self.eta = _direction_rule(space.kv_eta, self.points_eta)
-        self.edge_xi = _direction_rule(space.kv_xi, self.points_xi + 1)
-        self.edge_eta = _direction_rule(space.kv_eta, self.points_eta + 1)
 
 
 def _tabulate(kv: KnotVector, rule: _DirectionRule):
@@ -161,7 +163,10 @@ class DofPartition:
 
     Dirichlet dofs are the bottom-row (eta index 0) basis functions whose
     support meets the transducer aperture on the bottom edge; every other
-    basis function vanishes identically on that segment.
+    basis function vanishes identically on that segment.  ``dirichlet`` is
+    sorted.  ``free`` numbers the free dofs in elimination order, the
+    grid's :func:`nested_dissection` without the Dirichlet dofs: the
+    restricted system's row and column ``i`` belong to dof ``free[i]``.
     """
 
     free: np.ndarray
@@ -180,7 +185,8 @@ class DofPartition:
 
 def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     """Locate the Dirichlet dofs from the aperture preimage
-    (:attr:`DomainConfig.aperture_preimage`)."""
+    (:attr:`DomainConfig.aperture_preimage`) and number the rest in
+    nested-dissection order."""
     xi_left, xi_right = cfg.aperture_preimage
     kv = space.kv_xi
     # B_i is not identically null on the aperture iff its open support
@@ -191,10 +197,11 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     i_all = np.arange(kv.num_basis)
     on_aperture = (kv.knots[i_all] < xi_right) & (kv.knots[i_all + kv.order] > xi_left)
     dirichlet = i_all[on_aperture].astype(np.int64)  # flat q = 0*n + i
-    mask = np.ones(space.size, dtype=bool)
-    mask[dirichlet] = False
+    is_free = np.ones(space.size, dtype=bool)
+    is_free[dirichlet] = False
+    order = nested_dissection(space)
     return DofPartition(
-        free=np.nonzero(mask)[0].astype(np.int64),
+        free=order[is_free[order]],
         dirichlet=dirichlet,
         xi_left=xi_left,
         xi_right=xi_right,
@@ -204,17 +211,17 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
 _ND_LEAF = 32  # blocks this small keep the natural order; 64 fills 3 % more at 27,936 dofs
 
 
-def nested_dissection(space: TensorProductSpace, partition: DofPartition) -> np.ndarray:
-    """Fill-reducing symmetric ordering of the free dofs: geometric nested
-    dissection of the tensor dof grid (George, SINUM 10, 1973).
+def nested_dissection(space: TensorProductSpace) -> np.ndarray:
+    """Fill-reducing order of the ``n x m`` tensor dof grid: geometric
+    nested dissection (George, SINUM 10, 1973).
 
     Two basis functions couple only if their indices differ by less than
     the order in both directions, so ``order - 1`` whole grid lines split a
-    block of the ``n x m`` grid in two.  Each block is cut across its longer
-    side, the halves are ordered recursively and the separator after them;
+    block of the grid in two.  Each block is cut across its longer side,
+    the halves are ordered recursively and the separator after them;
     blocks of at most ``_ND_LEAF`` dofs (or too thin to cut) keep the
-    natural order.  Dirichlet dofs are dropped.  Returns ``perm`` such that
-    ``A[perm][:, perm]`` is the reordered free-free system.
+    natural order.  Returns the flat indices of all ``n * m`` dofs in
+    elimination order.
     """
     n = space.n
     cut_x, cut_e = space.kv_xi.order - 1, space.kv_eta.order - 1
@@ -241,10 +248,7 @@ def nested_dissection(space: TensorProductSpace, partition: DofPartition) -> np.
             natural(i0, i1, j0, j1)
 
     dissect(0, n, 0, space.m)
-    free_index = np.full(space.size, -1, dtype=np.int64)
-    free_index[partition.free] = np.arange(partition.n_free)
-    perm = free_index[np.concatenate(blocks)]
-    return perm[perm >= 0]
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -366,8 +370,8 @@ def _edge_table(
     along_eta = edge in ("left", "right")
     if not along_eta and edge not in ("bottom", "top"):
         raise ValueError(f"unknown edge {edge!r}")
-    kv, rule = (space.kv_eta, quad.edge_eta) if along_eta else (space.kv_xi, quad.edge_xi)
-    rule = _direction_rule(kv, rule.nodes.shape[1], *t_range)
+    kv, points = (space.kv_eta, quad.points_eta) if along_eta else (space.kv_xi, quad.points_xi)
+    rule = _direction_rule(kv, points + 1, *t_range)
     ts, fixed = rule.nodes.ravel(), [0.0 if edge in ("left", "bottom") else 1.0]
     if along_eta:
         F, _, F_t, _, _ = geometry.jacobian_grid(fixed, ts)
@@ -422,36 +426,38 @@ def edge_load(
     return load
 
 
-def _kept(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Mask of ``pattern``'s entries in ``pattern[rows][:, cols]``."""
-    in_rows = np.zeros(pattern.shape[0], dtype=bool)
-    in_rows[rows] = True
-    in_cols = np.zeros(pattern.shape[1], dtype=bool)
-    in_cols[cols] = True
-    keep = in_cols[pattern.indices]
-    keep &= np.repeat(in_rows, np.diff(pattern.indptr))
-    return keep
+def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
+    """Structure of ``pattern[rows][:, cols]`` for index sets in any order.
 
-
-def _block(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
-    """Structure of ``pattern[rows][:, cols]`` for sorted index sets.
-
-    Returns ``(indptr, indices, keep)``: the block's CSR arrays and the mask
-    of ``pattern``'s entries that it keeps, so the block of any matrix
-    stored on ``pattern`` has the data ``data[keep]``.
+    Returns ``(indptr, indices, pos)``: the block's CSR arrays, with sorted
+    indices, and the positions in ``pattern.data`` of its entries, so the
+    block of any matrix stored on ``pattern`` has the data ``data[pos]``.
+    The nnz-sized temporaries stay in ``pattern``'s index dtype.
     """
-    keep = _kept(pattern, rows, cols)
-    kept = np.add.reduceat(keep, pattern.indptr[:-1], dtype=np.int32)  # no row of S is empty
-    indptr = np.zeros(rows.size + 1, dtype=np.int32)
-    np.cumsum(kept[rows], out=indptr[1:])
-    col_index = np.zeros(pattern.shape[1], dtype=np.int32)
-    col_index[cols] = np.arange(cols.size, dtype=np.int32)
-    return indptr, col_index[pattern.indices[keep]], keep
+    index_type = pattern.indices.dtype
+    lens = np.diff(pattern.indptr)[rows]  # no row of S is empty
+    heads = np.cumsum(lens, dtype=index_type) - lens
+    # every entry of the selected rows, row after row
+    pos = np.repeat(pattern.indptr[rows] - heads, lens)
+    pos += np.arange(pos.size, dtype=index_type)
+    col_index = np.full(pattern.shape[1], -1, dtype=index_type)
+    col_index[cols] = np.arange(cols.size, dtype=index_type)
+    indices = col_index[pattern.indices[pos]]
+    keep = indices >= 0
+    pos = pos[keep]
+    indices = indices[keep]
+    indptr = np.zeros(rows.size + 1, dtype=index_type)
+    np.cumsum(np.add.reduceat(keep, heads, dtype=index_type), out=indptr[1:])
+    # the positions ride along as data while each row's columns are sorted
+    block = sp.csr_matrix((pos, indices, indptr), shape=(rows.size, cols.size))
+    block.has_sorted_indices = False
+    block.sort_indices()
+    return block.indptr, block.indices, block.data
 
 
 def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:
     """Positions in ``pattern.data`` of the entries of ``sub``, whose pattern
-    is a subset of ``pattern``'s (both canonical)."""
+    is a subset of ``pattern``'s (sorted indices, no duplicates)."""
     pos = np.empty(sub.nnz, dtype=np.int64)
     for r in np.flatnonzero(np.diff(sub.indptr)):  # few rows: the Robin mass lives on the boundary
         lo, hi = pattern.indptr[r], pattern.indptr[r + 1]
@@ -464,10 +470,11 @@ def _restricted(matrices: SystemMatrices, k: float, rows: np.ndarray, cols: np.n
     """``(S - k^2 M + i k E)[rows][:, cols]`` gathered from the shared pattern
     of S and M, with no full-size complex matrix."""
     S, M, E = matrices.stiffness, matrices.mass, matrices.robin_mass
-    indptr, indices, keep = _block(S, rows, cols)
-    real = M.data[keep]
+    indptr, indices, pos = _gather(S, rows, cols)
+    real = M.data[pos]
     real *= -(k**2)
-    real += S.data[keep]
+    real += S.data[pos]
+    del pos
     block = sp.csr_matrix((real.astype(complex), indices, indptr), shape=(rows.size, cols.size))
     del real
     if k != 0.0:
@@ -477,11 +484,11 @@ def _restricted(matrices: SystemMatrices, k: float, rows: np.ndarray, cols: np.n
 
 
 def free_block(matrix: sp.csr_matrix, partition: DofPartition, system: sp.csr_matrix) -> sp.csr_matrix:
-    """``matrix[free][:, free]`` of an assembled S or M without fancy-index
-    copies, sharing the index arrays of ``system``, the A that
-    :func:`build_system` gathered from the same pattern."""
-    keep = _kept(matrix, partition.free, partition.free)
-    return sp.csr_matrix((matrix.data[keep], system.indices, system.indptr), shape=system.shape)
+    """``matrix[free][:, free]`` of an assembled S or M, gathered entry by
+    entry from its pattern and sharing the index arrays of ``system``, the
+    A that :func:`build_system` gathered from the same pattern."""
+    pos = _gather(matrix, partition.free, partition.free)[2]
+    return sp.csr_matrix((matrix.data[pos], system.indices, system.indptr), shape=system.shape)
 
 
 def build_system(
@@ -498,22 +505,22 @@ def build_system(
     reconstructed field attain the prescribed boundary values, and any
     boundary load is added on top.  Both blocks are gathered entry by entry
     from the pattern S and M share (E's is a subset of it), so they equal
-    the scipy expression ``(S - k**2 * M + 1j * k * E)[free][:, free]`` bit
-    for bit.  Returns ``(A, b)``.
+    the scipy expression ``(S - k**2 * M + 1j * k * E)[free][:, free]``,
+    with sorted indices, bit for bit.  A's rows and columns follow
+    ``partition.free``, the elimination order.  Returns ``(A, b)``.
     """
     if partition.n_dirichlet == 0:
         raise ValueError("no Dirichlet dofs: the radiation problem needs a source")
     k = float(wavenumber)
     free, diri = partition.free, partition.dirichlet
-    A = _restricted(matrices, k, free, free)
-    coupling = _restricted(matrices, k, free, diri)
     values = np.asarray(dirichlet_values, dtype=complex)
     if values.ndim == 0:
         values = np.full(diri.size, complex(values))
-    b = -coupling @ values
+    # the coupling first: its gather's temporaries are gone before A is formed
+    b = -_restricted(matrices, k, free, diri) @ values
     if load is not None:
         b = b + np.asarray(load, dtype=complex)[free]
-    return A, b
+    return _restricted(matrices, k, free, free), b
 
 
 def expand_solution(partition: DofPartition, free_values: np.ndarray, dirichlet_values) -> np.ndarray:

@@ -22,7 +22,6 @@ from .assembly import (
     build_system,
     edge_load,
     expand_solution,
-    nested_dissection,
 )
 from .bspline import TensorProductSpace
 from .bspline import basis_matrix, eval_basis  # noqa: F401  bench/layers.py traces these names
@@ -128,13 +127,13 @@ def solve_manufactured(
     wave: PlaneWave,
 ) -> np.ndarray:
     """Full coefficient vector of the discrete solution for ``wave``, by a
-    direct solve under the grid's nested dissection
-    (:func:`igarad.assembly.nested_dissection`)."""
+    direct solve in the elimination order the free dofs are numbered in
+    (:func:`igarad.assembly.classify_dofs`)."""
     from .solver import direct_solve
 
     load, values = manufactured_data(space, geometry, quad, partition, wave)
     A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
-    x = direct_solve(A, b, perm=nested_dissection(space, partition))
+    x = direct_solve(A, b, ordered=True)
     return expand_solution(partition, x, values)
 
 

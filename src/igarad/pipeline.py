@@ -15,7 +15,6 @@ import math
 import resource
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ from .assembly import (
     classify_dofs,
     expand_solution,
     free_block,
-    nested_dissection,
 )
 from .bspline import TensorProductSpace, design, make_uniform_open_knots
 from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
@@ -155,12 +153,6 @@ class Discretization:
     partition: DofPartition
     quadrature: QuadratureRule
 
-    @cached_property
-    def ordering(self) -> np.ndarray:
-        """Nested-dissection ordering of the free dofs, the symmetric
-        permutation every factorization of this mesh's system uses."""
-        return nested_dissection(self.space, self.partition)
-
 
 def build_discretization(
     domain: DomainConfig,
@@ -235,28 +227,18 @@ class SolutionField:
 
 
 def axis_profile(sol: SolutionField, samples: int = 400):
-    """Field along the symmetry axis x = 0.
+    """Field along the symmetry axis x = 0, the image of the parametric line
+    xi = 1/2 on the mirror-symmetric patches the package builds.
 
-    Checks that the parametric line xi = 1/2 maps onto the axis; if the
-    geometry is not symmetric it falls back to root-finding the preimage
-    of x = 0 for each eta.  Returns ``(y, values)`` sorted by height.
+    Raises ``ValueError`` if that line does not map onto the axis.
+    Returns ``(y, values)`` sorted by height.
     """
     etas = np.linspace(0.0, 1.0, samples)
     pts = sol.geometry.evaluate_grid([0.5], etas)[0]
-    if np.max(np.abs(pts[:, 0])) <= 1e-10:
-        ys = pts[:, 1]
-        vals = sol.evaluate_grid([0.5], etas)[0]
-        return ys, vals
-    from scipy.optimize import brentq
-
-    xis = np.empty(samples)
-    ys = np.empty(samples)
-    for i, eta in enumerate(etas):
-        f = lambda xi: sol.geometry.evaluate(xi, eta)[0]
-        xis[i] = brentq(f, 0.0, 1.0, xtol=1e-14)
-        ys[i] = sol.geometry.evaluate(xis[i], eta)[1]
-    vals = sol.evaluate_points(np.column_stack([xis, etas]))
-    return ys, vals
+    offset = float(np.max(np.abs(pts[:, 0])))
+    if offset > 1e-10:
+        raise ValueError(f"xi = 1/2 does not map onto the axis x = 0: max |x| = {offset:.3g}")
+    return pts[:, 1], sol.evaluate_grid([0.5], etas)[0]
 
 
 def bottom_profile(sol: SolutionField, samples: int = 400):
@@ -275,8 +257,8 @@ def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int =
 
 
 def _estimate_lu_nnz(dofs: int, order_xi: int, order_eta: int) -> float:
-    """LU fill of the shifted-Laplacian matrix under the grid's nested
-    dissection (``solver._factorize`` with ``Discretization.ordering``).
+    """LU fill of the shifted-Laplacian matrix in the grid's nested-dissection
+    numbering of the free dofs (``solver._factorize`` with ``ordered=True``).
 
     Power-law fit ``1.845 * order_xi * order_eta * dofs^1.2534`` to SuperLU's
     ``nnz`` on the desk physics scaled at fixed points per wavelength
@@ -301,11 +283,11 @@ class RunResult:
     dirichlet_deviation: float
 
 
-def _solve_direct(A, b, perm):
-    """Direct sparse solve of the restricted system under the symmetric
-    permutation ``perm``, with its report."""
+def _solve_direct(A, b):
+    """Direct sparse solve of the restricted system, numbered in elimination
+    order, with its report."""
     t0 = time.perf_counter()
-    x = direct_solve(A, b, perm=perm)
+    x = direct_solve(A, b, ordered=True)
     b_norm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
     rep = SolveReport(
@@ -373,10 +355,10 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     lu_nnz = None  # the direct solve keeps no factor
     if config.solver == "direct":
-        x, solve_report = stage("solve", lambda: _solve_direct(A, b, disc.ordering))
+        x, solve_report = stage("solve", lambda: _solve_direct(A, b))
     else:
         beta = config.beta_factor / k
-        precond = stage("factor", lambda: build_cslp(A, mass, beta, disc.ordering))
+        precond = stage("factor", lambda: build_cslp(A, mass, beta, ordered=True))
         mass = None
         lu_nnz = precond.lu_nnz
         gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)

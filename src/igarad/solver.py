@@ -2,7 +2,9 @@
 the shifted-Laplacian preconditioner applied through a sparse LU
 factorization.
 
-Matrices are scipy CSR with sorted, deduplicated indices.  GMRES reports
+Matrices are scipy CSR with sorted, deduplicated indices; a system from
+the grid arrives with its unknowns in elimination order, so it is factored
+as it is, with no permuted copy.  GMRES reports
 ``converged`` only when the explicit preconditioned residual
 ``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
 cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
@@ -78,44 +80,28 @@ class SolveReport:
     cycle_residuals: list[float] = field(default_factory=list)
 
 
-def _permuted_transpose(matrix, perm) -> sp.csc_matrix:
-    """``matrix[perm][:, perm]`` transposed, in CSC: the CSR arrays of the
-    permuted matrix read column by column.  One row gather, with the
-    column indices relabelled and sorted in place."""
-    iperm = np.empty(perm.size, dtype=np.int32)
-    iperm[perm] = np.arange(perm.size, dtype=np.int32)
-    rows = as_csr(matrix)[perm]
-    np.take(iperm, rows.indices, out=rows.indices)
-    rows.has_sorted_indices = False
-    rows.sort_indices()
-    return sp.csc_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape[::-1])
-
-
-def _factorize(matrix, what: str, perm=None):
+def _factorize(matrix, what: str, ordered: bool = False):
     """SuperLU factorization of a square sparse matrix; ``what`` names it if singular.
 
-    The systems here are structurally symmetric, so SuperLU runs in
-    symmetric mode, preferring diagonal pivots.  Without a permutation the
-    columns are ordered by minimum degree on the pattern of ``A^T + A``.
-    With a symmetric permutation ``perm`` (the grid's nested dissection,
-    :func:`igarad.assembly.nested_dissection`) the factor is of
-    ``matrix[perm][:, perm].T`` in natural order, which needs no CSC copy
-    of the permuted matrix; :func:`_lu_solve` with the same ``perm`` turns
-    it into a solve with ``matrix``.  Threshold partial pivoting stays on:
-    a diagonal entry is kept only while it is at least 0.001 times the
+    SuperLU reads the canonical CSR arrays of ``matrix`` as the CSC of its
+    transpose, so no CSC copy is made; :func:`_lu_solve` solves with the
+    transposed factor.  The systems here are structurally symmetric, so
+    SuperLU runs in symmetric mode, preferring diagonal pivots.  A matrix
+    already numbered in elimination order (``ordered``: the grid's nested
+    dissection, as :func:`igarad.assembly.classify_dofs` numbers the free
+    dofs) is factored in natural order; any other, under minimum degree on
+    the pattern of ``A^T + A``.  Threshold partial pivoting stays on: a
+    diagonal entry is kept only while it is at least 0.001 times the
     largest entry of its column, so a tiny diagonal is still pivoted away.
     The orderings need the small threshold to pay off: with the default
     threshold 1.0 minimum degree gives more fill than SuperLU's COLAMD.
     """
-    if perm is None:
-        matrix, permc_spec = sp.csc_matrix(matrix), "MMD_AT_PLUS_A"
-    else:
-        # rebinding drops the last reference to an unpermuted temporary
-        matrix, permc_spec = _permuted_transpose(matrix, perm), "NATURAL"
+    matrix = as_csr(matrix)
+    transpose = sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape[::-1])
     try:
         return spla.splu(
-            matrix,
-            permc_spec=permc_spec,
+            transpose,
+            permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
             diag_pivot_thresh=0.001,
             options=dict(SymmetricMode=True),
         )
@@ -123,14 +109,9 @@ def _factorize(matrix, what: str, perm=None):
         raise RuntimeError(f"singular {what}: {exc}") from exc
 
 
-def _lu_solve(lu, v, perm=None) -> np.ndarray:
-    """Solve with a factor that :func:`_factorize` made with the same ``perm``."""
-    v = np.asarray(v, dtype=complex)
-    if perm is None:
-        return lu.solve(v)
-    x = np.empty_like(v)
-    x[perm] = lu.solve(v[perm], trans="T")
-    return x
+def _lu_solve(lu, v) -> np.ndarray:
+    """Solve ``matrix x = v`` with the factor :func:`_factorize` made of ``matrix``."""
+    return lu.solve(np.asarray(v, dtype=complex), trans="T")
 
 
 def _shifted(A, M, beta: float) -> sp.csr_matrix:
@@ -151,37 +132,35 @@ def _shifted(A, M, beta: float) -> sp.csr_matrix:
 class CslpPreconditioner:
     """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by LU.
 
-    P is formed, factored by :func:`_factorize` (under the symmetric
-    permutation ``perm`` if one is given, else minimum degree; threshold
-    partial pivoting) and dropped: only the factor is kept.  ``lu_nnz`` is
+    P is formed, factored by :func:`_factorize` (in natural order if A and
+    M are ``ordered``, else under minimum degree; threshold partial
+    pivoting) and dropped: only the factor is kept.  ``lu_nnz`` is
     the factor's fill, SuperLU's count of stored L and U entries.
     ``beta = 0`` makes the preconditioner an exact solve of A.
     """
 
-    def __init__(self, A, M, beta: float, perm=None):
+    def __init__(self, A, M, beta: float, ordered: bool = False):
         if beta < 0:
             raise ValueError("shift beta must be nonnegative")
         if A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
-        self.perm = perm
-        self._lu = _factorize(_shifted(A, M, self.beta), "shifted-Laplacian factorization", perm)
+        self._lu = _factorize(_shifted(A, M, self.beta), "shifted-Laplacian factorization", ordered)
         self.lu_nnz = int(self._lu.nnz)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return _lu_solve(self._lu, v, self.perm)
+        return _lu_solve(self._lu, v)
 
 
-def build_cslp(A, M, beta: float, perm=None) -> CslpPreconditioner:
+def build_cslp(A, M, beta: float, ordered: bool = False) -> CslpPreconditioner:
     """Factorized shifted-Laplacian preconditioner (see :class:`CslpPreconditioner`)."""
-    return CslpPreconditioner(A, M, beta, perm)
+    return CslpPreconditioner(A, M, beta, ordered)
 
 
-def direct_solve(A, b, *, perm=None) -> np.ndarray:
-    """Sparse LU solve, under the symmetric permutation ``perm`` if given;
-    oracle path and default for small systems."""
-    lu = _factorize(as_csr(A), "matrix in direct solve", perm)
-    return _lu_solve(lu, b, perm)
+def direct_solve(A, b, *, ordered: bool = False) -> np.ndarray:
+    """Sparse LU solve, in natural order if A is ``ordered`` (see
+    :func:`_factorize`); oracle path and default for small systems."""
+    return _lu_solve(_factorize(A, "matrix in direct solve", ordered), b)
 
 
 def gmres(A, b, precond: CslpPreconditioner | None = None, config: GmresConfig | None = None):

@@ -291,11 +291,10 @@ def outputs(tmp_path_factory):
     return cfg, result, outdir
 
 
-class TestAxisProfileFallback:
-    def test_root_finding_path_on_asymmetric_geometry(self):
+class TestAxisProfileSymmetry:
+    def test_asymmetric_geometry_is_rejected(self):
         # quarter annulus shifted so the x = 0 line cuts the interior but
-        # xi = 1/2 does not map onto it: the profile must fall back to
-        # root finding and still return points on the axis
+        # xi = 1/2 does not map onto it: no axis profile is taken there
         import math as _math
 
         from igarad.geometry import coons_patch, make_arc, make_line
@@ -310,12 +309,8 @@ class TestAxisProfileFallback:
         space = TensorProductSpace(make_uniform_open_knots(3, 5), make_uniform_open_knots(3, 4))
         sol = SolutionField(space, geometry, np.ones(space.size), 1.0)
         assert np.max(np.abs(geometry.evaluate_grid([0.5], np.linspace(0, 1, 9))[0][:, 0])) > 1e-6
-        ys, vals = axis_profile(sol, 25)
-        assert np.max(np.abs(vals - 1.0)) <= 1e-12  # partition of unity field
-        # edge heights are the exact circle/line intersections with x = 0
-        assert ys[0] == pytest.approx(math.sqrt(1.0 - 0.2**2), abs=1e-9)
-        assert ys[-1] == pytest.approx(math.sqrt(0.5**2 - 0.2**2), abs=1e-9)
-        assert np.all(np.diff(ys) < 0)
+        with pytest.raises(ValueError, match="does not map onto the axis"):
+            axis_profile(sol, 25)
 
 
 class TestEnergyBalance:

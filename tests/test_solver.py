@@ -144,15 +144,15 @@ class TestCslp:
             w = precond.solve(P @ v)
             assert np.linalg.norm(w - v) / np.linalg.norm(v) <= 1e-10
 
-    def test_permuted_factor_solves_the_unpermuted_system(self, rng):
-        # a nonsymmetric A: the permuted factor must solve A, not A^T
+    @pytest.mark.parametrize("ordered", [False, True], ids=["minimum_degree", "natural"])
+    def test_transposed_factor_solves_a_not_its_transpose(self, rng, ordered):
+        # a nonsymmetric A: the factor of P^T must solve with P, not P^T
         A, b = random_complex_system(rng, n=60)
         M = sp.identity(60, format="csr", dtype=complex)
-        perm = rng.permutation(60)
-        precond = build_cslp(A, M, 3.7, perm)
+        precond = build_cslp(A, M, 3.7, ordered)
         P = A - 1j * 3.7 * M
         assert np.linalg.norm(P @ precond.solve(b) - b) / np.linalg.norm(b) <= 1e-12
-        x = direct_solve(A, b, perm=perm)
+        x = direct_solve(A, b, ordered=ordered)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
@@ -280,6 +280,23 @@ class TestExplicitResidualStop:
         assert rep.history[rep.cycle_lengths[0] - 1] <= config.tol
 
 
+@pytest.fixture(scope="module")
+def desk_system():
+    """``(A, b, M_ff, beta)`` of the desk run (10,980 dofs), with the free
+    mass block on A's pattern."""
+    from pathlib import Path
+
+    from igarad.assembly import assemble, build_system, free_block
+    from igarad.pipeline import RunConfig, discretize
+
+    config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
+    disc = discretize(config)
+    mats = assemble(disc.space, disc.geometry, disc.quadrature)
+    k = disc.domain.wavenumber
+    A, b = build_system(mats, disc.partition, k, config.amplitude)
+    return A, b, free_block(mats.mass, disc.partition, A), config.beta_factor / k
+
+
 class TestFactorize:
     def test_less_fill_than_default_ordering(self):
         A, b, _ = semicircle_system(150.0, 60, 40)
@@ -296,25 +313,27 @@ class TestFactorize:
         P = (A - 1j * beta * M).tocsc()
         assert precond.lu_nnz == _factorize(P, "P").nnz > A.nnz
 
-    def test_nested_dissection_on_the_desk_mesh(self):
-        """The grid's nested dissection fills less than minimum degree on
-        the desk run's P and solves A to a direct residual of 1e-10."""
-        from pathlib import Path
-
-        from igarad.assembly import assemble, build_system, free_block
-        from igarad.pipeline import RunConfig, discretize
-
-        config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
-        disc = discretize(config)
-        mats = assemble(disc.space, disc.geometry, disc.quadrature)
-        k = disc.domain.wavenumber
-        A, b = build_system(mats, disc.partition, k, config.amplitude)
-        P = A - 1j * (config.beta_factor / k) * free_block(mats.mass, disc.partition, A)
-        perm = disc.ordering
-        assert np.array_equal(np.sort(perm), np.arange(b.size))
-        assert _factorize(P, "P", perm).nnz <= _factorize(P, "P").nnz
-        x = direct_solve(A, b, perm=perm)
+    def test_nested_dissection_on_the_desk_mesh(self, desk_system):
+        """The desk run's P, numbered in nested-dissection order, fills less
+        in natural order than under minimum degree, and A is solved to a
+        direct residual of 1e-10."""
+        A, b, mass, beta = desk_system
+        P = A - 1j * beta * mass
+        assert _factorize(P, "P", ordered=True).nnz <= _factorize(P, "P").nnz
+        x = direct_solve(A, b, ordered=True)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+
+    def test_ordered_preconditioner_makes_no_copy_of_p(self, desk_system):
+        """Forming and factoring P in elimination order allocates about P's
+        values once; a permuted copy of P would need two more of them."""
+        A, _, mass, beta = desk_system
+        tracemalloc.start()
+        try:
+            build_cslp(A, mass, beta, ordered=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * A.nnz * 16
 
     def test_tiny_diagonal_is_pivoted_away(self):
         """A symmetric matrix whose diagonal is 1e-13: diagonal pivots alone
