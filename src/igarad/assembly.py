@@ -10,16 +10,19 @@ evaluated.
 Each direction's basis is tabulated once on all its Gauss nodes
 (:func:`igarad.bspline.tabulate`); the geometry Jacobian is evaluated once
 per slab of xi nodes on the volume (from designs tabulated once) and once
-per edge.  Stiffness and mass are summed into CSR ``data`` over the full
-``N x N`` index set, in the Kronecker product of the knot vectors' 1D
-coupling bands, and :func:`build_system` gathers the free/Dirichlet blocks
-entry by entry from that shared pattern.  The free dofs are numbered in
-the elimination order of the grid's nested dissection
-(:func:`classify_dofs`), so the restricted system comes out ready to
-factor.  The element loop is serial;
-evaluation of the immutable spaces and geometry is pure, so a parallel
-loop with a deterministic merge could replace it without changing results
-beyond summation order.
+per edge.  The volume integrals are sum-factorized slab by slab (Antolin,
+Buffa, Calabro, Martinelli & Sangalli, CMAME 285, 2015): the metric
+weights at the slab's nodes are contracted over eta first, by one sparse
+product with an operator built once per call (:func:`_eta_operator`), into
+the 1D eta coupling band, and then over xi, by one dense product per
+matrix.  Every pair the slab produces is a distinct entry of S and M, so
+each is summed into CSR ``data`` by one plain scatter per slab.  The
+pattern is the Kronecker product of the knot vectors' 1D coupling bands
+over the full ``N x N`` index set, and :func:`build_system` gathers the
+free/Dirichlet blocks entry by entry from it (:class:`Gather`).  The free
+dofs are numbered in the elimination order of the grid's nested
+dissection (:func:`classify_dofs`), so the restricted system comes out
+ready to factor.
 """
 
 from __future__ import annotations
@@ -264,6 +267,42 @@ class SystemMatrices:
     robin_mass: sp.csr_matrix
 
 
+def _eta_operator(be: np.ndarray, dbe: np.ndarray, fe: np.ndarray, first_e: np.ndarray, len_e: np.ndarray):
+    """The eta half of the sum-factorized volume integrals, as one sparse matrix.
+
+    The volume terms are, with ``X`` the xi and ``Y`` the eta factor of a
+    tensor-product function and ``'`` marking the column function:
+    ``w11 dX dX' Y Y'``, ``w22 X X' dY dY'``, ``w12 dX X' Y dY'``,
+    ``w12 X dX' dY Y'`` (the stiffness) and ``wm X X' Y Y'`` (the mass).
+    Entry ``t`` of the 1D eta coupling band couples eta row
+    ``rows[t]`` with column ``first_e[rows[t]] + slots[t]``.  ``G`` maps the
+    five weights at every eta node, stacked term by term, to the eta sums
+    ``sum_{e2, q2} w[e2, q2] Y Y'`` of each band entry: row ``5 t + term``.
+    Returns ``(G, rows, slots)``.
+    """
+    E2, k2, q2 = be.shape
+    band_ptr = np.concatenate([[0], np.cumsum(len_e)])
+    rows = np.repeat(np.arange(len_e.size), len_e)
+    slots = np.arange(band_ptr[-1]) - band_ptr[rows]
+    ge = fe[:, None] + np.arange(k2)  # (E2, b) eta rows of each element
+    entry = (band_ptr[ge] - first_e[ge])[:, :, None] + ge[:, None, :]  # (E2, b, b')
+    pairs = ((be, be), (dbe, dbe), (be, dbe), (dbe, be), (be, be))
+    vals = np.stack([np.einsum("ebq,ecq->eqbc", y, y_col) for y, y_col in pairs])  # (5, E2, q2, b, b')
+    term = np.arange(len(pairs)).reshape(-1, 1, 1, 1, 1)
+    nodes = np.arange(E2 * q2).reshape(1, E2, q2, 1, 1)
+    G = sp.csr_matrix(
+        (
+            vals.ravel(),
+            (
+                np.broadcast_to(entry[None, :, None] * len(pairs) + term, vals.shape).ravel(),
+                np.broadcast_to(term * (E2 * q2) + nodes, vals.shape).ravel(),
+            ),
+        ),
+        shape=(len(pairs) * rows.size, len(pairs) * E2 * q2),
+    )
+    return G, rows, slots
+
+
 def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule) -> SystemMatrices:
     """Assemble stiffness, mass and Robin boundary-mass matrices.
 
@@ -273,13 +312,11 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
     kvx, kve = space.kv_xi, space.kv_eta
     n = space.n
     N = space.size
-    k1, k2 = kvx.order, kve.order
-    L = k1 * k2
+    k1 = kvx.order
 
     bx, dbx, fx = _tabulate(kvx, quad.xi)
     be, dbe, fe = _tabulate(kve, quad.eta)
     E1, q1 = quad.xi.nodes.shape
-    E2, q2 = quad.eta.nodes.shape
     xi_flat, eta_flat = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
     xi_design, eta_design = geometry.designs(xi_flat, eta_flat)
     w_eta = quad.eta.weights.ravel()
@@ -292,11 +329,15 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
     s_data = np.zeros(indices.size)
     m_data = np.zeros(indices.size)
 
-    def _slab(W):  # (q1, E2 * q2) node values to (E2, q1 * q2), element by element
-        return np.ascontiguousarray(W.reshape(q1, E2, q2).transpose(1, 0, 2).reshape(E2, q1 * q2))
+    G, eta_rows, eta_slots = _eta_operator(be, dbe, fe, first_e, len_e)
 
-    ge = fe[:, None] + np.arange(k2)[None, :]  # (E2, k2) eta dof indices
-    off_e = ge[:, None, :] - first_e[ge][:, :, None]  # (E2, b, b')
+    def xi_pairs(x, x_col):  # (E1, q1, a * k1 + a') products of the xi factors
+        return np.einsum("eaq,ecq->eqac", x, x_col).reshape(E1, q1, k1 * k1)
+
+    # the stiffness terms' xi factors, stacked in the order of G's terms
+    xi_s = np.concatenate([xi_pairs(dbx, dbx), xi_pairs(bx, bx), xi_pairs(dbx, bx), xi_pairs(bx, dbx)], axis=1)
+    xi_m = xi_pairs(bx, bx)
+    weights = np.empty((5, w_eta.size, q1))  # the slab's weights of G's five terms, eta node major
     for e1 in range(E1):
         # geometry of one slab of xi nodes: the metric weights of the whole
         # volume are never held at once
@@ -307,35 +348,23 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
             p, q = np.unravel_index(int(np.argmin(det)), det.shape)
             raise NonPositiveJacobianError(xi_flat[sl][p], eta_flat[q], float(det.min()))
         w2d = np.outer(quad.xi.weights[e1], w_eta)
-        w11 = _slab((F_eta**2).sum(axis=-1) / det * w2d)
-        w12 = _slab(-(F_xi * F_eta).sum(axis=-1) / det * w2d)
-        w22 = _slab((F_xi**2).sum(axis=-1) / det * w2d)
-        wm = _slab(det * w2d)
-        # local parametric gradients / values: (E2, L, q1*q2)
-        p_dxi = np.einsum("aq,ebp->eabqp", dbx[e1], be).reshape(E2, L, q1 * q2)
-        p_deta = np.einsum("aq,ebp->eabqp", bx[e1], dbe).reshape(E2, L, q1 * q2)
-        p_val = np.einsum("aq,ebp->eabqp", bx[e1], be).reshape(E2, L, q1 * q2)
+        (u0, u1), (v0, v1) = np.moveaxis(F_xi, -1, 0), np.moveaxis(F_eta, -1, 0)
+        weights[0] = ((v0**2 + v1**2) / det * w2d).T
+        weights[1] = ((u0**2 + u1**2) / det * w2d).T
+        weights[2] = (-(u0 * v0 + u1 * v1) / det * w2d).T
+        weights[3] = weights[2]
+        weights[4] = (det * w2d).T
+        # contract eta, then xi: (band entry t, term * q1 + xi node), then (t, a * k1 + a')
+        band = (G @ weights.reshape(-1, q1)).reshape(eta_rows.size, 5 * q1)
+        s_vals = band[:, : 4 * q1] @ xi_s[e1]
+        m_vals = band[:, 4 * q1 :] @ xi_m[e1]
 
-        # Symmetric-by-construction local matrices: the diagonal metric
-        # terms are Gram products Q Q^T, the cross term is T + T^T.
-        qa = p_dxi * np.sqrt(w11)[:, None, :]
-        qb = p_deta * np.sqrt(w22)[:, None, :]
-        t = np.matmul(p_dxi * w12[:, None, :], p_deta.transpose(0, 2, 1))
-        k_loc = np.matmul(qa, qa.transpose(0, 2, 1))
-        k_loc += np.matmul(qb, qb.transpose(0, 2, 1))
-        k_loc += t + t.transpose(0, 2, 1)
-        qm = p_val * np.sqrt(wm)[:, None, :]
-        m_loc = np.matmul(qm, qm.transpose(0, 2, 1))
-
+        # each (t, a, a') of the slab is a distinct entry of the pattern
         ix = fx[e1] + np.arange(k1)
-        rows = ge[:, None, :] * n + ix[None, :, None]  # (E2, a, b)
-        pos = (
-            indptr[rows][:, :, :, None, None]
-            + off_e[:, None, :, None, :] * len_x[ix][None, :, None, None, None]
-            + (ix[None, :] - first_x[ix][:, None])[None, :, None, :, None]
-        ).reshape(E2, L, L)
-        np.add.at(s_data, pos, k_loc)
-        np.add.at(m_data, pos, m_loc)
+        row_pos = indptr[eta_rows[:, None] * n + ix] + eta_slots[:, None] * len_x[ix] - first_x[ix]
+        pos = (row_pos[:, :, None] + ix).ravel()
+        s_data[pos] += s_vals.ravel()
+        m_data[pos] += m_vals.ravel()
 
     stiffness = sp.csr_matrix((s_data, indices, indptr), shape=(N, N))
     mass = sp.csr_matrix((m_data, indices.copy(), indptr.copy()), shape=(N, N))
@@ -426,12 +455,26 @@ def edge_load(
     return load
 
 
-def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
+@dataclass(frozen=True)
+class Gather:
+    """A block ``pattern[rows][:, cols]`` of the pattern S and M share: its
+    CSR ``indptr`` and ``indices`` (sorted), and the positions ``pos`` of its
+    entries in the pattern's ``data``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: np.ndarray
+    shape: tuple[int, int]
+
+    def block(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
+        """The block of ``matrix`` (S or M, stored on the gathered pattern),
+        sharing this gather's index arrays."""
+        return sp.csr_matrix((matrix.data[self.pos], self.indices, self.indptr), shape=self.shape)
+
+
+def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> Gather:
     """Structure of ``pattern[rows][:, cols]`` for index sets in any order.
 
-    Returns ``(indptr, indices, pos)``: the block's CSR arrays, with sorted
-    indices, and the positions in ``pattern.data`` of its entries, so the
-    block of any matrix stored on ``pattern`` has the data ``data[pos]``.
     The nnz-sized temporaries stay in ``pattern``'s index dtype.
     """
     index_type = pattern.indices.dtype
@@ -452,7 +495,14 @@ def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
     block = sp.csr_matrix((pos, indices, indptr), shape=(rows.size, cols.size))
     block.has_sorted_indices = False
     block.sort_indices()
-    return block.indptr, block.indices, block.data
+    return Gather(block.indptr, block.indices, block.data, block.shape)
+
+
+def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
+    """The free-free block of the pattern S and M share.  Gathered once, it
+    gives both :func:`build_system`'s ``A`` and the free mass block
+    (``gather.block(matrices.mass)``), on the same index arrays."""
+    return _gather(matrices.stiffness, partition.free, partition.free)
 
 
 def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:
@@ -466,29 +516,19 @@ def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:
     return pos
 
 
-def _restricted(matrices: SystemMatrices, k: float, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """``(S - k^2 M + i k E)[rows][:, cols]`` gathered from the shared pattern
-    of S and M, with no full-size complex matrix."""
+def _restricted(matrices: SystemMatrices, k: float, gather: Gather, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """``(S - k^2 M + i k E)[rows][:, cols]`` from the ``gather`` of that block
+    of the shared pattern of S and M, with no full-size complex matrix."""
     S, M, E = matrices.stiffness, matrices.mass, matrices.robin_mass
-    indptr, indices, pos = _gather(S, rows, cols)
-    real = M.data[pos]
+    real = M.data[gather.pos]
     real *= -(k**2)
-    real += S.data[pos]
-    del pos
-    block = sp.csr_matrix((real.astype(complex), indices, indptr), shape=(rows.size, cols.size))
+    real += S.data[gather.pos]
+    block = sp.csr_matrix((real.astype(complex), gather.indices, gather.indptr), shape=gather.shape)
     del real
     if k != 0.0:
         robin = E[rows][:, cols]  # E lives on a few boundary rows
         block.data.imag[_positions(block, robin)] = k * robin.data
     return block
-
-
-def free_block(matrix: sp.csr_matrix, partition: DofPartition, system: sp.csr_matrix) -> sp.csr_matrix:
-    """``matrix[free][:, free]`` of an assembled S or M, gathered entry by
-    entry from its pattern and sharing the index arrays of ``system``, the
-    A that :func:`build_system` gathered from the same pattern."""
-    pos = _gather(matrix, partition.free, partition.free)[2]
-    return sp.csr_matrix((matrix.data[pos], system.indices, system.indptr), shape=system.shape)
 
 
 def build_system(
@@ -497,6 +537,7 @@ def build_system(
     wavenumber: float,
     dirichlet_values,
     load: np.ndarray | None = None,
+    gather: Gather | None = None,
 ):
     """Form the restricted complex system ``A alpha0 = b``.
 
@@ -507,7 +548,9 @@ def build_system(
     from the pattern S and M share (E's is a subset of it), so they equal
     the scipy expression ``(S - k**2 * M + 1j * k * E)[free][:, free]``,
     with sorted indices, bit for bit.  A's rows and columns follow
-    ``partition.free``, the elimination order.  Returns ``(A, b)``.
+    ``partition.free``, the elimination order; ``gather``, the
+    :func:`free_gather` of ``matrices``, saves gathering A's structure again
+    when the caller holds it.  Returns ``(A, b)``.
     """
     if partition.n_dirichlet == 0:
         raise ValueError("no Dirichlet dofs: the radiation problem needs a source")
@@ -517,10 +560,12 @@ def build_system(
     if values.ndim == 0:
         values = np.full(diri.size, complex(values))
     # the coupling first: its gather's temporaries are gone before A is formed
-    b = -_restricted(matrices, k, free, diri) @ values
+    b = -_restricted(matrices, k, _gather(matrices.stiffness, free, diri), free, diri) @ values
     if load is not None:
         b = b + np.asarray(load, dtype=complex)[free]
-    return _restricted(matrices, k, free, free), b
+    if gather is None:
+        gather = free_gather(matrices, partition)
+    return _restricted(matrices, k, gather, free, free), b
 
 
 def expand_solution(partition: DofPartition, free_values: np.ndarray, dirichlet_values) -> np.ndarray:

@@ -27,7 +27,7 @@ from .assembly import (
     build_system,
     classify_dofs,
     expand_solution,
-    free_block,
+    free_gather,
 )
 from .bspline import TensorProductSpace, design, make_uniform_open_knots
 from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
@@ -344,9 +344,10 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     k = disc.domain.wavenumber
 
     def _system():
-        A, b = build_system(matrices, disc.partition, k, disc.domain.amplitude)
-        # the preconditioner's mass block, on A's pattern
-        mass = free_block(matrices.mass, disc.partition, A) if config.solver == "gmres" else None
+        # one gather of the free block for A and the preconditioner's mass block
+        gather = free_gather(matrices, disc.partition)
+        A, b = build_system(matrices, disc.partition, k, disc.domain.amplitude, gather=gather)
+        mass = gather.block(matrices.mass) if config.solver == "gmres" else None
         return A, b, mass
 
     A, b, mass = stage("system", _system)

@@ -117,7 +117,7 @@ def _lu_solve(lu, v) -> np.ndarray:
 def _shifted(A, M, beta: float) -> sp.csr_matrix:
     """``A - i beta M`` as canonical complex CSR.
 
-    When M is stored on A's pattern (as :func:`igarad.assembly.free_block`
+    When M is stored on A's pattern (as :meth:`igarad.assembly.Gather.block`
     gathers it), the shift is formed on A's data alone and shares A's index
     arrays.
     """

@@ -38,6 +38,23 @@ def unit_square_patch():
     )
 
 
+def quarter_annulus(turn=0.0):
+    """Quarter annulus, radii 1 and 0.5, with the inner arc turned by ``turn``
+    radians: rational and curved but nowhere degenerate, so quadratures of
+    its integrals converge.  Untwisted it is a polar map, ``F_xi . F_eta = 0``
+    everywhere; ``turn=0.3`` puts 16-33 degrees between ``F_xi`` and the
+    normal to ``F_eta``, so the cross metric term is far from zero."""
+    from igarad.geometry import make_arc
+
+    inner = 0.5 * np.array([[math.cos(turn), math.sin(turn)], [-math.sin(turn), math.cos(turn)]])
+    return coons_patch(
+        make_arc((0, 0), 1.0, 0.0, math.pi / 2),
+        make_arc((0, 0), 0.5, turn, math.pi / 2 + turn),
+        make_line((1, 0), inner[0]),
+        make_line((0, 1), inner[1]),
+    )
+
+
 def make_space(order, n, m):
     return TensorProductSpace(make_uniform_open_knots(order, n), make_uniform_open_knots(order, m))
 
@@ -234,6 +251,20 @@ class TestAssemblePattern:
                 for kv in (space.kv_eta, space.kv_xi)]
         assert mats.stiffness.nnz < np.count_nonzero(np.kron(*band))
 
+    def test_curved_patch_unequal_orders_against_oracle(self):
+        # The cross metric term w12 vanishes on the unit square and on the
+        # plain quarter annulus; on the turned one it does not.  Unequal
+        # orders, a doubled xi knot and unequal point counts make any swap of
+        # the xi/eta factors, of row and column functions or of the two node
+        # axes show.  Both rules are converged on these spans.
+        space = TensorProductSpace(repeated_knots(3, [0.5], 2), repeated_knots(4, [0.3, 0.6], 1))
+        geometry = quarter_annulus(turn=0.3)
+        mats = assemble(space, geometry, QuadratureRule(space, points_xi=14, points_eta=17))
+        S_o, M_o = brute_force_matrices(space, geometry, points=20)
+        assert np.max(np.abs(mats.stiffness.toarray() - S_o)) / np.max(np.abs(S_o)) <= 1e-9
+        assert np.max(np.abs(mats.mass.toarray() - M_o)) / np.max(np.abs(M_o)) <= 1e-9
+        self.check_pattern(space, mats)
+
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_pattern_is_element_couplings(self, name):
         space = TensorProductSpace(*self.SPACES[name])
@@ -313,8 +344,16 @@ class TestAssembleProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kv_xi=knot_vectors(), kv_eta=knot_vectors())
     def test_stiffness_annihilates_constants(self, kv_xi, kv_eta):
-        space = TensorProductSpace(kv_xi, kv_eta)
-        mats = assemble(space, SEMICIRCLE, QuadratureRule(space))
+        self.check_constants_in_kernel(TensorProductSpace(kv_xi, kv_eta), SEMICIRCLE)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kv_xi=knot_vectors(), kv_eta=knot_vectors())
+    def test_stiffness_annihilates_constants_on_quarter_annulus(self, kv_xi, kv_eta):
+        self.check_constants_in_kernel(TensorProductSpace(kv_xi, kv_eta), quarter_annulus(turn=0.3))
+
+    @staticmethod
+    def check_constants_in_kernel(space, geometry):
+        mats = assemble(space, geometry, QuadratureRule(space))
         S = mats.stiffness
         assert np.max(np.abs(S @ np.ones(space.size))) <= 1e-12 * np.max(np.abs(S.data))
 
@@ -385,14 +424,7 @@ class TestAssembleSemicircle:
         # quarter annulus: rational and curved but nowhere degenerate, so
         # both quadratures converge (the semicircle patch has singular
         # metric corners where no fixed rule reaches 1e-9).
-        from igarad.geometry import make_arc
-
-        geometry = coons_patch(
-            make_arc((0, 0), 1.0, 0.0, math.pi / 2),
-            make_arc((0, 0), 0.5, 0.0, math.pi / 2),
-            make_line((1, 0), (0.5, 0)),
-            make_line((0, 1), (0, 0.5)),
-        )
+        geometry = quarter_annulus()
         space = TensorProductSpace(
             make_uniform_open_knots(3, 4), make_uniform_open_knots(3, 3)
         )  # 2 x 1 elements
@@ -543,12 +575,16 @@ class TestBuildSystemGather:
         assert np.array_equal(b, ref_b)
 
     def test_free_mass_block_on_the_system_pattern(self, sys_setup):
-        from igarad.assembly import free_block
+        from igarad.assembly import free_gather
 
         cfg, _, space, _, mats = sys_setup
         part = classify_dofs(space, cfg)
-        A, _ = build_system(mats, part, 40.0, 1.0)
-        block = free_block(mats.mass, part, A)
+        gather = free_gather(mats, part)
+        A, b = build_system(mats, part, 40.0, 1.0, gather=gather)
+        block = gather.block(mats.mass)
+        # one gather for A and the mass block: A as build_system gathers it alone
+        A_alone, b_alone = build_system(mats, part, 40.0, 1.0)
+        assert np.array_equal(A.data, A_alone.data) and np.array_equal(b, b_alone)
         ref = mats.mass[part.free][:, part.free]
         ref.sort_indices()  # an unsorted index set leaves the rows unsorted
         assert np.array_equal(block.indptr, ref.indptr)

@@ -286,15 +286,16 @@ def desk_system():
     mass block on A's pattern."""
     from pathlib import Path
 
-    from igarad.assembly import assemble, build_system, free_block
+    from igarad.assembly import assemble, build_system, free_gather
     from igarad.pipeline import RunConfig, discretize
 
     config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
     disc = discretize(config)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
     k = disc.domain.wavenumber
-    A, b = build_system(mats, disc.partition, k, config.amplitude)
-    return A, b, free_block(mats.mass, disc.partition, A), config.beta_factor / k
+    gather = free_gather(mats, disc.partition)
+    A, b = build_system(mats, disc.partition, k, config.amplitude, gather=gather)
+    return A, b, gather.block(mats.mass), config.beta_factor / k
 
 
 class TestFactorize:

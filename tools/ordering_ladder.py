@@ -13,9 +13,9 @@ For each point and ordering a fresh interpreter assembles ``A``, factors the
 shifted-Laplacian matrix ``P = A - i beta M`` through ``solver._factorize``,
 either in the grid's nested-dissection numbering of the free dofs (``nd``)
 or, renumbered in the grid's natural order, under minimum degree on
-``A^T + A`` (``mmd``), and reports SuperLU's fill, the factor's wall time,
-the residual ``|P x - b| / |b|`` of a solve with the factor, and the
-process's peak resident set.  One process per point keeps the peaks apart.
+``A^T + A`` (``mmd``), and reports the wall time of ``assemble`` (S, M and
+E), SuperLU's fill, the factor's wall time, the residual ``|P x - b| / |b|``
+of a solve with the factor, and the process's peak resident set.  One process per point keeps the peaks apart.
 """
 
 from __future__ import annotations
@@ -36,31 +36,35 @@ DEFAULT_SIZES = ("192x144", "300x220", "400x290")
 
 
 def _system(n: int, m: int):
-    """Discretization, ``A``, ``b`` and ``P`` of the scaled desk physics on ``n x m``."""
+    """Discretization, ``A``, ``b`` and ``P`` of the scaled desk physics on
+    ``n x m``, with the wall time of ``assemble``."""
     from dataclasses import replace
 
     from igarad import pipeline
-    from igarad.assembly import assemble, build_system, free_block
+    from igarad.assembly import assemble, build_system, free_gather
     from igarad.solver import _shifted
 
     base = pipeline.RunConfig.from_json(ROOT / "configs" / "desk_radiation_k300.json")
     config = replace(base, n=n, m=m, half_aperture=0.05 * math.sqrt(n / 120))
     disc = pipeline.discretize(config)
+    t0 = time.perf_counter()
     matrices = assemble(disc.space, disc.geometry, disc.quadrature)
+    assemble_s = time.perf_counter() - t0
     k = disc.domain.wavenumber
-    A, b = build_system(matrices, disc.partition, k, config.amplitude)
-    mass = free_block(matrices.mass, disc.partition, A)
-    return disc, A, b, _shifted(A, mass, config.beta_factor / k)
+    gather = free_gather(matrices, disc.partition)
+    A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
+    mass = gather.block(matrices.mass)
+    return disc, A, b, _shifted(A, mass, config.beta_factor / k), assemble_s
 
 
 def _factor(n: int, m: int, ordering: str):
     """Discretization, ``A``, ``b``, ``P`` and the factor of ``P`` on ``n x m``
-    under ``ordering``, with the factor's wall time."""
+    under ``ordering``, with the wall times of ``assemble`` and the factor."""
     import numpy as np
 
     from igarad.solver import _factorize
 
-    disc, A, b, P = _system(n, m)
+    disc, A, b, P, assemble_s = _system(n, m)
     if ordering == "mmd":
         # minimum degree depends on the numbering it starts from: start from
         # the grid's natural one (A's nnz does not depend on the numbering)
@@ -68,7 +72,7 @@ def _factor(n: int, m: int, ordering: str):
         P, b = P[natural][:, natural], b[natural]
     t0 = time.perf_counter()
     lu = _factorize(P, "P", ordered=ordering == "nd")
-    return disc, A, b, P, lu, time.perf_counter() - t0
+    return disc, A, b, P, lu, assemble_s, time.perf_counter() - t0
 
 
 def measure(n: int, m: int, ordering: str) -> dict:
@@ -81,7 +85,7 @@ def measure(n: int, m: int, ordering: str) -> dict:
     # the first factorization in a process carries a one-time cost (up to
     # 1 s) that is not the ordering's: pay it on the smallest mesh
     _factor(40, 30, ordering)
-    disc, A, b, P, lu, factor_s = _factor(n, m, ordering)
+    disc, A, b, P, lu, assemble_s, factor_s = _factor(n, m, ordering)
     x = _lu_solve(lu, b)
     return {
         "n": n,
@@ -91,6 +95,7 @@ def measure(n: int, m: int, ordering: str) -> dict:
         "ordering": ordering,
         "system_nnz": int(A.nnz),
         "lu_nnz": int(lu.nnz),
+        "assemble_s": assemble_s,
         "factor_s": factor_s,
         "direct_residual": float(np.linalg.norm(P @ x - b) / np.linalg.norm(b)),
         "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
             points.append(json.loads(out.stdout.splitlines()[-1]))
             p = points[-1]
             print(
-                f"{p['dofs']:8d} dofs {ordering:3s}: LU nnz {p['lu_nnz']:>11,d}, "
+                f"{p['dofs']:8d} dofs {ordering:3s}: assemble {p['assemble_s']:5.2f} s, LU nnz {p['lu_nnz']:>11,d}, "
                 f"factor {p['factor_s']:6.2f} s, residual {p['direct_residual']:.1e}, "
                 f"peak RSS {p['ru_maxrss_mib']:7.1f} MiB",
                 flush=True,
