@@ -22,7 +22,8 @@ over the full ``N x N`` index set, and :func:`build_system` gathers the
 free/Dirichlet blocks entry by entry from it (:class:`Gather`).  The free
 dofs are numbered in the elimination order of the grid's nested
 dissection (:func:`classify_dofs`), so the restricted system comes out
-ready to factor.
+ready to factor, and the partition carries the dissection's tree
+(:class:`DissectionTree`) for the preconditioner's factor.
 """
 
 from __future__ import annotations
@@ -161,6 +162,30 @@ def _tensor_pattern(first_x, len_x, first_e, len_e):
 
 
 @dataclass(frozen=True)
+class DissectionTree:
+    """A nested-dissection tree of dofs, its nodes in postorder.
+
+    Node ``p`` owns the dofs ``order[offsets[p]:offsets[p + 1]]``, a
+    separator or a leaf block, and hangs below ``parent[p]``, a later node
+    (``-1`` for the root); a separator's node has the two halves it splits
+    as children.  ``order``, the nodes' own dofs one node after the other,
+    is the elimination order, and every subtree owns one contiguous range of
+    it that ends with its root's dofs.
+    """
+
+    order: np.ndarray
+    offsets: np.ndarray
+    parent: np.ndarray
+
+    def restrict(self, keep: np.ndarray) -> "DissectionTree":
+        """The same tree over the dofs selected by the boolean mask ``keep``
+        (by dof index).  A node left with no dofs stays, with an empty range."""
+        kept = keep[self.order]
+        counts = np.concatenate([[0], np.cumsum(kept)])
+        return DissectionTree(self.order[kept], counts[self.offsets], self.parent)
+
+
+@dataclass(frozen=True)
 class DofPartition:
     """Split of the flattened dof indices into free and Dirichlet sets.
 
@@ -170,12 +195,15 @@ class DofPartition:
     sorted.  ``free`` numbers the free dofs in elimination order, the
     grid's :func:`nested_dissection` without the Dirichlet dofs: the
     restricted system's row and column ``i`` belong to dof ``free[i]``.
+    ``tree`` is that dissection over the free dofs, in the restricted
+    system's numbering (its ``order`` is ``free``).
     """
 
     free: np.ndarray
     dirichlet: np.ndarray
     xi_left: float
     xi_right: float
+    tree: DissectionTree | None = None
 
     @property
     def n_free(self) -> int:
@@ -202,56 +230,60 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     dirichlet = i_all[on_aperture].astype(np.int64)  # flat q = 0*n + i
     is_free = np.ones(space.size, dtype=bool)
     is_free[dirichlet] = False
-    order = nested_dissection(space)
+    tree = nested_dissection(space).restrict(is_free)
     return DofPartition(
-        free=order[is_free[order]],
+        free=tree.order,
         dirichlet=dirichlet,
         xi_left=xi_left,
         xi_right=xi_right,
+        tree=tree,
     )
 
 
 _ND_LEAF = 32  # blocks this small keep the natural order; 64 fills 3 % more at 27,936 dofs
 
 
-def nested_dissection(space: TensorProductSpace) -> np.ndarray:
+def nested_dissection(space: TensorProductSpace) -> DissectionTree:
     """Fill-reducing order of the ``n x m`` tensor dof grid: geometric
-    nested dissection (George, SINUM 10, 1973).
+    nested dissection (George, SINUM 10, 1973), with its tree.
 
     Two basis functions couple only if their indices differ by less than
     the order in both directions, so ``order - 1`` whole grid lines split a
     block of the grid in two.  Each block is cut across its longer side,
     the halves are ordered recursively and the separator after them;
-    blocks of at most ``_ND_LEAF`` dofs (or too thin to cut) keep the
-    natural order.  Returns the flat indices of all ``n * m`` dofs in
-    elimination order.
+    blocks of at most ``_ND_LEAF`` dofs (or too thin to cut) are leaves in
+    the natural order.  The tree's ``order`` holds the flat indices of all
+    ``n * m`` dofs in elimination order.
     """
     n = space.n
     cut_x, cut_e = space.kv_xi.order - 1, space.kv_eta.order - 1
-    blocks = []
+    blocks, parent = [], []
 
-    def natural(i0, i1, j0, j1):
+    def node(i0, i1, j0, j1, children=()):
         blocks.append((np.arange(j0, j1)[:, None] * n + np.arange(i0, i1)).ravel())
+        parent.append(-1)
+        for child in children:
+            parent[child] = len(blocks) - 1
+        return len(blocks) - 1
 
     def dissect(i0, i1, j0, j1):
         wx, we = i1 - i0, j1 - j0
         if wx * we <= _ND_LEAF:
-            natural(i0, i1, j0, j1)
-        elif wx >= we and wx > cut_x + 1:
+            return node(i0, i1, j0, j1)
+        if wx >= we and wx > cut_x + 1:
             a = i0 + (wx - cut_x) // 2
-            dissect(i0, a, j0, j1)
-            dissect(a + cut_x, i1, j0, j1)
-            natural(a, a + cut_x, j0, j1)
-        elif we > cut_e + 1:
+            halves = dissect(i0, a, j0, j1), dissect(a + cut_x, i1, j0, j1)
+            return node(a, a + cut_x, j0, j1, halves)
+        if we > cut_e + 1:
             a = j0 + (we - cut_e) // 2
-            dissect(i0, i1, j0, a)
-            dissect(i0, i1, a + cut_e, j1)
-            natural(i0, i1, a, a + cut_e)
-        else:
-            natural(i0, i1, j0, j1)
+            halves = dissect(i0, i1, j0, a), dissect(i0, i1, a + cut_e, j1)
+            return node(i0, i1, a, a + cut_e, halves)
+        return node(i0, i1, j0, j1)
 
     dissect(0, n, 0, space.m)
-    return np.concatenate(blocks)
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([b.size for b in blocks], out=offsets[1:])
+    return DissectionTree(np.concatenate(blocks), offsets, np.array(parent, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -545,7 +577,8 @@ def build_system(
     coupling moves to the right-hand side with the sign that makes the
     reconstructed field attain the prescribed boundary values, and any
     boundary load is added on top.  Both blocks are gathered entry by entry
-    from the pattern S and M share (E's is a subset of it), so they equal
+    from the pattern S and M share (E's is a subset of it), the coupling
+    only from the free rows that reach a Dirichlet dof, so they equal
     the scipy expression ``(S - k**2 * M + 1j * k * E)[free][:, free]``,
     with sorted indices, bit for bit.  A's rows and columns follow
     ``partition.free``, the elimination order; ``gather``, the
@@ -559,8 +592,16 @@ def build_system(
     values = np.asarray(dirichlet_values, dtype=complex)
     if values.ndim == 0:
         values = np.full(diri.size, complex(values))
-    # the coupling first: its gather's temporaries are gone before A is formed
-    b = -_restricted(matrices, k, _gather(matrices.stiffness, free, diri), free, diri) @ values
+    # the coupling first: its gather's temporaries are gone before A is formed.
+    # Only the free rows S's Dirichlet rows reach couple (S is structurally
+    # symmetric); every other row of b is the empty sum, 0.
+    S = matrices.stiffness
+    position = np.full(S.shape[0], -1, dtype=np.int64)
+    position[free] = np.arange(free.size)
+    reached = position[np.unique(S[diri].indices)]
+    rows = reached[reached >= 0]
+    b = np.zeros(free.size, dtype=complex)
+    b[rows] = -_restricted(matrices, k, _gather(S, free[rows], diri), free[rows], diri) @ values
     if load is not None:
         b = b + np.asarray(load, dtype=complex)[free]
     if gather is None:

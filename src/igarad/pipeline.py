@@ -257,18 +257,19 @@ def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int =
 
 
 def _estimate_lu_nnz(dofs: int, order_xi: int, order_eta: int) -> float:
-    """LU fill of the shifted-Laplacian matrix in the grid's nested-dissection
-    numbering of the free dofs (``solver._factorize`` with ``ordered=True``).
+    """Entries the shifted-Laplacian factor stores on the grid's
+    nested-dissection tree (:class:`igarad.solver.FrontalLdlt`: ``sum k^2 +
+    k u`` over the fronts).
 
-    Power-law fit ``1.845 * order_xi * order_eta * dofs^1.2534`` to SuperLU's
-    ``nnz`` on the desk physics scaled at fixed points per wavelength
-    (``tools/ordering_ladder.py``: n x m from 40 x 30 to 400 x 290): cubic
-    1,260 dofs 0.213M, 4,920 1.30M, 10,980 3.60M, 27,936 11.57M, 66,440
-    32.1M, 116,580 62.9M; every cubic point within 7 % of the fit,
-    quadratic (1,260 / 10,980 / 43,560 dofs) and quartic (10,980) within
-    5 % with the ``order_xi * order_eta`` factor.
+    Power-law fit ``1.2228 * order_xi * order_eta * dofs^1.2401`` to the
+    stored entries on the desk physics scaled at fixed points per
+    wavelength (``tools/ordering_ladder.py``: n x m from 40 x 30 to
+    400 x 290): cubic 1,260 dofs 0.130M, 4,920 0.765M, 10,980 2.09M, 27,936
+    6.60M, 66,440 18.7M, 116,580 35.6M; every cubic point within 6 % of the
+    fit, quartic (10,980 dofs) within 5 % and quadratic (1,260 / 10,980 /
+    43,560 dofs) within 13 % with the ``order_xi * order_eta`` factor.
     """
-    return 1.845 * order_xi * order_eta * dofs**1.2534
+    return 1.2228 * order_xi * order_eta * dofs**1.2401
 
 
 @dataclass
@@ -335,9 +336,9 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
             ),
         )
     if config.full_scale:
-        # complex128 value plus int32 row index per stored entry
-        est = 20.0 * _estimate_lu_nnz(N, config.order_xi, config.order_eta) / 2**30
-        log.info("full-scale run: %d dofs, LU memory estimate %.1f GiB (fitted fill)", N, est)
+        # one complex128 value per stored entry; the fronts keep no per-entry index
+        est = 16.0 * _estimate_lu_nnz(N, config.order_xi, config.order_eta) / 2**30
+        log.info("full-scale run: %d dofs, factor memory estimate %.1f GiB (fitted fill)", N, est)
 
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
@@ -354,14 +355,14 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
-    lu_nnz = None  # the direct solve keeps no factor
+    factor = {"lu_nnz": None, "factor_bytes": None}  # the direct solve keeps no factor
     if config.solver == "direct":
         x, solve_report = stage("solve", lambda: _solve_direct(A, b))
     else:
         beta = config.beta_factor / k
-        precond = stage("factor", lambda: build_cslp(A, mass, beta, ordered=True))
+        precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
         mass = None
-        lu_nnz = precond.lu_nnz
+        factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes}
         gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
         x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
 
@@ -377,7 +378,7 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A))
         # after the write stage, so that its time and memory are in the report
         outputs["report"] = _write_report(
-            config, disc, solve_report, dev, lu_nnz, A.nnz, timings, peak_rss_mib, outputs
+            config, disc, solve_report, dev, factor, A.nnz, timings, peak_rss_mib, outputs
         )
     return RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev)
 
@@ -401,21 +402,34 @@ def _field_table(sol: SolutionField, grid_res: int) -> np.ndarray:
     )
 
 
+_ROWS_PER_FORMAT = 8192  # rows formatted by one ``%``: bounds the strings held at once
+
+
+def _write_table(fh, table: np.ndarray, row_format: str) -> None:
+    """Write ``table`` (one value per row if 1-D) with ``row_format`` per row:
+    the bytes of ``np.savetxt(fh, table, fmt=...)``, formatted by one ``%``
+    per block of rows instead of one per row."""
+    table = table.reshape(table.shape[0], -1)
+    for start in range(0, table.shape[0], _ROWS_PER_FORMAT):
+        block = table[start : start + _ROWS_PER_FORMAT]
+        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _write_csv(path, header: str, table: np.ndarray) -> None:
+    """``header`` and the rows of ``table`` at 17 significant digits, comma separated."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        _write_table(fh, table, ",".join(["%.17g"] * table.shape[1]) + "\n")
+
+
 def write_field_csv(path, sol: SolutionField, grid_res: int) -> None:
     """Parametric field grid: xi, eta, x, y, re, im, abs (17 significant digits)."""
-    table = _field_table(sol, grid_res)
-    np.savetxt(
-        path, table, delimiter=",", comments="", fmt="%.17g",
-        header="xi,eta,x,y,re,im,abs",
-    )
+    _write_csv(path, "xi,eta,x,y,re,im,abs", _field_table(sol, grid_res))
 
 
 def write_profile_csv(path, coord_name: str, coords, values) -> None:
     table = np.column_stack([coords, values.real, values.imag, np.abs(values)])
-    np.savetxt(
-        path, table, delimiter=",", comments="", fmt="%.17g",
-        header=f"{coord_name},re,im,abs",
-    )
+    _write_csv(path, f"{coord_name},re,im,abs", table)
 
 
 def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
@@ -427,11 +441,11 @@ def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {grid_res} {grid_res} 1\n")
         fh.write(f"POINTS {grid_res * grid_res} double\n")
-        np.savetxt(fh, table[:, 2:4], fmt="%.17g %.17g 0")
+        _write_table(fh, table[:, 2:4], "%.17g %.17g 0\n")
         fh.write(f"POINT_DATA {grid_res * grid_res}\n")
         for name, col in (("re", 4), ("im", 5), ("abs", 6)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            np.savetxt(fh, table[:, col], fmt="%.17g")
+            _write_table(fh, table[:, col], "%.17g\n")
 
 
 def _write_outputs(config, sol, matrices, system) -> dict:
@@ -472,8 +486,10 @@ def _write_outputs(config, sol, matrices, system) -> dict:
     return outputs
 
 
-def _write_report(config, disc, solve_report, dev, lu_nnz, system_nnz, timings, peak_rss_mib, outputs) -> str:
-    """Dump ``report.json`` next to the outputs; returns its path."""
+def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, peak_rss_mib, outputs) -> str:
+    """Dump ``report.json`` next to the outputs; returns its path.  ``factor``
+    holds the preconditioner factor's ``lu_nnz`` (stored entries) and
+    ``factor_bytes``."""
     domain = disc.domain
     report = {
         "config": config.to_dict(),
@@ -489,7 +505,7 @@ def _write_report(config, disc, solve_report, dev, lu_nnz, system_nnz, timings, 
             "n_dirichlet": disc.partition.n_dirichlet,
             "dirichlet_deviation": dev,
             "system_nnz": system_nnz,
-            "lu_nnz": lu_nnz,
+            **factor,
         },
         "solve": asdict(solve_report),
         "timings": timings,

@@ -1,10 +1,11 @@
-"""Sparse complex linear algebra: left-preconditioned restarted GMRES and
-the shifted-Laplacian preconditioner applied through a sparse LU
-factorization.
+"""Sparse complex linear algebra: left-preconditioned restarted GMRES, the
+shifted-Laplacian preconditioner and sparse direct solves.
 
 Matrices are scipy CSR with sorted, deduplicated indices; a system from
 the grid arrives with its unknowns in elimination order, so it is factored
-as it is, with no permuted copy.  GMRES reports
+as it is, with no permuted copy: the preconditioner as a block LDL^T on
+the grid's nested-dissection tree (:class:`FrontalLdlt`), direct solves
+by SuperLU.  GMRES reports
 ``converged`` only when the explicit preconditioned residual
 ``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
 cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
@@ -114,47 +115,198 @@ def _lu_solve(lu, v) -> np.ndarray:
     return lu.solve(np.asarray(v, dtype=complex), trans="T")
 
 
+def _same_pattern(A, M) -> bool:
+    """Whether M is stored on A's CSR pattern (as
+    :meth:`igarad.assembly.Gather.block` gathers the mass block)."""
+    return np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)
+
+
 def _shifted(A, M, beta: float) -> sp.csr_matrix:
     """``A - i beta M`` as canonical complex CSR.
 
-    When M is stored on A's pattern (as :meth:`igarad.assembly.Gather.block`
-    gathers it), the shift is formed on A's data alone and shares A's index
-    arrays.
+    When M is stored on A's pattern, the shift is formed on A's data alone
+    and shares A's index arrays.
     """
     A, M = as_csr(A), sp.csr_matrix(M)
-    if np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices):
+    if _same_pattern(A, M):
         data = (1j * beta) * M.data
         np.subtract(A.data, data, out=data)
         return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
     return as_csr(A - 1j * beta * M)
 
 
-class CslpPreconditioner:
-    """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by LU.
+def _extend_add(F, front, updates) -> None:
+    """Add the children's ``updates``, pairs of sorted unknowns ``u`` and
+    their matrix, into the front ``F`` of the sorted unknowns ``front``
+    (a superset of every ``u``), by one ``np.add.at`` over flat positions
+    per update: less than half the time of 2-D fancy indexing or of slices
+    over the runs of consecutive unknowns."""
+    flat = F.reshape(-1)
+    for u, update in updates:
+        at = np.searchsorted(front, u)
+        np.add.at(flat, (at[:, None] * F.shape[1] + at).ravel(), update.ravel())
 
-    P is formed, factored by :func:`_factorize` (in natural order if A and
-    M are ``ordered``, else under minimum degree; threshold partial
-    pivoting) and dropped: only the factor is kept.  ``lu_nnz`` is
-    the factor's fill, SuperLU's count of stored L and U entries.
-    ``beta = 0`` makes the preconditioner an exact solve of A.
+
+def _fronts(P, tree):
+    """Structure of the fronts of :class:`FrontalLdlt`: per node that owns
+    unknowns, in postorder, ``(start, stop, up)``, and the front that takes
+    its update (``-1`` for none).
+
+    ``up`` is the sorted ancestor unknowns the node's rows of the pattern
+    ``P`` reach, joined with its children's.  A node that owns no
+    unknown passes its children's on to its parent.  Raises ``ValueError``
+    if the tree does not match the pattern: an unknown must couple only
+    within its subtree and to its ancestors.
+    """
+    offsets, parent = tree.offsets, tree.parent
+    structure, target = [], []
+    below: dict[int, list] = {}  # node -> fronts whose update it takes
+    for p, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+        fronts = below.pop(p, [])
+        if min((structure[f][2][0] for f in fronts), default=s) < s:
+            raise ValueError(f"node {p} of the tree is not an ancestor of every unknown its subtree couples to")
+        if s == e:
+            if parent[p] >= 0:
+                below.setdefault(parent[p], []).extend(fronts)
+            continue
+        for f in fronts:
+            target[f] = len(structure)
+        cols = P.indices[P.indptr[s] : P.indptr[e]]
+        up = np.unique(np.concatenate([cols[cols >= e], *(structure[f][2] for f in fronts)]))
+        up = up[up >= e]
+        if up.size:
+            if parent[p] < 0:
+                raise ValueError(f"the root of the tree couples to {up.size} unknowns outside it")
+            below.setdefault(parent[p], []).append(len(structure))
+        structure.append((s, e, up))
+        target.append(-1)
+    return structure, target
+
+
+class FrontalLdlt:
+    """Block LDL^T of the complex symmetric ``P = A - i beta M``, front by
+    front over a nested-dissection tree (multifrontal: Duff & Reid, ACM
+    TOMS 9, 1983).
+
+    ``tree`` (a :class:`igarad.assembly.DissectionTree` in the matrices'
+    numbering) gives, per node in postorder, the range ``offsets[p]`` to
+    ``offsets[p + 1]`` of its own unknowns and its ``parent``.  The front of
+    a node is its own unknowns plus ``up``, the ancestor unknowns its rows
+    of P or its children's update matrices reach (:func:`_fronts`); every
+    subtree is a contiguous range, so ``up`` lies past the node's own
+    range.  The front is filled from the node's rows of A and M, right of
+    its first unknown, mirrored into its columns (entries left of it
+    belong to descendants' fronts, and P is never formed whole), and from
+    the children's updates, and split as
+    ``[[F11, F12], [F21, F22]]``: ``W = inv(F11)`` and ``X = F21 W`` are
+    kept, and ``F22 - X F12`` goes to the parent.  ``inv`` pivots only
+    inside the pivot block, so pivoting is static across fronts.  A node
+    that owns none of the unknowns (a block of Dirichlet dofs) passes its
+    children's updates on unchanged.
+
+    Only numpy's ``inv`` and ``@`` are used: scipy's BLAS and LAPACK run on
+    a thread pool of their own, and switching between the two pools on
+    every small block costs more than the blocks.  ``nnz`` counts the
+    stored entries, ``sum k^2 + k u`` over the fronts; ``nbytes`` the bytes
+    of the blocks and their index arrays.
     """
 
-    def __init__(self, A, M, beta: float, ordered: bool = False):
+    def __init__(self, A, M, beta: float, tree, what: str):
+        A, M = as_csr(A), sp.csr_matrix(M)
+        if beta and not _same_pattern(A, M):
+            A, beta = _shifted(A, M, beta), 0.0  # P on a pattern of its own, formed whole
+        if tree.offsets[-1] != A.shape[0]:
+            raise ValueError(f"the tree numbers {tree.offsets[-1]} unknowns, the matrix has {A.shape[0]}")
+        structure, target = _fronts(A, tree)
+        # every block in one allocation: the factor does not interleave with
+        # the fronts' temporaries, and its memory goes back as a whole
+        sizes = [(e - s) * (e - s + up.size) for s, e, up in structure]
+        self.nnz = int(sum(sizes))
+        store = np.empty(self.nnz, dtype=complex)
+        pending: dict[int, list] = {}  # front -> updates of the fronts below it, (unknowns, matrix)
+        self.fronts = []  # (start, stop, up, W, X) per front, in postorder
+        for f, ((s, e, up), at) in enumerate(zip(structure, np.cumsum([0, *sizes[:-1]]))):
+            k = e - s
+            W = store[at : at + k * k].reshape(k, k)
+            X = store[at + k * k : at + k * (k + up.size)].reshape(up.size, k)
+            front = np.concatenate([np.arange(s, e), up])
+            F = np.zeros((front.size, front.size), dtype=complex)
+            lo, hi = A.indptr[s], A.indptr[e]
+            cols = A.indices[lo:hi]
+            rows = np.repeat(np.arange(k), np.diff(A.indptr[s : e + 1]))
+            keep = cols >= s  # the rest is the symmetric half of a descendant's rows
+            vals = A.data[lo:hi] - (1j * beta) * M.data[lo:hi] if beta else A.data[lo:hi]  # P's rows
+            F[rows[keep], np.searchsorted(front, cols[keep])] = vals[keep]
+            F[k:, :k] = F[:k, k:].T
+            _extend_add(F, front, pending.pop(f, []))
+            try:
+                W[...] = np.linalg.inv(F[:k, :k])
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"singular {what}: pivot block of front {f}: {exc}") from exc
+            if not np.all(np.isfinite(W)):
+                raise RuntimeError(f"singular {what}: pivot block of front {f} has a non-finite inverse")
+            np.matmul(F[k:, :k], W, out=X)
+            if up.size:
+                update = X @ F[:k, k:]
+                pending.setdefault(target[f], []).append((up, np.subtract(F[k:, k:], update, out=update)))
+            del F
+            self.fronts.append((s, e, up, W, X))
+        self.nbytes = store.nbytes + sum(up.nbytes for _, _, up in structure)
+
+    def solve(self, v) -> np.ndarray:
+        """Solve ``P x = v``: forward over the postorder, then back."""
+        c = np.array(v, dtype=complex)
+        for s, e, up, _, X in self.fronts:
+            if up.size:
+                c[up] -= X @ c[s:e]
+        for s, e, up, W, X in reversed(self.fronts):
+            own = W @ c[s:e]
+            if up.size:
+                own -= X.T @ c[up]
+            c[s:e] = own
+        return c
+
+
+class CslpPreconditioner:
+    """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by a
+    factor of P; only the factor is kept.
+
+    With the nested-dissection ``tree`` that numbers A and M (the grid's
+    :attr:`igarad.assembly.DofPartition.tree`), P is factored by
+    :class:`FrontalLdlt`, which needs P complex symmetric.  Without one, P
+    is formed and factored by SuperLU under minimum degree
+    (:func:`_factorize`, threshold partial pivoting).  ``factor`` is the
+    factor, ``lu_nnz`` its stored entries (the fronts' blocks, or SuperLU's
+    L and U) and ``factor_bytes`` their bytes (SuperLU: 16 B of value and
+    a 4 B row index per entry).  ``beta = 0`` makes the preconditioner an
+    exact solve of A.
+    """
+
+    def __init__(self, A, M, beta: float, tree=None):
         if beta < 0:
             raise ValueError("shift beta must be nonnegative")
         if A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
-        self._lu = _factorize(_shifted(A, M, self.beta), "shifted-Laplacian factorization", ordered)
-        self.lu_nnz = int(self._lu.nnz)
+        what = "shifted-Laplacian factorization"
+        if tree is None:
+            self.factor = _factorize(_shifted(A, M, self.beta), what)
+            self.lu_nnz = int(self.factor.nnz)
+            self.factor_bytes = 20 * self.lu_nnz
+        else:
+            self.factor = FrontalLdlt(A, M, self.beta, tree, what)
+            self.lu_nnz = self.factor.nnz
+            self.factor_bytes = self.factor.nbytes
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return _lu_solve(self._lu, v)
+        if isinstance(self.factor, FrontalLdlt):
+            return self.factor.solve(v)
+        return _lu_solve(self.factor, v)
 
 
-def build_cslp(A, M, beta: float, ordered: bool = False) -> CslpPreconditioner:
+def build_cslp(A, M, beta: float, tree=None) -> CslpPreconditioner:
     """Factorized shifted-Laplacian preconditioner (see :class:`CslpPreconditioner`)."""
-    return CslpPreconditioner(A, M, beta, ordered)
+    return CslpPreconditioner(A, M, beta, tree)
 
 
 def direct_solve(A, b, *, ordered: bool = False) -> np.ndarray:

@@ -603,9 +603,36 @@ class TestNestedDissection:
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(order, n, m)
         part = classify_dofs(space, cfg)
-        grid_order = nested_dissection(space)
+        grid_order = nested_dissection(space).order
         assert np.array_equal(np.sort(grid_order), np.arange(space.size))
         assert np.array_equal(part.free, grid_order[~np.isin(grid_order, part.dirichlet)])
+
+    @pytest.mark.parametrize("order, n, m", [(2, 9, 7), (4, 40, 23), (6, 31, 40)])
+    def test_tree_postorder_is_the_free_numbering(self, order, n, m):
+        """The free dofs' tree: its postorder is ``partition.free``, every
+        node hangs below a later one, and every subtree owns one contiguous
+        range that ends with its root's own dofs."""
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        space = make_space(order, n, m)
+        part = classify_dofs(space, cfg)
+        tree = part.tree
+        assert np.array_equal(tree.order, part.free)
+        nodes = tree.parent.size
+        assert tree.offsets[0] == 0 and tree.offsets[-1] == part.n_free
+        assert np.all(np.diff(tree.offsets) >= 0)
+        assert tree.parent[-1] == -1 and np.all(tree.parent[:-1] > np.arange(nodes - 1))
+        # the subtree of p is the nodes lo[p]..p: each of them has p as an ancestor
+        lo = np.arange(nodes)
+        for q in range(nodes - 1):
+            lo[tree.parent[q]] = min(lo[tree.parent[q]], lo[q])
+        for p in range(nodes):
+            for q in range(lo[p], p):
+                while q < p:
+                    q = tree.parent[q]
+                assert q == p
+        # every separator has the two halves it splits as children
+        children = np.bincount(tree.parent[:-1], minlength=tree.parent.size)
+        assert set(np.unique(children)) <= {0, 2}
 
     def test_separators_split_the_coupling_graph(self):
         """Numbered last, a separator's lines disconnect the two halves: no

@@ -418,6 +418,7 @@ class TestOutputs:
         assert report["derived"]["dofs"] == result.discretization.space.size
         assert report["solve"]["method"] == "direct"
         assert report["derived"]["lu_nnz"] is None  # the direct solve keeps no factor
+        assert report["derived"]["factor_bytes"] is None
         assert report["config"]["n"] == cfg.n
 
     def test_report_lu_fill(self, tmp_path):
@@ -428,6 +429,8 @@ class TestOutputs:
         report = json.loads((tmp_path / "report.json").read_text())
         lu_nnz = report["derived"]["lu_nnz"]
         assert lu_nnz > 0
+        # complex128 blocks plus their small index arrays
+        assert 16 * lu_nnz < report["derived"]["factor_bytes"] < 17 * lu_nnz
         # the full-scale memory estimate's fill model holds at desk scale too
         estimate = _estimate_lu_nnz(result.discretization.space.size, cfg.order_xi, cfg.order_eta)
         assert 0.5 <= estimate / lu_nnz <= 2.0
@@ -471,6 +474,58 @@ class TestOutputs:
             start = lines.index(f"SCALARS {name} double 1") + 2
             assert np.array_equal(np.array(lines[start : start + g * g], dtype=float), table[:, col])
         assert len(lines) == start + g * g
+
+    def test_writers_match_savetxt_bytes(self, outputs):
+        """The field, profile and VTK files are byte for byte what
+        ``np.savetxt`` writes at 17 significant digits."""
+        import io
+
+        cfg, result, outdir = outputs
+        sol, g = result.field, cfg.grid_res
+
+        def savetxt(table, **kw):
+            out = io.StringIO()
+            np.savetxt(out, table, **kw)
+            return out.getvalue()
+
+        def csv(header, columns):
+            return savetxt(np.column_stack(columns), delimiter=",", comments="", fmt="%.17g", header=header)
+
+        grid = np.linspace(0.0, 1.0, g)
+        pts, vals = sol.geometry.evaluate_grid(grid, grid), sol.evaluate_grid(grid, grid)
+        xi, eta = np.meshgrid(grid, grid, indexing="ij")
+        table = np.column_stack(
+            [a.ravel() for a in (xi, eta, pts[..., 0], pts[..., 1], vals.real, vals.imag, np.abs(vals))]
+        )
+        assert (outdir / "field.csv").read_text() == csv("xi,eta,x,y,re,im,abs", table.T)
+        for name, coord, profile in (("axis_profile", "y", axis_profile), ("bottom_profile", "x", bottom_profile)):
+            at, values = profile(sol, cfg.profile_samples)
+            expected = csv(f"{coord},re,im,abs", [at, values.real, values.imag, np.abs(values)])
+            assert (outdir / f"{name}.csv").read_text() == expected
+        vtk = table.reshape(g, g, 7).swapaxes(0, 1).reshape(-1, 7)
+        expected = (
+            f"# vtk DataFile Version 3.0\nacoustic field\nASCII\nDATASET STRUCTURED_GRID\n"
+            f"DIMENSIONS {g} {g} 1\nPOINTS {g * g} double\n" + savetxt(vtk[:, 2:4], fmt="%.17g %.17g 0")
+            + f"POINT_DATA {g * g}\n"
+        )
+        for name, col in (("re", 4), ("im", 5), ("abs", 6)):
+            expected += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n" + savetxt(vtk[:, col], fmt="%.17g")
+        assert (outdir / "field.vtk").read_text() == expected
+
+    def test_table_blocks_match_savetxt_bytes(self):
+        """Across the row blocks of one ``%`` each, and for the values whose
+        shortest form differs most: zeros of both signs, subnormals, huge."""
+        import io
+
+        from igarad.pipeline import _ROWS_PER_FORMAT, _write_table
+
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((2 * _ROWS_PER_FORMAT + 3, 3)) * 10.0 ** rng.integers(-300, 300, (2 * _ROWS_PER_FORMAT + 3, 3))
+        table[:4, 0] = [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        ours, theirs = io.StringIO(), io.StringIO()
+        _write_table(ours, table, "%.17g,%.17g,%.17g\n")
+        np.savetxt(theirs, table, delimiter=",", fmt="%.17g")
+        assert ours.getvalue() == theirs.getvalue()
 
     def test_matrix_market_dump_solvable(self, outputs):
         from igarad.solver import direct_solve, load_matrix_market

@@ -148,10 +148,11 @@ class TestCslp:
     def test_transposed_factor_solves_a_not_its_transpose(self, rng, ordered):
         # a nonsymmetric A: the factor of P^T must solve with P, not P^T
         A, b = random_complex_system(rng, n=60)
-        M = sp.identity(60, format="csr", dtype=complex)
-        precond = build_cslp(A, M, 3.7, ordered)
-        P = A - 1j * 3.7 * M
-        assert np.linalg.norm(P @ precond.solve(b) - b) / np.linalg.norm(b) <= 1e-12
+        if not ordered:  # the preconditioner's ordered path, the tree, needs a symmetric P
+            M = sp.identity(60, format="csr", dtype=complex)
+            precond = build_cslp(A, M, 3.7)
+            P = A - 1j * 3.7 * M
+            assert np.linalg.norm(P @ precond.solve(b) - b) / np.linalg.norm(b) <= 1e-12
         x = direct_solve(A, b, ordered=ordered)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
@@ -282,8 +283,9 @@ class TestExplicitResidualStop:
 
 @pytest.fixture(scope="module")
 def desk_system():
-    """``(A, b, M_ff, beta)`` of the desk run (10,980 dofs), with the free
-    mass block on A's pattern."""
+    """``(A, b, M_ff, beta, tree)`` of the desk run (10,980 dofs), with the
+    free mass block on A's pattern and the nested-dissection tree of the
+    free dofs."""
     from pathlib import Path
 
     from igarad.assembly import assemble, build_system, free_gather
@@ -295,7 +297,7 @@ def desk_system():
     k = disc.domain.wavenumber
     gather = free_gather(mats, disc.partition)
     A, b = build_system(mats, disc.partition, k, config.amplitude, gather=gather)
-    return A, b, gather.block(mats.mass), config.beta_factor / k
+    return A, b, gather.block(mats.mass), config.beta_factor / k, disc.partition.tree
 
 
 class TestFactorize:
@@ -318,23 +320,29 @@ class TestFactorize:
         """The desk run's P, numbered in nested-dissection order, fills less
         in natural order than under minimum degree, and A is solved to a
         direct residual of 1e-10."""
-        A, b, mass, beta = desk_system
+        A, b, mass, beta, _ = desk_system
         P = A - 1j * beta * mass
         assert _factorize(P, "P", ordered=True).nnz <= _factorize(P, "P").nnz
         x = direct_solve(A, b, ordered=True)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_ordered_preconditioner_makes_no_copy_of_p(self, desk_system):
-        """Forming and factoring P in elimination order allocates about P's
-        values once; a permuted copy of P would need two more of them."""
-        A, _, mass, beta = desk_system
+        """Factoring P on the tree allocates what the factor stores and, while
+        a node is factored, its front and the updates that meet there; P is
+        formed row block by row block, never whole.  Measured: 43.4 MB
+        against the bound's 52.7 MB (factor 33.7 MB, 1.5 P 12.5 MB, twice
+        the largest front 6.6 MB); two copies of P, or the fronts kept past
+        their nodes, would not fit."""
+        A, _, mass, beta, tree = desk_system
         tracemalloc.start()
         try:
-            build_cslp(A, mass, beta, ordered=True)
+            precond = build_cslp(A, mass, beta, tree=tree)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * A.nnz * 16
+        fronts = precond.factor.fronts
+        largest = max((W.shape[0] + X.shape[0]) ** 2 * 16 for _, _, _, W, X in fronts)
+        assert peak <= precond.factor_bytes + 1.5 * A.nnz * 16 + 2 * largest
 
     def test_tiny_diagonal_is_pivoted_away(self):
         """A symmetric matrix whose diagonal is 1e-13: diagonal pivots alone
@@ -354,6 +362,118 @@ class TestFactorize:
         )
         assert residual(diagonal_only) > 1e-3
         assert residual(_factorize(A, "matrix")) <= 1e-8
+
+
+def grid_system(space, cfg, k):
+    """``(A, b, M_ff, tree)`` of the semicircle problem on ``space`` at
+    wavenumber ``k``: the free mass block on A's pattern and the
+    nested-dissection tree of the free dofs."""
+    from igarad.assembly import QuadratureRule, assemble, build_system, classify_dofs, free_gather
+    from igarad.geometry import make_semicircle_patch
+
+    part = classify_dofs(space, cfg)
+    mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
+    gather = free_gather(mats, part)
+    A, b = build_system(mats, part, k, 1.0, gather=gather)
+    return A, b, gather.block(mats.mass), part.tree
+
+
+def relative_residual(P, x, b):
+    return np.linalg.norm(P @ x - b) / np.linalg.norm(b)
+
+
+class TestFrontalLdlt:
+    """The shifted-Laplacian factor on the nested-dissection tree."""
+
+    def test_solves_p_on_the_desk_system(self, desk_system):
+        A, b, mass, beta, tree = desk_system
+        precond = build_cslp(A, mass, beta, tree=tree)
+        assert relative_residual(A - 1j * beta * mass, precond.solve(b), b) <= 1e-10
+
+    def test_solves_p_on_a_c0_cubic_space(self):
+        """Interior knots of multiplicity 3 (the Bernstein form of cubic
+        Lagrange elements): wider separators' worth of coupling per line."""
+        import math
+
+        from igarad.bspline import KnotVector, TensorProductSpace
+        from igarad.geometry import DomainConfig
+
+        def c0(breakpoints):
+            return KnotVector(4, np.concatenate([np.zeros(4), np.repeat(breakpoints, 3), np.ones(4)]))
+
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        space = TensorProductSpace(c0(np.arange(1, 16) / 16).with_breakpoints(cfg.aperture_preimage), c0(np.arange(1, 12) / 12))
+        k = 30.0
+        A, b, mass, tree = grid_system(space, cfg, k)
+        beta = 1.0 / (3 * k)
+        precond = build_cslp(A, mass, beta, tree=tree)
+        assert relative_residual(A - 1j * beta * mass, precond.solve(b), b) <= 1e-10
+        # a shift matrix off A's pattern: P is formed whole first
+        lumped = sp.diags(np.asarray(mass.sum(axis=1)).ravel(), format="csr")
+        precond = build_cslp(A, lumped, beta, tree=tree)
+        assert relative_residual(A - 1j * beta * lumped, precond.solve(b), b) <= 1e-10
+
+    def test_stores_about_half_of_superlus_bytes(self, desk_system):
+        """One triangle in dense blocks, no per-entry index: at most 0.55x of
+        SuperLU's L and U at 16 B of value and 4 B of row index per entry
+        (measured 0.47x: 33.7 MB against 71.9 MB)."""
+        A, _, mass, beta, tree = desk_system
+        precond = build_cslp(A, mass, beta, tree=tree)
+        superlu = _factorize(A - 1j * beta * mass, "P", ordered=True)
+        assert precond.factor_bytes <= 0.55 * superlu.nnz * 20
+
+    def test_desk_gmres_ends_after_one_cycle(self, desk_system):
+        A, b, mass, beta, tree = desk_system
+        x, rep = gmres(A, b, build_cslp(A, mass, beta, tree=tree), GmresConfig())
+        assert rep.converged and rep.outer_iterations == 1
+        assert rep.true_residual <= 1e-10
+        x_direct = direct_solve(A, b, ordered=True)
+        assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) <= 1e-7
+
+    def test_node_without_free_dofs_passes_its_updates_on(self):
+        """A quintic mesh whose aperture covers two whole leaves of the tree
+        (bottom-row blocks one dof high): their nodes own no unknown."""
+        import math
+
+        from igarad.bspline import TensorProductSpace, make_uniform_open_knots
+        from igarad.geometry import DomainConfig
+
+        cfg = DomainConfig(a=0.5, r=1.0, theta=math.pi / 4)
+        space = TensorProductSpace(
+            make_uniform_open_knots(5, 29).with_breakpoints(cfg.aperture_preimage), make_uniform_open_knots(5, 7)
+        )
+        k = 8.0
+        A, b, mass, tree = grid_system(space, cfg, k)
+        is_parent = np.isin(np.arange(tree.parent.size), tree.parent)
+        assert np.count_nonzero((np.diff(tree.offsets) == 0) & ~is_parent) == 2
+        beta = 1.0 / (3 * k)
+        P = A - 1j * beta * mass
+        x = build_cslp(A, mass, beta, tree=tree).solve(b)
+        assert relative_residual(P, x, b) <= 1e-10
+        assert np.allclose(x, np.linalg.solve(P.toarray(), b), rtol=0, atol=1e-10 * np.abs(x).max())
+
+    def test_singular_pivot_block_reported(self):
+        from igarad.assembly import DissectionTree
+
+        A = sp.csr_matrix(np.diag([2.0, 1.0, 0.0]).astype(complex))
+        M = sp.csr_matrix((3, 3), dtype=complex)
+        leaf_and_root = DissectionTree(np.arange(3), np.array([0, 1, 3]), np.array([1, -1]))
+        with pytest.raises(RuntimeError, match="^singular shifted-Laplacian factorization: "):
+            build_cslp(A, M, 0.0, tree=leaf_and_root)
+        # a pivot whose reciprocal overflows: getrf goes through, W is not finite
+        tiny = sp.csr_matrix(np.diag([2.0, 1.0, 1e-320]).astype(complex))
+        with pytest.raises(RuntimeError, match="^singular shifted-Laplacian factorization: "):
+            build_cslp(tiny, M, 0.0, tree=leaf_and_root)
+
+    def test_tree_must_match_the_coupling(self):
+        """Two sibling leaves that couple: no node holds the coupled pair."""
+        from igarad.assembly import DissectionTree
+
+        A = sp.csr_matrix(np.array([[2, 1, 0], [1, 2, 0], [0, 0, 2]], dtype=complex))
+        M = sp.csr_matrix((3, 3), dtype=complex)
+        siblings = DissectionTree(np.arange(3), np.array([0, 1, 2, 3]), np.array([2, 2, -1]))
+        with pytest.raises(ValueError, match="not an ancestor"):
+            build_cslp(A, M, 0.0, tree=siblings)
 
 
 class TestMatrixMarketIO:

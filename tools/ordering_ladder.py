@@ -1,21 +1,32 @@
-"""Fill, time and memory of the preconditioner factor under both orderings.
+"""Fill, time and memory of the preconditioner factor under both orderings,
+and of the block LDL^T on the nested-dissection tree.
 
 Usage, from the root of a checkout::
 
     python3 tools/ordering_ladder.py                      # writes BENCH_ordering.json
-    python3 tools/ordering_ladder.py --sizes 40x30 120x90 --orderings nd --out ladder.json
+    python3 tools/ordering_ladder.py --sizes 40x30 120x90 --orderings nd ldl --out ladder.json
 
 Each point is the desk physics (``configs/desk_radiation_k300.json``) scaled
 at fixed points per wavelength: ``n x m`` cubic elements with the half
 aperture ``0.05 * sqrt(n / 120)``, so the radius (twice the near-field
 length) grows like ``n``.  192 x 144 is the benchmark's radiation_28k mesh.
-For each point and ordering a fresh interpreter assembles ``A``, factors the
-shifted-Laplacian matrix ``P = A - i beta M`` through ``solver._factorize``,
-either in the grid's nested-dissection numbering of the free dofs (``nd``)
-or, renumbered in the grid's natural order, under minimum degree on
-``A^T + A`` (``mmd``), and reports the wall time of ``assemble`` (S, M and
-E), SuperLU's fill, the factor's wall time, the residual ``|P x - b| / |b|``
-of a solve with the factor, and the process's peak resident set.  One process per point keeps the peaks apart.
+For each point and factor a fresh interpreter assembles ``A`` and factors
+the shifted-Laplacian matrix ``P = A - i beta M``:
+
+* ``nd``: SuperLU (``solver._factorize``) in the grid's nested-dissection
+  numbering of the free dofs;
+* ``mmd``: SuperLU, renumbered in the grid's natural order, under minimum
+  degree on ``A^T + A``;
+* ``ldl``: the preconditioner's block LDL^T on the nested-dissection tree
+  (``solver.build_cslp`` with the partition's tree).
+
+It reports the wall time of ``assemble`` (S, M and E), the stored entries
+(``lu_nnz``: SuperLU's L and U, or the fronts' blocks) and their bytes
+(``factor_bytes``: SuperLU at 16 B of value and 4 B of row index per
+entry), the factor's wall time, the residual ``|P x - b| / |b|`` of a solve
+with the factor, the GMRES solve of ``A x = b`` it preconditions (restart
+cycles, inner iterations, true residual), and the process's peak resident
+set.  One process per point keeps the peaks apart.
 """
 
 from __future__ import annotations
@@ -33,16 +44,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = ("192x144", "300x220", "400x290")
+FACTORS = ("mmd", "nd", "ldl")
 
 
 def _system(n: int, m: int):
-    """Discretization, ``A``, ``b`` and ``P`` of the scaled desk physics on
-    ``n x m``, with the wall time of ``assemble``."""
+    """Discretization, ``A``, ``b``, the free mass block on A's pattern and
+    the shift ``beta`` of the scaled desk physics on ``n x m``, with the wall
+    time of ``assemble``."""
     from dataclasses import replace
 
     from igarad import pipeline
     from igarad.assembly import assemble, build_system, free_gather
-    from igarad.solver import _shifted
 
     base = pipeline.RunConfig.from_json(ROOT / "configs" / "desk_radiation_k300.json")
     config = replace(base, n=n, m=m, half_aperture=0.05 * math.sqrt(n / 120))
@@ -53,51 +65,69 @@ def _system(n: int, m: int):
     k = disc.domain.wavenumber
     gather = free_gather(matrices, disc.partition)
     A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
-    mass = gather.block(matrices.mass)
-    return disc, A, b, _shifted(A, mass, config.beta_factor / k), assemble_s
+    return disc, A, b, gather.block(matrices.mass), config.beta_factor / k, assemble_s
 
 
-def _factor(n: int, m: int, ordering: str):
-    """Discretization, ``A``, ``b``, ``P`` and the factor of ``P`` on ``n x m``
-    under ``ordering``, with the wall times of ``assemble`` and the factor."""
+class _SuperLU:
+    """A SuperLU factor of ``P`` as a preconditioner for :func:`igarad.solver.gmres`."""
+
+    def __init__(self, lu, beta: float):
+        from igarad.solver import _lu_solve
+
+        self.beta, self.lu_nnz, self.factor_bytes = beta, int(lu.nnz), 20 * int(lu.nnz)
+        self.solve = lambda v: _lu_solve(lu, v)
+
+
+def _factor(n: int, m: int, factor: str):
+    """Discretization, ``A``, ``b``, ``M``, ``beta`` and the preconditioner of
+    ``factor`` on ``n x m``, with the wall times of ``assemble`` and the factor."""
     import numpy as np
 
-    from igarad.solver import _factorize
+    from igarad.solver import _factorize, _shifted, build_cslp
 
-    disc, A, b, P, assemble_s = _system(n, m)
-    if ordering == "mmd":
+    disc, A, b, mass, beta, assemble_s = _system(n, m)
+    if factor == "mmd":
         # minimum degree depends on the numbering it starts from: start from
         # the grid's natural one (A's nnz does not depend on the numbering)
         natural = np.argsort(disc.partition.free)
-        P, b = P[natural][:, natural], b[natural]
+        A, mass, b = A[natural][:, natural], mass[natural][:, natural], b[natural]
     t0 = time.perf_counter()
-    lu = _factorize(P, "P", ordered=ordering == "nd")
-    return disc, A, b, P, lu, assemble_s, time.perf_counter() - t0
+    if factor == "ldl":
+        precond = build_cslp(A, mass, beta, tree=disc.partition.tree)
+    else:
+        precond = _SuperLU(_factorize(_shifted(A, mass, beta), "P", ordered=factor == "nd"), beta)
+    return disc, A, b, mass, beta, precond, assemble_s, time.perf_counter() - t0
 
 
-def measure(n: int, m: int, ordering: str) -> dict:
+def measure(n: int, m: int, factor: str) -> dict:
     """One point, in this process."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
-    from igarad.solver import _lu_solve
+    from igarad.solver import GmresConfig, gmres
 
     # the first factorization in a process carries a one-time cost (up to
-    # 1 s) that is not the ordering's: pay it on the smallest mesh
-    _factor(40, 30, ordering)
-    disc, A, b, P, lu, assemble_s, factor_s = _factor(n, m, ordering)
-    x = _lu_solve(lu, b)
+    # 1 s) that is not the factor's: pay it on the smallest mesh
+    _factor(40, 30, factor)
+    disc, A, b, mass, beta, precond, assemble_s, factor_s = _factor(n, m, factor)
+    x = precond.solve(b)
+    residual = np.linalg.norm(A @ x - 1j * beta * (mass @ x) - b) / np.linalg.norm(b)
+    _, report = gmres(A, b, precond, GmresConfig())
     return {
         "n": n,
         "m": m,
         "dofs": disc.space.size,
         "n_free": disc.partition.n_free,
-        "ordering": ordering,
+        "ordering": factor,
         "system_nnz": int(A.nnz),
-        "lu_nnz": int(lu.nnz),
+        "lu_nnz": precond.lu_nnz,
+        "factor_bytes": precond.factor_bytes,
         "assemble_s": assemble_s,
         "factor_s": factor_s,
-        "direct_residual": float(np.linalg.norm(P @ x - b) / np.linalg.norm(b)),
+        "direct_residual": float(residual),
+        "gmres_cycles": report.outer_iterations,
+        "gmres_inner": report.inner_iterations,
+        "true_residual": report.true_residual,
         "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -126,7 +156,7 @@ def environment() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", nargs="+", default=list(DEFAULT_SIZES), help="n x m meshes, e.g. 192x144")
-    parser.add_argument("--orderings", nargs="+", default=["mmd", "nd"], choices=["mmd", "nd"])
+    parser.add_argument("--orderings", nargs="+", default=list(FACTORS), choices=FACTORS, help="factors to measure")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ordering.json"))
     parser.add_argument("--point", nargs=3, metavar=("N", "M", "ORDERING"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -144,9 +174,10 @@ def main(argv=None) -> int:
             points.append(json.loads(out.stdout.splitlines()[-1]))
             p = points[-1]
             print(
-                f"{p['dofs']:8d} dofs {ordering:3s}: assemble {p['assemble_s']:5.2f} s, LU nnz {p['lu_nnz']:>11,d}, "
-                f"factor {p['factor_s']:6.2f} s, residual {p['direct_residual']:.1e}, "
-                f"peak RSS {p['ru_maxrss_mib']:7.1f} MiB",
+                f"{p['dofs']:8d} dofs {ordering:3s}: assemble {p['assemble_s']:5.2f} s, stored {p['lu_nnz']:>11,d} "
+                f"({p['factor_bytes'] / 2**20:7.1f} MiB), factor {p['factor_s']:6.2f} s, "
+                f"residual {p['direct_residual']:.1e}, GMRES {p['gmres_cycles']} cycles "
+                f"(true {p['true_residual']:.1e}), peak RSS {p['ru_maxrss_mib']:7.1f} MiB",
                 flush=True,
             )
     record = {"environment": environment(), "points": points}
