@@ -127,13 +127,13 @@ def solve_manufactured(
     wave: PlaneWave,
 ) -> np.ndarray:
     """Full coefficient vector of the discrete solution for ``wave``, by a
-    direct solve in the elimination order the free dofs are numbered in
-    (:func:`igarad.assembly.classify_dofs`)."""
+    direct solve on the nested-dissection tree the free dofs are numbered
+    by (:func:`igarad.assembly.classify_dofs`)."""
     from .solver import direct_solve
 
     load, values = manufactured_data(space, geometry, quad, partition, wave)
     A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
-    x = direct_solve(A, b, ordered=True)
+    x = direct_solve(A, b, tree=partition.tree)
     return expand_solution(partition, x, values)
 
 

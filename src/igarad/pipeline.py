@@ -42,6 +42,7 @@ from .solver import (
     SolveReport,
     build_cslp,
     direct_solve,
+    frontal_storage,
     gmres,
     save_matrix_market,
 )
@@ -284,11 +285,11 @@ class RunResult:
     dirichlet_deviation: float
 
 
-def _solve_direct(A, b):
-    """Direct sparse solve of the restricted system, numbered in elimination
-    order, with its report."""
+def _solve_direct(A, b, tree):
+    """Direct solve of the restricted system on the nested-dissection
+    ``tree`` that numbers it, with its report."""
     t0 = time.perf_counter()
-    x = direct_solve(A, b, ordered=True)
+    x = direct_solve(A, b, tree=tree)
     b_norm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
     rep = SolveReport(
@@ -355,9 +356,10 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
-    factor = {"lu_nnz": None, "factor_bytes": None}  # the direct solve keeps no factor
     if config.solver == "direct":
-        x, solve_report = stage("solve", lambda: _solve_direct(A, b))
+        x, solve_report = stage("solve", lambda: _solve_direct(A, b, disc.partition.tree))
+        lu_nnz, factor_bytes = frontal_storage(A, disc.partition.tree)
+        factor = {"lu_nnz": lu_nnz, "factor_bytes": factor_bytes}
     else:
         beta = config.beta_factor / k
         precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
@@ -384,21 +386,13 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
 
 def _field_table(sol: SolutionField, grid_res: int) -> np.ndarray:
-    xis = np.linspace(0.0, 1.0, grid_res)
-    etas = np.linspace(0.0, 1.0, grid_res)
-    pts = sol.geometry.evaluate_grid(xis, etas)
-    vals = sol.evaluate_grid(xis, etas)
-    xi_g, eta_g = np.meshgrid(xis, etas, indexing="ij")
+    """x, y, re, im and abs on the ``grid_res^2`` parametric sample grid,
+    one row per point, xi outer."""
+    grid = np.linspace(0.0, 1.0, grid_res)
+    pts = sol.geometry.evaluate_grid(grid, grid)
+    vals = sol.evaluate_grid(grid, grid)
     return np.column_stack(
-        [
-            xi_g.ravel(),
-            eta_g.ravel(),
-            pts[..., 0].ravel(),
-            pts[..., 1].ravel(),
-            vals.real.ravel(),
-            vals.imag.ravel(),
-            np.abs(vals).ravel(),
-        ]
+        [a.ravel() for a in (pts[..., 0], pts[..., 1], vals.real, vals.imag, np.abs(vals))]
     )
 
 
@@ -423,8 +417,18 @@ def _write_csv(path, header: str, table: np.ndarray) -> None:
 
 
 def write_field_csv(path, sol: SolutionField, grid_res: int) -> None:
-    """Parametric field grid: xi, eta, x, y, re, im, abs (17 significant digits)."""
-    _write_csv(path, "xi,eta,x,y,re,im,abs", _field_table(sol, grid_res))
+    """Parametric field grid: xi, eta, x, y, re, im, abs (17 significant
+    digits), xi outer.  Each distinct xi and eta is formatted once and
+    written into the row format of its rows; one ``%`` per xi formats the
+    rest."""
+    table = _field_table(sol, grid_res)
+    grid = ["%.17g" % t for t in np.linspace(0.0, 1.0, grid_res).tolist()]
+    rows = [f",{eta},%.17g,%.17g,%.17g,%.17g,%.17g\n" for eta in grid]
+    with open(path, "w") as fh:
+        fh.write("xi,eta,x,y,re,im,abs\n")
+        for i, xi in enumerate(grid):
+            block = table[i * grid_res : (i + 1) * grid_res]
+            fh.write((xi + xi.join(rows)) % tuple(block.ravel().tolist()))
 
 
 def write_profile_csv(path, coord_name: str, coords, values) -> None:
@@ -435,15 +439,15 @@ def write_profile_csv(path, coord_name: str, coords, values) -> None:
 def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
     """Legacy-format VTK structured grid of the parametric sample grid:
     the columns of :func:`write_field_csv`, reordered with xi running fastest."""
-    table = _field_table(sol, grid_res).reshape(grid_res, grid_res, 7).swapaxes(0, 1).reshape(-1, 7)
+    table = _field_table(sol, grid_res).reshape(grid_res, grid_res, 5).swapaxes(0, 1).reshape(-1, 5)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nacoustic field\nASCII\n")
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {grid_res} {grid_res} 1\n")
         fh.write(f"POINTS {grid_res * grid_res} double\n")
-        _write_table(fh, table[:, 2:4], "%.17g %.17g 0\n")
+        _write_table(fh, table[:, :2], "%.17g %.17g 0\n")
         fh.write(f"POINT_DATA {grid_res * grid_res}\n")
-        for name, col in (("re", 4), ("im", 5), ("abs", 6)):
+        for name, col in (("re", 2), ("im", 3), ("abs", 4)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             _write_table(fh, table[:, col], "%.17g\n")
 
@@ -488,8 +492,8 @@ def _write_outputs(config, sol, matrices, system) -> dict:
 
 def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, peak_rss_mib, outputs) -> str:
     """Dump ``report.json`` next to the outputs; returns its path.  ``factor``
-    holds the preconditioner factor's ``lu_nnz`` (stored entries) and
-    ``factor_bytes``."""
+    holds the factor's ``lu_nnz`` (stored entries) and ``factor_bytes``: the
+    preconditioner's, or on a direct run the factor of A."""
     domain = disc.domain
     report = {
         "config": config.to_dict(),

@@ -8,10 +8,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from igarad.solver import (
+    FrontalLdlt,
     GmresConfig,
     _factorize,
+    as_csr,
     build_cslp,
     direct_solve,
+    frontal_storage,
     gmres,
     load_matrix_market,
     load_vector,
@@ -144,16 +147,14 @@ class TestCslp:
             w = precond.solve(P @ v)
             assert np.linalg.norm(w - v) / np.linalg.norm(v) <= 1e-10
 
-    @pytest.mark.parametrize("ordered", [False, True], ids=["minimum_degree", "natural"])
-    def test_transposed_factor_solves_a_not_its_transpose(self, rng, ordered):
+    def test_transposed_factor_solves_a_not_its_transpose(self, rng):
         # a nonsymmetric A: the factor of P^T must solve with P, not P^T
         A, b = random_complex_system(rng, n=60)
-        if not ordered:  # the preconditioner's ordered path, the tree, needs a symmetric P
-            M = sp.identity(60, format="csr", dtype=complex)
-            precond = build_cslp(A, M, 3.7)
-            P = A - 1j * 3.7 * M
-            assert np.linalg.norm(P @ precond.solve(b) - b) / np.linalg.norm(b) <= 1e-12
-        x = direct_solve(A, b, ordered=ordered)
+        M = sp.identity(60, format="csr", dtype=complex)
+        precond = build_cslp(A, M, 3.7)
+        P = A - 1j * 3.7 * M
+        assert np.linalg.norm(P @ precond.solve(b) - b) / np.linalg.norm(b) <= 1e-12
+        x = direct_solve(A, b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
@@ -191,6 +192,62 @@ class TestDirectSolve:
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
         with pytest.raises(RuntimeError, match="^singular matrix in direct solve: "):
             direct_solve(A, np.ones(2, dtype=complex))
+
+    @pytest.mark.parametrize("system", ["desk", "c0_cubic", "mms_160x80"])
+    def test_tree_solve_matches_the_oracle(self, system, desk_system):
+        """On the tree, A is factored by the block LDL^T and the solve is
+        refined once: it matches SuperLU under minimum degree, and its
+        residual is at roundoff.  The desk A (k about 300) is indefinite."""
+        if system == "desk":
+            A, b, _, _, tree = desk_system
+        elif system == "c0_cubic":
+            cfg, space = c0_cubic_space()
+            A, b, _, tree = grid_system(space, cfg, 30.0)
+        else:  # the finest mesh of the cubic manufactured-solution study
+            cfg, space = mms_space(160, 80)
+            A, b, _, tree = grid_system(space, cfg, 10.0)
+        x = direct_solve(A, b, tree=tree)
+        oracle = direct_solve(A, b)
+        assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) <= 1e-10
+        assert relative_residual(A, x, b) <= 1e-13
+
+    def test_refinement_step_restores_roundoff(self):
+        """60 x 45 desk physics at k = 277.5: a pivot block of the factor of
+        A is ill-conditioned, and the factor alone solves A to 2.5e-8
+        (measured); one step of refinement brings it to 3.6e-15."""
+        A, b, tree = desk_physics_system(60, 45, 277.5)
+        unrefined = FrontalLdlt(A, None, 0.0, tree, "A").solve(b)
+        assert relative_residual(A, unrefined, b) > 1e-10
+        assert relative_residual(A, direct_solve(A, b, tree=tree), b) <= 1e-13
+
+    def test_singular_on_the_tree_reported(self):
+        from igarad.assembly import DissectionTree
+
+        A = sp.csr_matrix(np.diag([2.0, 1.0, 0.0]).astype(complex))
+        leaf_and_root = DissectionTree(np.arange(3), np.array([0, 1, 3]), np.array([1, -1]))
+        with pytest.raises(RuntimeError, match="^singular matrix in direct solve: "):
+            direct_solve(A, np.ones(3, dtype=complex), tree=leaf_and_root)
+
+    def test_tree_solve_makes_no_copy_of_a(self, desk_system):
+        """The direct solve on the tree allocates what the factor stores,
+        the fronts and updates of the nodes being factored, the index
+        arrays of a node's rows, and a few vectors; A is read row block by
+        row block, never copied.  Measured: 44.2 MB against the bound's
+        46.2 MB (factor 33.7 MB, twice the largest front 6.6 MB, half of A's
+        values 4.2 MB, ten vectors 1.8 MB); a copy of A's values (8.3 MB)
+        would not fit."""
+        A, b, _, _, tree = desk_system
+        nnz, nbytes = frontal_storage(A, tree)
+        tracemalloc.start()
+        try:
+            direct_solve(A, b, tree=tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        factor = FrontalLdlt(A, None, 0.0, tree, "A")
+        assert (factor.nnz, factor.nbytes) == (nnz, nbytes)
+        largest = max((W.shape[0] + X.shape[0]) ** 2 * 16 for _, _, _, W, X in factor.fronts)
+        assert peak <= nbytes + 2 * largest + 0.5 * A.nnz * 16 + 10 * b.nbytes
 
 
 def semicircle_system(k, n, m):
@@ -300,6 +357,14 @@ def desk_system():
     return A, b, gather.block(mats.mass), config.beta_factor / k, disc.partition.tree
 
 
+def natural_splu(matrix):
+    """SuperLU of ``matrix`` in its own numbering, the grid's nested
+    dissection: ``solver._factorize``'s options but the ordering."""
+    return spla.splu(
+        as_csr(matrix).T, permc_spec="NATURAL", diag_pivot_thresh=0.001, options=dict(SymmetricMode=True)
+    )
+
+
 class TestFactorize:
     def test_less_fill_than_default_ordering(self):
         A, b, _ = semicircle_system(150.0, 60, 40)
@@ -320,10 +385,10 @@ class TestFactorize:
         """The desk run's P, numbered in nested-dissection order, fills less
         in natural order than under minimum degree, and A is solved to a
         direct residual of 1e-10."""
-        A, b, mass, beta, _ = desk_system
+        A, b, mass, beta, tree = desk_system
         P = A - 1j * beta * mass
-        assert _factorize(P, "P", ordered=True).nnz <= _factorize(P, "P").nnz
-        x = direct_solve(A, b, ordered=True)
+        assert natural_splu(P).nnz <= _factorize(P, "P").nnz
+        x = direct_solve(A, b, tree=tree)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_ordered_preconditioner_makes_no_copy_of_p(self, desk_system):
@@ -382,6 +447,50 @@ def relative_residual(P, x, b):
     return np.linalg.norm(P @ x - b) / np.linalg.norm(b)
 
 
+def c0_cubic_space():
+    """The MMS domain and a C^0 cubic space on it: interior knots of
+    multiplicity 3, the Bernstein form of cubic Lagrange elements."""
+    import math
+
+    from igarad.bspline import KnotVector, TensorProductSpace
+    from igarad.geometry import DomainConfig
+
+    def c0(breakpoints):
+        return KnotVector(4, np.concatenate([np.zeros(4), np.repeat(breakpoints, 3), np.ones(4)]))
+
+    cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+    return cfg, TensorProductSpace(c0(np.arange(1, 16) / 16).with_breakpoints(cfg.aperture_preimage), c0(np.arange(1, 12) / 12))
+
+
+def mms_space(n, m):
+    """The manufactured-solution study's domain and aperture-aligned cubic ``n x m`` space."""
+    import math
+
+    from igarad.bspline import TensorProductSpace, make_uniform_open_knots
+    from igarad.geometry import DomainConfig
+
+    cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+    kv_xi = make_uniform_open_knots(4, n).with_breakpoints(cfg.aperture_preimage)
+    return cfg, TensorProductSpace(kv_xi, make_uniform_open_knots(4, m))
+
+
+def desk_physics_system(n, m, k):
+    """``(A, b, tree)`` of the desk run's physics at wavenumber ``k`` on ``n x m``."""
+    import math
+    from dataclasses import replace
+    from pathlib import Path
+
+    from igarad.assembly import assemble, build_system
+    from igarad.pipeline import RunConfig, discretize
+
+    base = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
+    config = replace(base, n=n, m=m, frequency=k * base.sound_speed / (2 * math.pi))
+    disc = discretize(config)
+    mats = assemble(disc.space, disc.geometry, disc.quadrature)
+    A, b = build_system(mats, disc.partition, disc.domain.wavenumber, config.amplitude)
+    return A, b, disc.partition.tree
+
+
 class TestFrontalLdlt:
     """The shifted-Laplacian factor on the nested-dissection tree."""
 
@@ -393,16 +502,7 @@ class TestFrontalLdlt:
     def test_solves_p_on_a_c0_cubic_space(self):
         """Interior knots of multiplicity 3 (the Bernstein form of cubic
         Lagrange elements): wider separators' worth of coupling per line."""
-        import math
-
-        from igarad.bspline import KnotVector, TensorProductSpace
-        from igarad.geometry import DomainConfig
-
-        def c0(breakpoints):
-            return KnotVector(4, np.concatenate([np.zeros(4), np.repeat(breakpoints, 3), np.ones(4)]))
-
-        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
-        space = TensorProductSpace(c0(np.arange(1, 16) / 16).with_breakpoints(cfg.aperture_preimage), c0(np.arange(1, 12) / 12))
+        cfg, space = c0_cubic_space()
         k = 30.0
         A, b, mass, tree = grid_system(space, cfg, k)
         beta = 1.0 / (3 * k)
@@ -419,7 +519,7 @@ class TestFrontalLdlt:
         (measured 0.47x: 33.7 MB against 71.9 MB)."""
         A, _, mass, beta, tree = desk_system
         precond = build_cslp(A, mass, beta, tree=tree)
-        superlu = _factorize(A - 1j * beta * mass, "P", ordered=True)
+        superlu = natural_splu(A - 1j * beta * mass)
         assert precond.factor_bytes <= 0.55 * superlu.nnz * 20
 
     def test_desk_gmres_ends_after_one_cycle(self, desk_system):
@@ -427,7 +527,7 @@ class TestFrontalLdlt:
         x, rep = gmres(A, b, build_cslp(A, mass, beta, tree=tree), GmresConfig())
         assert rep.converged and rep.outer_iterations == 1
         assert rep.true_residual <= 1e-10
-        x_direct = direct_solve(A, b, ordered=True)
+        x_direct = direct_solve(A, b, tree=tree)
         assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) <= 1e-7
 
     def test_node_without_free_dofs_passes_its_updates_on(self):

@@ -13,10 +13,11 @@ length) grows like ``n``.  192 x 144 is the benchmark's radiation_28k mesh.
 For each point and factor a fresh interpreter assembles ``A`` and factors
 the shifted-Laplacian matrix ``P = A - i beta M``:
 
-* ``nd``: SuperLU (``solver._factorize``) in the grid's nested-dissection
-  numbering of the free dofs;
-* ``mmd``: SuperLU, renumbered in the grid's natural order, under minimum
-  degree on ``A^T + A``;
+* ``nd``: SuperLU in the grid's nested-dissection numbering of the free
+  dofs, kept in that order (``permc_spec="NATURAL"``; the package factors
+  such a matrix on its tree and has no ordered SuperLU of its own);
+* ``mmd``: SuperLU (``solver._factorize``), renumbered in the grid's
+  natural order, under minimum degree on ``A^T + A``;
 * ``ldl``: the preconditioner's block LDL^T on the nested-dissection tree
   (``solver.build_cslp`` with the partition's tree).
 
@@ -83,6 +84,8 @@ def _factor(n: int, m: int, factor: str):
     ``factor`` on ``n x m``, with the wall times of ``assemble`` and the factor."""
     import numpy as np
 
+    import scipy.sparse.linalg as spla
+
     from igarad.solver import _factorize, _shifted, build_cslp
 
     disc, A, b, mass, beta, assemble_s = _system(n, m)
@@ -94,8 +97,12 @@ def _factor(n: int, m: int, factor: str):
     t0 = time.perf_counter()
     if factor == "ldl":
         precond = build_cslp(A, mass, beta, tree=disc.partition.tree)
+    elif factor == "nd":
+        # _factorize's options but the ordering, on P^T's CSC: the CSR arrays of P
+        natural = dict(permc_spec="NATURAL", diag_pivot_thresh=0.001, options=dict(SymmetricMode=True))
+        precond = _SuperLU(spla.splu(_shifted(A, mass, beta).T, **natural), beta)
     else:
-        precond = _SuperLU(_factorize(_shifted(A, mass, beta), "P", ordered=factor == "nd"), beta)
+        precond = _SuperLU(_factorize(_shifted(A, mass, beta), "P"), beta)
     return disc, A, b, mass, beta, precond, assemble_s, time.perf_counter() - t0
 
 
