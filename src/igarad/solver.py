@@ -135,16 +135,21 @@ def _shifted(A, M, beta: float) -> sp.csr_matrix:
     return as_csr(A - 1j * beta * M)
 
 
-def _extend_add(F, front, updates) -> None:
-    """Add the children's ``updates``, pairs of sorted unknowns ``u`` and
-    their matrix, into the front ``F`` of the sorted unknowns ``front``
-    (a superset of every ``u``), by one ``np.add.at`` over flat positions
-    per update: less than half the time of 2-D fancy indexing or of slices
-    over the runs of consecutive unknowns."""
-    flat = F.reshape(-1)
-    for u, update in updates:
-        at = np.searchsorted(front, u)
-        np.add.at(flat, (at[:, None] * F.shape[1] + at).ravel(), update.ravel())
+def _subtract_rows(F, front, e, updates) -> list:
+    """Split each of the children's ``updates`` (sorted unknowns ``u`` and
+    their negated Schur complement ``N``) at this node's last unknown
+    ``e``: the rows on the node's own unknowns are subtracted from its
+    fully-summed rows ``F`` (columns ``front``), by one ``np.subtract.at``
+    over flat positions (faster than 2-D fancy indexing); the block on its
+    ancestors is returned with its positions in them, for the node's own
+    ``N``."""
+    flat, k, uppers = F.reshape(-1), F.shape[0], []
+    for u, N in updates:
+        i = np.searchsorted(u, e)
+        pos = np.searchsorted(front, u)
+        np.subtract.at(flat, ((u[:i] - front[0])[:, None] * front.size + pos).ravel(), N[:i].ravel())
+        uppers.append((pos[i:] - k, N[i:, i:]))
+    return uppers
 
 
 def _fronts(P, tree):
@@ -211,16 +216,19 @@ class FrontalLdlt:
     a node is its own unknowns plus ``up``, the ancestor unknowns its rows
     of P or its children's update matrices reach (:func:`_fronts`); every
     subtree is a contiguous range, so ``up`` lies past the node's own
-    range.  The front is filled from the node's rows of A and M, right of
-    its first unknown, mirrored into its columns (entries left of it
-    belong to descendants' fronts, and P is never formed whole), and from
-    the children's updates, and split as
-    ``[[F11, F12], [F21, F22]]``: ``W = inv(F11)`` and ``X = F21 W`` are
-    kept, and ``F22 - X F12`` goes to the parent.  ``inv`` pivots only
-    inside the pivot block, so pivoting is static across fronts.  A node
-    that owns none of the unknowns (a block of Dirichlet dofs) passes its
-    children's updates on unchanged.  With ``beta = 0`` the factor is one
-    of A, and ``M`` may be ``None``.
+    range.  Only the front's fully-summed rows ``F = [F11 F12]`` are formed
+    (``k x (k + u)`` for ``k`` own and ``u`` ancestor unknowns), from the
+    node's rows of A and M right of its first unknown (entries left of it
+    belong to descendants' fronts, and P is never formed whole), less the
+    rows of the children's blocks that fall on the node's own unknowns.
+    ``W = inv(F11)``, symmetrized, and ``X = F12^T W`` are kept; the node
+    passes up ``N = X F12`` plus the rest of its children's blocks, the
+    negated Schur complement on ``up`` (its ``F22`` is never formed: those
+    entries of P are an ancestor's rows).  ``inv`` pivots only inside the
+    pivot block, so pivoting is static across fronts.  A node that owns
+    none of the unknowns (a block of Dirichlet dofs) passes its children's
+    blocks on unchanged.  With ``beta = 0`` the factor is one of A, and
+    ``M`` may be ``None``.
 
     Only numpy's ``inv`` and ``@`` are used: scipy's BLAS and LAPACK run on
     a thread pool of their own, and switching between the two pools on
@@ -241,33 +249,41 @@ class FrontalLdlt:
         sizes, self.nbytes = _storage(structure)
         self.nnz = sum(sizes)
         store = np.empty(self.nnz, dtype=complex)
-        pending: dict[int, list] = {}  # front -> updates of the fronts below it, (unknowns, matrix)
+        pending: dict[int, list] = {}  # front -> negated Schur complements of the fronts below it, (unknowns, matrix)
         self.fronts = []  # (start, stop, up, W, X) per front, in postorder
         for f, ((s, e, up), at) in enumerate(zip(structure, np.cumsum([0, *sizes[:-1]]))):
             k = e - s
             W = store[at : at + k * k].reshape(k, k)
             X = store[at + k * k : at + k * (k + up.size)].reshape(up.size, k)
             front = np.concatenate([np.arange(s, e), up])
-            F = np.zeros((front.size, front.size), dtype=complex)
+            F = np.zeros((k, front.size), dtype=complex)  # the fully-summed rows [F11 F12]
             lo, hi = A.indptr[s], A.indptr[e]
             cols = A.indices[lo:hi]
             rows = np.repeat(np.arange(k), np.diff(A.indptr[s : e + 1]))
             keep = cols >= s  # the rest is the symmetric half of a descendant's rows
             vals = A.data[lo:hi] - (1j * beta) * M.data[lo:hi] if beta else A.data[lo:hi]  # P's rows
             F[rows[keep], np.searchsorted(front, cols[keep])] = vals[keep]
-            F[k:, :k] = F[:k, k:].T
-            _extend_add(F, front, pending.pop(f, []))
+            uppers = _subtract_rows(F, front, e, pending.pop(f, []))
             try:
-                W[...] = np.linalg.inv(F[:k, :k])
+                W[...] = np.linalg.inv(F[:, :k])
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"singular {what}: pivot block of front {f}: {exc}") from exc
             if not np.all(np.isfinite(W)):
                 raise RuntimeError(f"singular {what}: pivot block of front {f} has a non-finite inverse")
-            np.matmul(F[k:, :k], W, out=X)
-            if up.size:
-                update = X @ F[:k, k:]
-                pending.setdefault(target[f], []).append((up, np.subtract(F[k:, k:], update, out=update)))
+            # the solve applies X^T as W F12, which needs W symmetric; inv leaves
+            # it asymmetric by roundoff times the pivot block's condition
+            W += W.T
+            W *= 0.5
+            np.matmul(F[:, k:].T, W, out=X)
+            N = X @ F[:, k:]
             del F
+            while uppers:  # each child's block goes as soon as it is added
+                pos, block = uppers.pop()
+                np.add.at(N.reshape(-1), (pos[:, None] * up.size + pos).ravel(), block.ravel())
+                del block
+            if up.size:
+                pending.setdefault(target[f], []).append((up, N))
+            del N
             self.fronts.append((s, e, up, W, X))
 
     def solve(self, v) -> np.ndarray:
@@ -290,7 +306,8 @@ class CslpPreconditioner:
 
     With the nested-dissection ``tree`` that numbers A and M (the grid's
     :attr:`igarad.assembly.DofPartition.tree`), P is factored by
-    :class:`FrontalLdlt`, which needs P complex symmetric.  Without one, P
+    :class:`FrontalLdlt`, which reads only each node's rows of A and M
+    and so needs P complex symmetric.  Without one, P
     is formed and factored by SuperLU under minimum degree
     (:func:`_factorize`, threshold partial pivoting).  ``factor`` is the
     factor, ``lu_nnz`` its stored entries (the fronts' blocks, or SuperLU's
@@ -335,8 +352,8 @@ def direct_solve(A, b, *, tree=None) -> np.ndarray:
     solve takes one step of iterative refinement, ``x += F^-1 (b - A x)``
     (Li & Demmel, ACM TOMS 29, 2003): where a pivot block is
     ill-conditioned the factor alone leaves a relative residual far above
-    roundoff (2.5e-8 on 60 x 45 desk physics at k = 277.5), the refined
-    solve 3.6e-15.  Without a tree, A is factored by SuperLU under minimum
+    roundoff (7.3e-9 on 60 x 45 desk physics at k = 277.5), the refined
+    solve 3.8e-15.  Without a tree, A is factored by SuperLU under minimum
     degree (:func:`_factorize`): ``solve-mm`` and the tests' oracle.
     """
     what = "matrix in direct solve"

@@ -310,6 +310,52 @@ class TestCurveOperations:
         assert np.max(np.abs(evaluate_spline(c2, kv2, ts) - base)) <= 1e-12
 
 
+def _random_coefficients(kv, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (kv.num_basis, 3))
+
+
+class TestCurveOperationsOnRandomKnots:
+    """Knot insertion and order elevation keep the curve on random clamped
+    knot vectors, spans at least ``1e-3`` wide."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        kv=clamped_knot_vectors(min_span=1e-3),
+        fresh=st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=4),
+        repeats=st.lists(st.integers(0, 7), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_insert_preserves_curve(self, kv, fresh, repeats, seed):
+        """New knots, fresh ones at least ``1e-3`` from every knot and
+        repeats of interior ones, up to multiplicity ``degree``."""
+        values, counts = np.unique(kv.knots, return_counts=True)
+        interior = values[1:-1].tolist()
+        multiplicity = dict(zip(values.tolist(), counts.tolist()))
+        new = []
+        for u in [interior[i % len(interior)] for i in repeats if interior] + fresh:
+            gap = min(abs(v - u) for v in multiplicity)
+            if (gap == 0 or gap >= 1e-3) and multiplicity.get(u, 0) < kv.degree:
+                multiplicity[u] = multiplicity.get(u, 0) + 1
+                new.append(u)
+        coeffs = _random_coefficients(kv, seed)
+        out, kv2 = insert_knots(coeffs, kv, new)
+        assert kv2.num_basis == kv.num_basis + len(new)
+        assert np.array_equal(kv2.knots, np.sort(np.concatenate([kv.knots, new])))
+        ts = np.concatenate([np.linspace(0.0, 1.0, 101), kv2.knots])
+        assert np.max(np.abs(evaluate_spline(out, kv2, ts) - evaluate_spline(coeffs, kv, ts))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kv=clamped_knot_vectors(min_span=1e-3), seed=st.integers(0, 2**32 - 1))
+    def test_elevation_preserves_curve(self, kv, seed):
+        coeffs = _random_coefficients(kv, seed)
+        out, kv2 = elevate_order(coeffs, kv)
+        values, counts = np.unique(kv.knots, return_counts=True)
+        assert kv2.order == kv.order + 1
+        assert np.array_equal(kv2.knots, np.repeat(values, counts + 1))
+        ts = np.concatenate([np.linspace(0.0, 1.0, 101), kv.knots])
+        assert np.max(np.abs(evaluate_spline(out, kv2, ts) - evaluate_spline(coeffs, kv, ts))) <= 1e-12
+
+
 class TestTensorProductSpace:
     def test_flat_index_bijection(self):
         space = TensorProductSpace(make_uniform_open_knots(3, 5), make_uniform_open_knots(2, 4))

@@ -213,8 +213,8 @@ class TestDirectSolve:
 
     def test_refinement_step_restores_roundoff(self):
         """60 x 45 desk physics at k = 277.5: a pivot block of the factor of
-        A is ill-conditioned, and the factor alone solves A to 2.5e-8
-        (measured); one step of refinement brings it to 3.6e-15."""
+        A is ill-conditioned, and the factor alone solves A to 7.3e-9
+        (measured); one step of refinement brings it to 3.8e-15."""
         A, b, tree = desk_physics_system(60, 45, 277.5)
         unrefined = FrontalLdlt(A, None, 0.0, tree, "A").solve(b)
         assert relative_residual(A, unrefined, b) > 1e-10
@@ -232,10 +232,10 @@ class TestDirectSolve:
         """The direct solve on the tree allocates what the factor stores,
         the fronts and updates of the nodes being factored, the index
         arrays of a node's rows, and a few vectors; A is read row block by
-        row block, never copied.  Measured: 44.2 MB against the bound's
-        46.2 MB (factor 33.7 MB, twice the largest front 6.6 MB, half of A's
-        values 4.2 MB, ten vectors 1.8 MB); a copy of A's values (8.3 MB)
-        would not fit."""
+        row block, never copied.  Measured: 42.3 MB against the bound's
+        45.1 MB (factor 33.7 MB, twice the largest live front 5.5 MB, half
+        of A's values 4.2 MB, ten vectors 1.8 MB); a copy of A's values
+        (8.3 MB) would not fit."""
         A, b, _, _, tree = desk_system
         nnz, nbytes = frontal_storage(A, tree)
         tracemalloc.start()
@@ -246,7 +246,7 @@ class TestDirectSolve:
             tracemalloc.stop()
         factor = FrontalLdlt(A, None, 0.0, tree, "A")
         assert (factor.nnz, factor.nbytes) == (nnz, nbytes)
-        largest = max((W.shape[0] + X.shape[0]) ** 2 * 16 for _, _, _, W, X in factor.fronts)
+        largest = max(_live_front_bytes(W, X) for _, _, _, W, X in factor.fronts)
         assert peak <= nbytes + 2 * largest + 0.5 * A.nnz * 16 + 10 * b.nbytes
 
 
@@ -338,6 +338,14 @@ class TestExplicitResidualStop:
         assert rep.history[rep.cycle_lengths[0] - 1] <= config.tol
 
 
+def _live_front_bytes(W, X):
+    """Bytes a front of ``k`` own and ``u`` ancestor unknowns holds while it
+    is factored: its fully-summed rows, ``k (k + u)``, and the ``u^2``
+    block it passes up."""
+    k, u = W.shape[0], X.shape[0]
+    return (k * (k + u) + u * u) * 16
+
+
 @pytest.fixture(scope="module")
 def desk_system():
     """``(A, b, M_ff, beta, tree)`` of the desk run (10,980 dofs), with the
@@ -394,10 +402,10 @@ class TestFactorize:
     def test_ordered_preconditioner_makes_no_copy_of_p(self, desk_system):
         """Factoring P on the tree allocates what the factor stores and, while
         a node is factored, its front and the updates that meet there; P is
-        formed row block by row block, never whole.  Measured: 43.4 MB
-        against the bound's 52.7 MB (factor 33.7 MB, 1.5 P 12.5 MB, twice
-        the largest front 6.6 MB); two copies of P, or the fronts kept past
-        their nodes, would not fit."""
+        formed row block by row block, never whole.  Measured: 42.5 MB
+        against the bound's 51.6 MB (factor 33.7 MB, 1.5 P 12.5 MB, twice
+        the largest live front 5.5 MB); two copies of P, or the fronts kept
+        past their nodes, would not fit."""
         A, _, mass, beta, tree = desk_system
         tracemalloc.start()
         try:
@@ -406,7 +414,7 @@ class TestFactorize:
         finally:
             tracemalloc.stop()
         fronts = precond.factor.fronts
-        largest = max((W.shape[0] + X.shape[0]) ** 2 * 16 for _, _, _, W, X in fronts)
+        largest = max(_live_front_bytes(W, X) for _, _, _, W, X in fronts)
         assert peak <= precond.factor_bytes + 1.5 * A.nnz * 16 + 2 * largest
 
     def test_tiny_diagonal_is_pivoted_away(self):
@@ -491,8 +499,49 @@ def desk_physics_system(n, m, k):
     return A, b, disc.partition.tree
 
 
+def aperture_leaves_system():
+    """``(A, b, M_ff, tree, k)`` on a quartic (order 5) mesh whose aperture
+    covers two whole leaves of the tree, so that their nodes own no
+    unknown."""
+    import math
+
+    from igarad.bspline import TensorProductSpace, make_uniform_open_knots
+    from igarad.geometry import DomainConfig
+
+    cfg = DomainConfig(a=0.5, r=1.0, theta=math.pi / 4)
+    space = TensorProductSpace(
+        make_uniform_open_knots(5, 29).with_breakpoints(cfg.aperture_preimage), make_uniform_open_knots(5, 7)
+    )
+    k = 8.0
+    return (*grid_system(space, cfg, k), k)
+
+
 class TestFrontalLdlt:
     """The shifted-Laplacian factor on the nested-dissection tree."""
+
+    @pytest.mark.parametrize("system", ["cubic_20x12", "aperture_leaves"])
+    def test_every_front_against_the_dense_schur_complement(self, system):
+        """Per front, against dense elimination of every unknown before it:
+        ``inv(W)`` is the Schur complement on the node's own unknowns, ``X``
+        the eliminated coupling of its ancestors to them times ``W``, and
+        ``W`` is exactly symmetric (the solve applies ``X^T`` as ``W F12``)."""
+        if system == "cubic_20x12":
+            cfg, space = mms_space(20, 12)
+            k = 10.0
+            A, _, mass, tree = grid_system(space, cfg, k)
+        else:
+            A, _, mass, tree, k = aperture_leaves_system()
+        beta = 1.0 / (3 * k)
+        P = (A - 1j * beta * mass).toarray()
+        factor = build_cslp(A, mass, beta, tree=tree).factor
+        assert len(factor.fronts) > 5
+        for s, e, up, W, X in factor.fronts:
+            eliminated = np.linalg.solve(P[:s, :s], P[:s, s:e])
+            schur = P[s:e, s:e] - P[s:e, :s] @ eliminated
+            coupling = P[up, s:e] - P[up, :s] @ eliminated
+            assert np.linalg.norm(np.linalg.inv(W) - schur) <= 1e-10 * np.linalg.norm(schur)
+            assert np.linalg.norm(X - coupling @ W) <= 1e-10 * np.linalg.norm(coupling @ W)
+            assert np.array_equal(W, W.T)
 
     def test_solves_p_on_the_desk_system(self, desk_system):
         A, b, mass, beta, tree = desk_system
@@ -531,19 +580,9 @@ class TestFrontalLdlt:
         assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) <= 1e-7
 
     def test_node_without_free_dofs_passes_its_updates_on(self):
-        """A quintic mesh whose aperture covers two whole leaves of the tree
+        """A quartic mesh whose aperture covers two whole leaves of the tree
         (bottom-row blocks one dof high): their nodes own no unknown."""
-        import math
-
-        from igarad.bspline import TensorProductSpace, make_uniform_open_knots
-        from igarad.geometry import DomainConfig
-
-        cfg = DomainConfig(a=0.5, r=1.0, theta=math.pi / 4)
-        space = TensorProductSpace(
-            make_uniform_open_knots(5, 29).with_breakpoints(cfg.aperture_preimage), make_uniform_open_knots(5, 7)
-        )
-        k = 8.0
-        A, b, mass, tree = grid_system(space, cfg, k)
+        A, b, mass, tree, k = aperture_leaves_system()
         is_parent = np.isin(np.arange(tree.parent.size), tree.parent)
         assert np.count_nonzero((np.diff(tree.offsets) == 0) & ~is_parent) == 2
         beta = 1.0 / (3 * k)
