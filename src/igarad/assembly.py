@@ -192,18 +192,20 @@ class DofPartition:
     Dirichlet dofs are the bottom-row (eta index 0) basis functions whose
     support meets the transducer aperture on the bottom edge; every other
     basis function vanishes identically on that segment.  ``dirichlet`` is
-    sorted.  ``free`` numbers the free dofs in elimination order, the
-    grid's :func:`nested_dissection` without the Dirichlet dofs: the
-    restricted system's row and column ``i`` belong to dof ``free[i]``.
-    ``tree`` is that dissection over the free dofs, in the restricted
-    system's numbering (its ``order`` is ``free``).
+    sorted.  ``tree`` is the grid's :func:`nested_dissection` without the
+    Dirichlet dofs, in the restricted system's numbering; its ``order``,
+    ``free``, numbers the free dofs in elimination order: the restricted
+    system's row and column ``i`` belong to dof ``free[i]``.
     """
 
-    free: np.ndarray
     dirichlet: np.ndarray
     xi_left: float
     xi_right: float
-    tree: DissectionTree | None = None
+    tree: DissectionTree
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.tree.order
 
     @property
     def n_free(self) -> int:
@@ -231,13 +233,7 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     is_free = np.ones(space.size, dtype=bool)
     is_free[dirichlet] = False
     tree = nested_dissection(space).restrict(is_free)
-    return DofPartition(
-        free=tree.order,
-        dirichlet=dirichlet,
-        xi_left=xi_left,
-        xi_right=xi_right,
-        tree=tree,
-    )
+    return DofPartition(dirichlet=dirichlet, xi_left=xi_left, xi_right=xi_right, tree=tree)
 
 
 _ND_LEAF = 32  # blocks this small keep the natural order; 64 fills 3 % more at 27,936 dofs

@@ -189,13 +189,19 @@ def _cmd_solve_mm(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
+    if A.shape != (b.size, b.size):
+        print(f"error: bad configuration: a {A.shape[0]} x {A.shape[1]} matrix with a right-hand side "
+              f"of length {b.size}; the matrix must be square, of the right-hand side's length",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if args.direct:
         try:
             x = direct_solve(A, b)
         except RuntimeError as exc:  # "singular matrix in direct solve: ..."
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        res = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+        b_norm = float(np.linalg.norm(b))
+        res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
         print(f"direct solve: true residual {res:.3e}")
         code = EXIT_OK
         report_data = {"method": "direct", "true_residual": res, "n": int(b.size)}

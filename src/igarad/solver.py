@@ -4,10 +4,11 @@ shifted-Laplacian preconditioner and sparse direct solves.
 Matrices are scipy CSR with sorted, deduplicated indices; a system from
 the grid arrives with its unknowns in elimination order, with the
 nested-dissection tree of that order, so it is factored as it is, with no
-permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`): the
-preconditioner, and direct solves, which add one step of iterative
-refinement.  SuperLU, under minimum degree, factors only matrices that
-come without a tree.  GMRES reports
+permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).
+SuperLU, under minimum degree, factors only matrices that come without a
+tree; :func:`_factor` picks between the two, and both answer the same
+``solve``, ``nnz`` and ``nbytes``.  Direct solves take one step of
+iterative refinement on either.  GMRES reports
 ``converged`` only when the explicit preconditioned residual
 ``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
 cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
@@ -83,11 +84,11 @@ class SolveReport:
     cycle_residuals: list[float] = field(default_factory=list)
 
 
-def _factorize(matrix, what: str):
-    """SuperLU factorization of a square sparse matrix; ``what`` names it if singular.
+class _SuperLU:
+    """SuperLU factor of a square sparse matrix; ``what`` names it if singular.
 
     SuperLU reads the canonical CSR arrays of ``matrix`` as the CSC of its
-    transpose, so no CSC copy is made; :func:`_lu_solve` solves with the
+    transpose, so no CSC copy is made, and :meth:`solve` solves with the
     transposed factor.  The systems here are structurally symmetric, so
     SuperLU runs in symmetric mode, preferring diagonal pivots, under
     minimum degree on the pattern of ``A^T + A``.  Threshold partial
@@ -95,44 +96,28 @@ def _factorize(matrix, what: str):
     0.001 times the largest entry of its column, so a tiny diagonal is
     still pivoted away.  The ordering needs the small threshold to pay off:
     with the default threshold 1.0 minimum degree gives more fill than
-    SuperLU's COLAMD.
+    SuperLU's COLAMD.  ``nnz`` counts the entries of L and U, ``nbytes``
+    their bytes at 16 B of value and a 4 B row index per entry.
     """
-    matrix = as_csr(matrix)
-    transpose = sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape[::-1])
-    try:
-        return spla.splu(
-            transpose,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.001,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:
-        raise RuntimeError(f"singular {what}: {exc}") from exc
 
+    def __init__(self, matrix, what: str):
+        matrix = as_csr(matrix)
+        transpose = sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape[::-1])
+        try:
+            self.lu = spla.splu(
+                transpose,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.001,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            raise RuntimeError(f"singular {what}: {exc}") from exc
+        self.nnz = int(self.lu.nnz)
+        self.nbytes = 20 * self.nnz
 
-def _lu_solve(lu, v) -> np.ndarray:
-    """Solve ``matrix x = v`` with the factor :func:`_factorize` made of ``matrix``."""
-    return lu.solve(np.asarray(v, dtype=complex), trans="T")
-
-
-def _same_pattern(A, M) -> bool:
-    """Whether M is stored on A's CSR pattern (as
-    :meth:`igarad.assembly.Gather.block` gathers the mass block)."""
-    return np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)
-
-
-def _shifted(A, M, beta: float) -> sp.csr_matrix:
-    """``A - i beta M`` as canonical complex CSR.
-
-    When M is stored on A's pattern, the shift is formed on A's data alone
-    and shares A's index arrays.
-    """
-    A, M = as_csr(A), sp.csr_matrix(M)
-    if _same_pattern(A, M):
-        data = (1j * beta) * M.data
-        np.subtract(A.data, data, out=data)
-        return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
-    return as_csr(A - 1j * beta * M)
+    def solve(self, v) -> np.ndarray:
+        """Solve ``matrix x = v``."""
+        return self.lu.solve(np.asarray(v, dtype=complex), trans="T")
 
 
 def _subtract_rows(F, front, e, updates) -> list:
@@ -227,8 +212,10 @@ class FrontalLdlt:
     entries of P are an ancestor's rows).  ``inv`` pivots only inside the
     pivot block, so pivoting is static across fronts.  A node that owns
     none of the unknowns (a block of Dirichlet dofs) passes its children's
-    blocks on unchanged.  With ``beta = 0`` the factor is one of A, and
-    ``M`` may be ``None``.
+    blocks on unchanged.  ``M`` must be stored on A's pattern (as
+    :meth:`igarad.assembly.Gather.block` gathers the mass block), else
+    ``ValueError``; with ``beta = 0`` the factor is one of A, and ``M`` may
+    be ``None``.
 
     Only numpy's ``inv`` and ``@`` are used: scipy's BLAS and LAPACK run on
     a thread pool of their own, and switching between the two pools on
@@ -241,8 +228,8 @@ class FrontalLdlt:
         A = as_csr(A)
         if beta:
             M = sp.csr_matrix(M)
-            if not _same_pattern(A, M):
-                A, beta = _shifted(A, M, beta), 0.0  # P on a pattern of its own, formed whole
+            if not (np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)):
+                raise ValueError("M must be stored on A's pattern")
         structure, target = _fronts(A, tree)
         # every block in one allocation: the factor does not interleave with
         # the fronts' temporaries, and its memory goes back as a whole
@@ -300,42 +287,43 @@ class FrontalLdlt:
         return c
 
 
+def _factor(A, M, beta: float, tree, what: str):
+    """Factor of ``P = A - i beta M`` (``M`` unread when ``beta = 0``):
+    :class:`FrontalLdlt` on the nested-dissection ``tree`` that numbers A,
+    or, without one, :class:`_SuperLU` of P formed whole.  Either answers
+    ``solve``, ``nnz`` and ``nbytes``; ``what`` names it if singular."""
+    if tree is None:
+        return _SuperLU(A - 1j * beta * M if beta else A, what)
+    return FrontalLdlt(A, M, beta, tree, what)
+
+
 class CslpPreconditioner:
     """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by a
-    factor of P; only the factor is kept.
+    factor of P (:func:`_factor`); only the factor is kept.
 
     With the nested-dissection ``tree`` that numbers A and M (the grid's
     :attr:`igarad.assembly.DofPartition.tree`), P is factored by
-    :class:`FrontalLdlt`, which reads only each node's rows of A and M
-    and so needs P complex symmetric.  Without one, P
-    is formed and factored by SuperLU under minimum degree
-    (:func:`_factorize`, threshold partial pivoting).  ``factor`` is the
-    factor, ``lu_nnz`` its stored entries (the fronts' blocks, or SuperLU's
-    L and U) and ``factor_bytes`` their bytes (SuperLU: 16 B of value and
-    a 4 B row index per entry).  ``beta = 0`` makes the preconditioner an
+    :class:`FrontalLdlt`, which reads only each node's rows of A and M,
+    so M must be stored on A's pattern and P be complex symmetric.
+    Without one, P is formed and factored by SuperLU under minimum degree
+    (threshold partial pivoting).  ``factor`` is the factor, ``lu_nnz`` its
+    stored entries (the fronts' blocks, or SuperLU's L and U) and
+    ``factor_bytes`` their bytes.  ``beta = 0`` makes the preconditioner an
     exact solve of A.
     """
 
     def __init__(self, A, M, beta: float, tree=None):
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError("shift beta must be nonnegative")
         if A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
-        what = "shifted-Laplacian factorization"
-        if tree is None:
-            self.factor = _factorize(_shifted(A, M, self.beta), what)
-            self.lu_nnz = int(self.factor.nnz)
-            self.factor_bytes = 20 * self.lu_nnz
-        else:
-            self.factor = FrontalLdlt(A, M, self.beta, tree, what)
-            self.lu_nnz = self.factor.nnz
-            self.factor_bytes = self.factor.nbytes
+        self.factor = _factor(A, M, self.beta, tree, "shifted-Laplacian factorization")
+        self.lu_nnz = self.factor.nnz
+        self.factor_bytes = self.factor.nbytes
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        if isinstance(self.factor, FrontalLdlt):
-            return self.factor.solve(v)
-        return _lu_solve(self.factor, v)
+        return self.factor.solve(v)
 
 
 def build_cslp(A, M, beta: float, tree=None) -> CslpPreconditioner:
@@ -344,23 +332,20 @@ def build_cslp(A, M, beta: float, tree=None) -> CslpPreconditioner:
 
 
 def direct_solve(A, b, *, tree=None) -> np.ndarray:
-    """Solve ``A x = b`` directly.
+    """Solve ``A x = b`` directly, with one step of iterative refinement,
+    ``x += F^-1 (b - A x)`` (Li & Demmel, ACM TOMS 29, 2003).
 
-    With the nested-dissection ``tree`` that numbers A (the grid's
-    :attr:`igarad.assembly.DofPartition.tree`), A is factored by
-    :class:`FrontalLdlt`, whose pivoting is static across fronts, and the
-    solve takes one step of iterative refinement, ``x += F^-1 (b - A x)``
-    (Li & Demmel, ACM TOMS 29, 2003): where a pivot block is
-    ill-conditioned the factor alone leaves a relative residual far above
-    roundoff (7.3e-9 on 60 x 45 desk physics at k = 277.5), the refined
-    solve 3.8e-15.  Without a tree, A is factored by SuperLU under minimum
-    degree (:func:`_factorize`): ``solve-mm`` and the tests' oracle.
+    A is factored by :func:`_factor`: on the nested-dissection ``tree`` that
+    numbers it (the grid's :attr:`igarad.assembly.DofPartition.tree`) as a
+    :class:`FrontalLdlt`, else by SuperLU under minimum degree (``solve-mm``
+    and the tests' oracle).  Both pivot statically across blocks, and where
+    a pivot block is ill-conditioned the factor alone leaves a relative
+    residual far above roundoff: on the tree 7.3e-9 on 60 x 45 desk physics
+    at k = 277.5, refined 3.8e-15; with SuperLU 2.2e-12 on the desk run's
+    A, refined 8.6e-16.
     """
-    what = "matrix in direct solve"
-    if tree is None:
-        return _lu_solve(_factorize(A, what), b)
     A = as_csr(A)
-    factor = FrontalLdlt(A, None, 0.0, tree, what)
+    factor = _factor(A, None, 0.0, tree, "matrix in direct solve")
     x = factor.solve(b)
     x += factor.solve(b - A @ x)
     return x

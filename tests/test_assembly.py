@@ -532,14 +532,15 @@ class TestBuildSystem:
         assert np.max(np.abs(vals - cfg.amplitude)) <= 1e-10
 
     def test_empty_dirichlet_rejected(self, sys_setup):
-        from igarad.assembly import DofPartition
+        from igarad.assembly import DissectionTree, DofPartition
 
         _, _, space, _, mats = sys_setup
+        one_node = DissectionTree(np.arange(space.size, dtype=np.int64), np.array([0, space.size]), np.array([-1]))
         empty = DofPartition(
-            free=np.arange(space.size, dtype=np.int64),
             dirichlet=np.array([], dtype=np.int64),
             xi_left=0.4,
             xi_right=0.6,
+            tree=one_node,
         )
         with pytest.raises(ValueError, match="Dirichlet"):
             build_system(mats, empty, 10.0, 1.0)

@@ -631,6 +631,40 @@ class TestCli:
         proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "shape, rhs, flags",
+        [((4, 5), 4, ()), ((4, 4), 5, ("--direct",)), ((4, 4), 5, ())],
+        ids=["not_square", "rhs_mismatch_direct", "rhs_mismatch_gmres"],
+    )
+    def test_solve_mm_shape_exit_code(self, tmp_path, shape, rhs, flags):
+        """Shapes are checked before anything is factored or solved."""
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market, save_vector
+
+        save_matrix_market(tmp_path / "A.mtx", sp.eye(*shape, format="csr", dtype=complex))
+        save_vector(tmp_path / "b.mtx", np.ones(rhs, dtype=complex))
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), *flags)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: bad configuration: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_solve_mm_direct_zero_rhs(self, tmp_path):
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market, save_vector
+
+        save_matrix_market(tmp_path / "A.mtx", sp.identity(4, format="csr", dtype=complex) * 2.0)
+        save_vector(tmp_path / "b.mtx", np.zeros(4, dtype=complex))
+        rep = tmp_path / "rep.json"
+        proc = self._run(
+            "solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct", "--report", str(rep),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "true residual 0.000e+00" in proc.stdout
+        assert "Warning" not in proc.stderr
+        assert json.loads(rep.read_text())["true_residual"] == 0.0
+
     def test_solve_mm_mass_shape_mismatch_exit_code(self, tmp_path):
         import scipy.sparse as sp
 

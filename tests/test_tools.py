@@ -1,0 +1,28 @@
+"""Smoke tests of the scripts under ``tools/``."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ordering_ladder_smoke(tmp_path):
+    """One small point of the ordering ladder: every factor preconditions
+    GMRES to one cycle, and the tree's LDL^T stores fewer entries than
+    SuperLU under minimum degree (129,596 against 206,478 measured)."""
+    out = tmp_path / "ladder.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ordering_ladder.py"), "--sizes", "40x30", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    points = {p["ordering"]: p for p in json.loads(out.read_text())["points"]}
+    assert sorted(points) == ["ldl", "mmd", "nd"]
+    assert points["ldl"]["lu_nnz"] < points["mmd"]["lu_nnz"]
+    for p in points.values():
+        assert p["direct_residual"] <= 1e-10
+        assert p["true_residual"] <= 1e-10
+        assert p["gmres_cycles"] == 1

@@ -16,8 +16,9 @@ the shifted-Laplacian matrix ``P = A - i beta M``:
 * ``nd``: SuperLU in the grid's nested-dissection numbering of the free
   dofs, kept in that order (``permc_spec="NATURAL"``; the package factors
   such a matrix on its tree and has no ordered SuperLU of its own);
-* ``mmd``: SuperLU (``solver._factorize``), renumbered in the grid's
-  natural order, under minimum degree on ``A^T + A``;
+* ``mmd``: the preconditioner without a tree (``solver.build_cslp``, which
+  then factors P by SuperLU), renumbered in the grid's natural order, under
+  minimum degree on ``A^T + A``;
 * ``ldl``: the preconditioner's block LDL^T on the nested-dissection tree
   (``solver.build_cslp`` with the partition's tree).
 
@@ -70,13 +71,12 @@ def _system(n: int, m: int):
 
 
 class _SuperLU:
-    """A SuperLU factor of ``P`` as a preconditioner for :func:`igarad.solver.gmres`."""
+    """A SuperLU factor of ``P^T``, which solves with ``P``, as a preconditioner for
+    :func:`igarad.solver.gmres`."""
 
     def __init__(self, lu, beta: float):
-        from igarad.solver import _lu_solve
-
         self.beta, self.lu_nnz, self.factor_bytes = beta, int(lu.nnz), 20 * int(lu.nnz)
-        self.solve = lambda v: _lu_solve(lu, v)
+        self.solve = lambda v: lu.solve(v, trans="T")
 
 
 def _factor(n: int, m: int, factor: str):
@@ -86,7 +86,7 @@ def _factor(n: int, m: int, factor: str):
 
     import scipy.sparse.linalg as spla
 
-    from igarad.solver import _factorize, _shifted, build_cslp
+    from igarad.solver import build_cslp
 
     disc, A, b, mass, beta, assemble_s = _system(n, m)
     if factor == "mmd":
@@ -98,11 +98,11 @@ def _factor(n: int, m: int, factor: str):
     if factor == "ldl":
         precond = build_cslp(A, mass, beta, tree=disc.partition.tree)
     elif factor == "nd":
-        # _factorize's options but the ordering, on P^T's CSC: the CSR arrays of P
+        # the package's SuperLU options but the ordering, on P^T's CSC: the CSR arrays of P
         natural = dict(permc_spec="NATURAL", diag_pivot_thresh=0.001, options=dict(SymmetricMode=True))
-        precond = _SuperLU(spla.splu(_shifted(A, mass, beta).T, **natural), beta)
+        precond = _SuperLU(spla.splu((A - 1j * beta * mass).T, **natural), beta)
     else:
-        precond = _SuperLU(_factorize(_shifted(A, mass, beta), "P"), beta)
+        precond = build_cslp(A, mass, beta)
     return disc, A, b, mass, beta, precond, assemble_s, time.perf_counter() - t0
 
 
