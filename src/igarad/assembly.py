@@ -371,7 +371,7 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
         # volume are never held at once
         sl = slice(e1 * q1, (e1 + 1) * q1)
         designs = tuple(d[sl] for d in xi_design), eta_design
-        _, F_xi, F_eta, det, _ = geometry.jacobian_grid(xi_flat[sl], eta_flat, designs)
+        _, F_xi, F_eta, det = geometry.jacobian_grid(xi_flat[sl], eta_flat, designs)
         if np.any(det <= 0.0):
             p, q = np.unravel_index(int(np.argmin(det)), det.shape)
             raise NonPositiveJacobianError(xi_flat[sl][p], eta_flat[q], float(det.min()))
@@ -431,10 +431,10 @@ def _edge_table(
     rule = _direction_rule(kv, points + 1, *t_range)
     ts, fixed = rule.nodes.ravel(), [0.0 if edge in ("left", "bottom") else 1.0]
     if along_eta:
-        F, _, F_t, _, _ = geometry.jacobian_grid(fixed, ts)
+        F, _, F_t, _ = geometry.jacobian_grid(fixed, ts)
         F, F_t = F[0], F_t[0]
     else:
-        F, F_t, _, _, _ = geometry.jacobian_grid(ts, fixed)
+        F, F_t, _, _ = geometry.jacobian_grid(ts, fixed)
         F, F_t = F[:, 0], F_t[:, 0]
     speed = np.hypot(F_t[:, 0], F_t[:, 1])
     # Outward normal for a positively oriented patch (det J > 0): rotate

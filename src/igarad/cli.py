@@ -178,8 +178,8 @@ def _cmd_solve_mm(args) -> int:
 
     try:
         config = GmresConfig(args.restart, args.tol, args.max_outer)
-        if not args.beta >= 0:
-            raise ValueError("--beta must be nonnegative")
+        if not 0 <= args.beta < math.inf:
+            raise ValueError("--beta must be nonnegative and finite")
     except ValueError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -425,12 +425,13 @@ class CoonsSurface:
         return design(self.kv_xi, xis), design(self.kv_eta, etas)
 
     def jacobian_grid(self, xis, etas, designs=None):
-        """Points, first derivatives, det and mean ratio on a tensor grid.
+        """Points, first derivatives and det on a tensor grid.
 
-        Returns ``(F, F_xi, F_eta, det, mean_ratio)`` with leading shape
+        Returns ``(F, F_xi, F_eta, det)`` with leading shape
         ``(len(xis), len(etas))``.  ``designs``, :meth:`designs` at ``xis``
         and ``etas``, saves tabulating the bases again when many calls (one
-        per slab of xi nodes) share them.
+        per slab of xi nodes) share them.  The mean ratio is
+        :meth:`_mean_ratio` of the last three.
         """
         (bx, dbx), (be, dbe) = designs if designs is not None else self.designs(xis, etas)
         acc = self._blend(bx, be)
@@ -441,10 +442,14 @@ class CoonsSurface:
         F_xi = (acc_x[..., :2] - F * acc_x[..., 2:3]) / w
         F_eta = (acc_e[..., :2] - F * acc_e[..., 2:3]) / w
         det = F_xi[..., 0] * F_eta[..., 1] - F_xi[..., 1] * F_eta[..., 0]
+        return F, F_xi, F_eta, det
+
+    def _mean_ratio(self, F_xi, F_eta, det) -> np.ndarray:
+        """Mean ratio against the patch's :attr:`extents` (see the class
+        docstring) from :meth:`jacobian_grid`'s derivatives and det."""
         ew, eh = self.extents
         denom = (F_xi**2).sum(axis=-1) / ew**2 + (F_eta**2).sum(axis=-1) / eh**2
-        mean_ratio = 2.0 * (det / (ew * eh)) / denom
-        return F, F_xi, F_eta, det, mean_ratio
+        return 2.0 * (det / (ew * eh)) / denom
 
     def evaluate(self, xi: float, eta: float) -> np.ndarray:
         """Single surface point."""
@@ -452,8 +457,9 @@ class CoonsSurface:
 
     def jacobian(self, xi: float, eta: float) -> JacobianData:
         """Jacobian data at a single parametric point."""
-        _, F_xi, F_eta, det, mr = self.jacobian_grid([xi], [eta])
+        _, F_xi, F_eta, det = self.jacobian_grid([xi], [eta])
         J = np.column_stack([F_xi[0, 0], F_eta[0, 0]])
+        mr = self._mean_ratio(F_xi, F_eta, det)
         return JacobianData(J=J, det=float(det[0, 0]), mean_ratio=float(mr[0, 0]))
 
     def quality_grid(self, grid_res: int):
@@ -471,8 +477,8 @@ class CoonsSurface:
             raise ValueError("grid_res must be at least 2")
         xis = (np.arange(grid_res) + 0.5) / grid_res
         etas = (np.arange(grid_res) + 0.5) / grid_res
-        F, _, _, _, mr = self.jacobian_grid(xis, etas)
-        return xis, etas, F, mr
+        F, F_xi, F_eta, det = self.jacobian_grid(xis, etas)
+        return xis, etas, F, self._mean_ratio(F_xi, F_eta, det)
 
 
 def coons_patch(c_b, c_t, c_l, c_r) -> CoonsSurface:

@@ -146,7 +146,7 @@ def l2_error(
 ) -> float:
     """L2(domain) error of the coefficient field against the plane wave."""
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
-    F, _, _, det, _ = geometry.jacobian_grid(xis, etas)
+    F, _, _, det = geometry.jacobian_grid(xis, etas)
     uh = space.evaluate(alpha, xis, etas)
     diff2 = np.abs(uh - wave.value(F)) ** 2
     w2d = np.outer(quad.xi.weights.ravel(), quad.eta.weights.ravel())
@@ -162,7 +162,7 @@ def h1_semi_error(
 ) -> float:
     """H1 seminorm (energy) error against the plane wave."""
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
-    F, F_xi, F_eta, det, _ = geometry.jacobian_grid(xis, etas)
+    F, F_xi, F_eta, det = geometry.jacobian_grid(xis, etas)
     du_dxi = space.evaluate(alpha, xis, etas, (1, 0))
     du_deta = space.evaluate(alpha, xis, etas, (0, 1))
     # physical gradient via J^{-T} (columns F_xi, F_eta)
@@ -177,6 +177,6 @@ def h1_semi_error(
 def l2_norm(space, geometry, wave, quad) -> float:
     """L2 norm of the exact solution (for relative errors)."""
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
-    F, _, _, det, _ = geometry.jacobian_grid(xis, etas)
+    F, _, _, det = geometry.jacobian_grid(xis, etas)
     w2d = np.outer(quad.xi.weights.ravel(), quad.eta.weights.ravel())
     return float(np.sqrt(np.sum(np.abs(wave.value(F)) ** 2 * det * w2d)))

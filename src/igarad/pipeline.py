@@ -120,6 +120,8 @@ class RunConfig:
             raise ValueError("quad_points must be at least 1")
         if self.grid_res < 2:
             raise ValueError("grid_res must be at least 2")
+        if self.profile_samples < 1:
+            raise ValueError("profile_samples must be at least 1")
 
     def domain(self) -> DomainConfig:
         return DomainConfig.from_frequency(
@@ -257,22 +259,6 @@ def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int =
     return float(np.max(np.abs(vals - domain.amplitude)))
 
 
-def _estimate_lu_nnz(dofs: int, order_xi: int, order_eta: int) -> float:
-    """Entries the shifted-Laplacian factor stores on the grid's
-    nested-dissection tree (:class:`igarad.solver.FrontalLdlt`: ``sum k^2 +
-    k u`` over the fronts).
-
-    Power-law fit ``1.2228 * order_xi * order_eta * dofs^1.2401`` to the
-    stored entries on the desk physics scaled at fixed points per
-    wavelength (``tools/ordering_ladder.py``: n x m from 40 x 30 to
-    400 x 290): cubic 1,260 dofs 0.130M, 4,920 0.765M, 10,980 2.09M, 27,936
-    6.60M, 66,440 18.7M, 116,580 35.6M; every cubic point within 6 % of the
-    fit, quartic (10,980 dofs) within 5 % and quadratic (1,260 / 10,980 /
-    43,560 dofs) within 13 % with the ``order_xi * order_eta`` factor.
-    """
-    return 1.2228 * order_xi * order_eta * dofs**1.2401
-
-
 @dataclass
 class RunResult:
     config: RunConfig
@@ -336,10 +322,6 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
                 "pass full_scale=true (--full-scale) to proceed"
             ),
         )
-    if config.full_scale:
-        # one complex128 value per stored entry; the fronts keep no per-entry index
-        est = 16.0 * _estimate_lu_nnz(N, config.order_xi, config.order_eta) / 2**30
-        log.info("full-scale run: %d dofs, factor memory estimate %.1f GiB (fitted fill)", N, est)
 
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 

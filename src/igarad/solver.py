@@ -18,6 +18,7 @@ to share across threads; distinct instances are independent.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+log = logging.getLogger(__name__)
 
 
 def as_csr(A) -> sp.csr_matrix:
@@ -51,8 +54,8 @@ class GmresConfig:
     def __post_init__(self):
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -221,7 +224,9 @@ class FrontalLdlt:
     a thread pool of their own, and switching between the two pools on
     every small block costs more than the blocks.  ``nnz`` counts the
     stored entries, ``sum k^2 + k u`` over the fronts; ``nbytes`` the bytes
-    of the blocks and their index arrays (:func:`frontal_storage`).
+    of the blocks and their index arrays (:func:`frontal_storage`).  Both
+    are counted from the tree before the one allocation that holds the
+    blocks, and logged at INFO, so a factor too large to fit says so first.
     """
 
     def __init__(self, A, M, beta: float, tree, what: str):
@@ -235,6 +240,8 @@ class FrontalLdlt:
         # the fronts' temporaries, and its memory goes back as a whole
         sizes, self.nbytes = _storage(structure)
         self.nnz = sum(sizes)
+        log.info("%s: %d unknowns, %d stored entries, %d bytes (%.2f GiB)",
+                 what, A.shape[0], self.nnz, self.nbytes, self.nbytes / 2**30)
         store = np.empty(self.nnz, dtype=complex)
         pending: dict[int, list] = {}  # front -> negated Schur complements of the fronts below it, (unknowns, matrix)
         self.fronts = []  # (start, stop, up, W, X) per front, in postorder
@@ -313,8 +320,8 @@ class CslpPreconditioner:
     """
 
     def __init__(self, A, M, beta: float, tree=None):
-        if not beta >= 0:
-            raise ValueError("shift beta must be nonnegative")
+        if not 0 <= beta < np.inf:
+            raise ValueError("shift beta must be nonnegative and finite")
         if A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
@@ -453,7 +460,8 @@ def save_vector(path, v) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    arr = np.asarray(scipy.io.mmread(str(path)))
+    """Read a Matrix Market vector, in array or coordinate format."""
+    arr = scipy.io.mmread(str(path))
     if sp.issparse(arr):
         arr = arr.toarray()
     return np.asarray(arr, dtype=complex).ravel()

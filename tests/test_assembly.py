@@ -99,7 +99,7 @@ def brute_force_matrices(space, geometry, points=12):
     dbx = basis_matrix(kvx, xs, deriv=1)
     be = basis_matrix(kve, es)
     dbe = basis_matrix(kve, es, deriv=1)
-    _, F_xi, F_eta, det, _ = geometry.jacobian_grid(xs, es)
+    _, F_xi, F_eta, det = geometry.jacobian_grid(xs, es)
     g11 = (F_xi**2).sum(-1)
     g12 = (F_xi * F_eta).sum(-1)
     g22 = (F_eta**2).sum(-1)
@@ -452,7 +452,7 @@ class TestAssembleSemicircle:
                 dbe = basis_matrix(kve, es, deriv=1)
                 du_dxi = dbx @ grid @ be.T
                 du_deta = bx @ grid @ dbe.T
-                _, F_xi, F_eta, det, _ = geometry.jacobian_grid(xs, es)
+                _, F_xi, F_eta, det = geometry.jacobian_grid(xs, es)
                 gx = (F_eta[..., 1] * du_dxi - F_xi[..., 1] * du_deta) / det
                 gy = (-F_eta[..., 0] * du_dxi + F_xi[..., 0] * du_deta) / det
                 energy += np.sum((gx**2 + gy**2) * det * np.outer(wx, we))

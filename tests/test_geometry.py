@@ -143,7 +143,8 @@ class TestCoonsPatch:
     def test_unit_square_is_identity(self):
         S = unit_square_patch()
         xs = np.linspace(0, 1, 11)
-        F, _, _, det, mr = S.jacobian_grid(xs, xs)
+        F, F_xi, F_eta, det = S.jacobian_grid(xs, xs)
+        mr = S._mean_ratio(F_xi, F_eta, det)
         grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
         assert np.max(np.abs(F - grid)) <= 1e-14
         assert np.max(np.abs(det - 1.0)) <= 1e-13
@@ -206,7 +207,8 @@ class TestCoonsPatch:
             cfg = DomainConfig(a=0.01, r=0.133, theta=theta)
             S = make_semicircle_patch(cfg)
             g = (np.arange(400) + 0.5) / 400
-            _, _, _, det, mr = S.jacobian_grid(g, g)
+            _, F_xi, F_eta, det = S.jacobian_grid(g, g)
+            mr = S._mean_ratio(F_xi, F_eta, det)
             assert det.min() > 0.0
             assert mr.min() > 0.0
             assert mr.max() <= 1.0 + 1e-13
@@ -227,7 +229,7 @@ class TestJunctionReparametrization:
     def test_zero_speed_at_junctions(self, theta):
         cfg = DomainConfig(a=0.01, r=0.133, theta=theta)
         S = make_semicircle_patch(cfg)
-        _, F_xi, F_eta, _, _ = S.jacobian_grid([0.0, 1.0], [0.0, 1.0])
+        _, F_xi, F_eta, _ = S.jacobian_grid([0.0, 1.0], [0.0, 1.0])
         # arc speeds at the two junction corners (xi, eta) = (0, 1), (1, 1)
         for p in (0, 1):
             assert np.hypot(*F_xi[p, 1]) <= 1e-12 * cfg.r
@@ -247,7 +249,7 @@ class TestJunctionReparametrization:
         energy = {}
         for k in (3, 4, 5):
             monkeypatch.setattr(igarad.geometry, "_SHIFT_POWER", k)
-            _, F_xi, F_eta, det, _ = make_semicircle_patch(cfg).jacobian_grid(t, t)
+            _, F_xi, F_eta, det = make_semicircle_patch(cfg).jacobian_grid(t, t)
             density = ((F_xi**2).sum(-1) + (F_eta**2).sum(-1)) / det
             energy[k] = w @ density @ w
         assert energy[4] < min(energy[3], energy[5])

@@ -85,6 +85,7 @@ class TestRunConfig:
             {"tol": -1.0},
             {"max_outer": 0},
             {"grid_res": 1},
+            {"profile_samples": 0},
         ],
         ids=lambda f: "{}={}".format(*next(iter(f.items()))),
     )
@@ -358,7 +359,7 @@ class TestEnergyBalance:
             u = (bx @ grid @ be0.T)[:, 0]
             du_dxi = (dbx @ grid @ be0.T)[:, 0]
             du_deta = (bx @ grid @ dbe0.T)[:, 0]
-            _, F_xi, F_eta, det, _ = disc.geometry.jacobian_grid(ts, [0.0])
+            _, F_xi, F_eta, det = disc.geometry.jacobian_grid(ts, [0.0])
             F_xi, F_eta, det = F_xi[:, 0], F_eta[:, 0], det[:, 0]
             du_dy = (-F_eta[:, 0] * du_dxi + F_xi[:, 0] * du_deta) / det
             # outward normal on the aperture is (0, -1)
@@ -424,7 +425,8 @@ class TestOutputs:
         assert report["config"]["n"] == cfg.n
 
     def test_report_lu_fill(self, tmp_path):
-        from igarad.pipeline import _estimate_lu_nnz
+        from igarad.assembly import assemble, build_system
+        from igarad.solver import frontal_storage
 
         cfg = smoke_config(solver="gmres", outdir=str(tmp_path))
         result = run(cfg)
@@ -433,12 +435,31 @@ class TestOutputs:
         assert lu_nnz > 0
         # complex128 blocks plus their small index arrays
         assert 16 * lu_nnz < report["derived"]["factor_bytes"] < 17 * lu_nnz
-        # the full-scale memory estimate's fill model holds at desk scale too
-        estimate = _estimate_lu_nnz(result.discretization.space.size, cfg.order_xi, cfg.order_eta)
-        assert 0.5 <= estimate / lu_nnz <= 2.0
+        # the preconditioner's factor is the size the tree's symbolic pass counts from A
+        disc = result.discretization
+        matrices = assemble(disc.space, disc.geometry, disc.quadrature)
+        A, _ = build_system(matrices, disc.partition, disc.domain.wavenumber, disc.domain.amplitude)
+        assert frontal_storage(A, disc.partition.tree) == (lu_nnz, report["derived"]["factor_bytes"])
         solve = report["solve"]
         assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
         assert solve["cycle_residuals"][-1] == solve["preconditioned_residual"]
+
+    @pytest.mark.parametrize("solver", ["gmres", "direct"])
+    def test_factor_size_logged_before_it_allocates(self, tmp_path, caplog, solver):
+        import logging
+        import re
+
+        with caplog.at_level(logging.INFO):
+            run(smoke_config(solver=solver, outdir=str(tmp_path)))
+        messages = [r.getMessage() for r in caplog.records]
+        lines = [i for i, r in enumerate(caplog.records) if r.name == "igarad.solver"]
+        assert len(lines) == 1
+        logged = int(re.search(r"stored entries, (\d+) bytes", messages[lines[0]]).group(1))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert logged == report["derived"]["factor_bytes"]
+        # logged before the line that closes the stage that factors
+        stage = "[factor]" if solver == "gmres" else "[solve]"
+        assert lines[0] < next(i for i, m in enumerate(messages) if m.startswith(stage))
 
     def test_report_peak_memory(self, outputs):
         from igarad.solver import load_matrix_market
@@ -611,7 +632,11 @@ class TestCli:
         assert len(report["history"]) == report["inner_iterations"]
 
     @pytest.mark.parametrize(
-        "flag", [("--restart", "0"), ("--tol", "-1"), ("--max-outer", "0"), ("--beta", "-1")]
+        "flag",
+        [
+            ("--restart", "0"), ("--tol", "-1"), ("--max-outer", "0"), ("--beta", "-1"),
+            ("--tol", "inf"), ("--beta", "inf"),
+        ],
     )
     def test_solve_mm_bad_setting_exit_code(self, tmp_path, flag):
         # the inputs do not exist: settings are checked before any file is read
@@ -630,6 +655,19 @@ class TestCli:
         save_vector(tmp_path / "b.mtx", np.ones(4, dtype=complex))
         proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
         assert proc.returncode == 0, proc.stderr
+
+    def test_solve_mm_coordinate_rhs(self, tmp_path):
+        import scipy.io
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market
+
+        save_matrix_market(tmp_path / "A.mtx", sp.identity(4, format="csr", dtype=complex) * 2.0)
+        b = sp.coo_matrix(np.array([[1.0], [0.0], [2.0], [0.0]], dtype=complex))
+        scipy.io.mmwrite(str(tmp_path / "b.mtx"), b)
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
+        assert proc.returncode == 0, proc.stderr
+        assert "true residual 0.000e+00" in proc.stdout
 
     @pytest.mark.parametrize(
         "shape, rhs, flags",

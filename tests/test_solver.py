@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -94,6 +95,8 @@ class TestGmres:
         with pytest.raises(ValueError):
             GmresConfig(tol=float("nan"))
         with pytest.raises(ValueError):
+            GmresConfig(tol=float("inf"))
+        with pytest.raises(ValueError):
             GmresConfig(max_outer=0)
 
     def test_nonfinite_input_reports_not_converged(self):
@@ -165,7 +168,7 @@ class TestCslp:
 
     def test_negative_shift_rejected(self, rng):
         A, _ = random_complex_system(rng, n=5)
-        for beta in (-1.0, float("nan")):
+        for beta in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 build_cslp(A, sp.identity(5, dtype=complex, format="csr"), beta)
 
@@ -638,3 +641,12 @@ class TestMatrixMarketIO:
         save_vector(path, v)
         w = load_vector(path)
         assert np.array_equal(v, w)
+
+    def test_coordinate_vector_roundtrip(self, rng, tmp_path):
+        # mmwrite stores a sparse N x 1 matrix in coordinate format
+        v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        v[[2, 7]] = 0.0
+        path = tmp_path / "b.mtx"
+        scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)))
+        assert "coordinate" in path.read_text().splitlines()[0]
+        assert np.array_equal(load_vector(path), v)
