@@ -46,7 +46,6 @@ def _add_run_parser(sub):
     p.add_argument("--restart", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-outer", dest="max_outer", type=int)
-    p.add_argument("--solver", choices=["gmres", "direct"])
     p.add_argument("--grid-res", dest="grid_res", type=int)
     p.add_argument("--profile-samples", dest="profile_samples", type=int)
     p.add_argument("--quad-points", dest="quad_points", type=int)

@@ -1,14 +1,15 @@
 """End-to-end radiation pipeline: geometry, spaces, assembly, solve, output.
 
 A run is configured by :class:`RunConfig` (JSON-serializable), executes the
-stages geometry -> spaces -> dof split -> assembly -> system -> solve ->
-postprocess sequentially, and writes a parametric field grid, boundary
+stages geometry -> spaces -> dof split -> assembly -> system -> factor ->
+solve -> postprocess sequentially, and writes a parametric field grid, boundary
 profiles and a JSON report.  Stages are deterministic; repeated serial
 runs produce bit-identical numeric outputs.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import logging
 import math
@@ -37,15 +38,8 @@ from .geometry import (
     make_semicircle_patch,
     near_field_length,
 )
-from .solver import (
-    GmresConfig,
-    SolveReport,
-    build_cslp,
-    direct_solve,
-    frontal_storage,
-    gmres,
-    save_matrix_market,
-)
+from .solver import GmresConfig, SolveReport, build_cslp, gmres, save_matrix_market
+from .solver import direct_solve  # noqa: F401  bench/layers.py traces this name
 
 FULL_SCALE_DOFS = 150_000
 
@@ -67,7 +61,8 @@ class RunConfig:
 
     The semicircle radius is always derived as ``radius_factor`` times
     the near-field length, never set directly.  ``beta_factor`` scales
-    the preconditioner shift as ``beta = beta_factor / k``.
+    the preconditioner shift as ``beta = beta_factor / k``; ``beta_factor
+    = 0`` factors A itself, so GMRES ends after one iteration or a few.
     """
 
     frequency: float = 1.0e5
@@ -84,7 +79,6 @@ class RunConfig:
     restart: int = 50
     tol: float = 1.0e-8
     max_outer: int = 20
-    solver: str = "gmres"
     grid_res: int = 200
     profile_samples: int = 400
     align_aperture_knots: bool = True
@@ -105,12 +99,12 @@ class RunConfig:
             raise ValueError("radius_factor must be positive")
         if self.beta_factor < 0:
             raise ValueError("beta_factor must be nonnegative")
-        if self.solver not in ("gmres", "direct"):
-            raise ValueError("solver must be 'gmres' or 'direct'")
         if isinstance(self.amplitude, (list, tuple)):
             self.amplitude = complex(self.amplitude[0], self.amplitude[1])
         else:
             self.amplitude = complex(self.amplitude)
+        if not cmath.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         # fail before any work: the domain and the GMRES settings check themselves
         self.domain()
         GmresConfig(self.restart, self.tol, self.max_outer)
@@ -271,26 +265,6 @@ class RunResult:
     dirichlet_deviation: float
 
 
-def _solve_direct(A, b, tree):
-    """Direct solve of the restricted system on the nested-dissection
-    ``tree`` that numbers it, with its report."""
-    t0 = time.perf_counter()
-    x = direct_solve(A, b, tree=tree)
-    b_norm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
-    rep = SolveReport(
-        method="direct",
-        n=b.size,
-        outer_iterations=1,
-        inner_iterations=1,
-        preconditioned_residual=res,
-        true_residual=res,
-        wall_time_s=time.perf_counter() - t0,
-        converged=True,
-    )
-    return x, rep
-
-
 def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     """Execute the full pipeline for ``config``.
 
@@ -326,29 +300,24 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
     k = disc.domain.wavenumber
+    beta = config.beta_factor / k
 
     def _system():
-        # one gather of the free block for A and the preconditioner's mass block
+        # one gather of the free block for A and, if shifted, the preconditioner's mass block
         gather = free_gather(matrices, disc.partition)
         A, b = build_system(matrices, disc.partition, k, disc.domain.amplitude, gather=gather)
-        mass = gather.block(matrices.mass) if config.solver == "gmres" else None
+        mass = gather.block(matrices.mass) if beta > 0 else None
         return A, b, mass
 
     A, b, mass = stage("system", _system)
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
-    if config.solver == "direct":
-        x, solve_report = stage("solve", lambda: _solve_direct(A, b, disc.partition.tree))
-        lu_nnz, factor_bytes = frontal_storage(A, disc.partition.tree)
-        factor = {"lu_nnz": lu_nnz, "factor_bytes": factor_bytes}
-    else:
-        beta = config.beta_factor / k
-        precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
-        mass = None
-        factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes}
-        gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
-        x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
+    precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
+    mass = None
+    factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes}
+    gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
+    x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
 
     def _post():
         alpha = expand_solution(disc.partition, x, disc.domain.amplitude)
@@ -474,8 +443,8 @@ def _write_outputs(config, sol, matrices, system) -> dict:
 
 def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, peak_rss_mib, outputs) -> str:
     """Dump ``report.json`` next to the outputs; returns its path.  ``factor``
-    holds the factor's ``lu_nnz`` (stored entries) and ``factor_bytes``: the
-    preconditioner's, or on a direct run the factor of A."""
+    holds the preconditioner factor's ``lu_nnz`` (stored entries) and
+    ``factor_bytes``."""
     domain = disc.domain
     report = {
         "config": config.to_dict(),

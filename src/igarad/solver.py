@@ -67,8 +67,7 @@ class SolveReport:
     For GMRES, ``history`` holds the Arnoldi estimate after every inner
     iteration; restart cycle ``c`` made ``cycle_lengths[c]`` of them and
     ended with the explicit preconditioned residual ``cycle_residuals[c]``,
-    the figure that decides whether another cycle runs.  All three are
-    empty for a direct solve.
+    the figure that decides whether another cycle runs.
     """
 
     method: str
@@ -316,13 +315,15 @@ class CslpPreconditioner:
     (threshold partial pivoting).  ``factor`` is the factor, ``lu_nnz`` its
     stored entries (the fronts' blocks, or SuperLU's L and U) and
     ``factor_bytes`` their bytes.  ``beta = 0`` makes the preconditioner an
-    exact solve of A.
+    exact solve of A, and ``M`` may then be ``None``.
     """
 
     def __init__(self, A, M, beta: float, tree=None):
         if not 0 <= beta < np.inf:
             raise ValueError("shift beta must be nonnegative and finite")
-        if A.shape != M.shape:
+        if M is None and beta:
+            raise ValueError("a shift beta > 0 needs the mass matrix M")
+        if M is not None and A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
         self.beta = float(beta)
         self.factor = _factor(A, M, self.beta, tree, "shifted-Laplacian factorization")
@@ -460,8 +461,12 @@ def save_vector(path, v) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    """Read a Matrix Market vector, in array or coordinate format."""
+    """Read a Matrix Market vector, in array or coordinate format: one row
+    or one column, else ``ValueError``."""
     arr = scipy.io.mmread(str(path))
     if sp.issparse(arr):
         arr = arr.toarray()
-    return np.asarray(arr, dtype=complex).ravel()
+    arr = np.asarray(arr, dtype=complex)
+    if 1 not in arr.shape:
+        raise ValueError(f"{path}: a {arr.shape[0]} x {arr.shape[1]} matrix, not a vector")
+    return arr.ravel()

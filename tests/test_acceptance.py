@@ -54,7 +54,6 @@ def desk_config(**kw):
         m=90,
         order_xi=4,
         order_eta=4,
-        solver="gmres",
         tol=1e-8,
         restart=50,
         profile_samples=800,

@@ -12,6 +12,7 @@ import pytest
 from igarad.bspline import TensorProductSpace, make_uniform_open_knots
 from igarad.geometry import near_field_length
 from igarad.pipeline import (
+    FULL_SCALE_DOFS,
     PipelineError,
     RunConfig,
     SolutionField,
@@ -21,13 +22,15 @@ from igarad.pipeline import (
     run,
 )
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
 
 def smoke_config(**kw):
     base = dict(
         frequency=1.0e5,
         n=40,
         m=30,
-        solver="direct",
+        beta_factor=0.0,
         grid_res=30,
         profile_samples=80,
         outdir="unused",
@@ -63,9 +66,11 @@ class TestRunConfig:
         assert loaded.m == 32
         assert loaded.amplitude == 2.0 + 1.0j
 
-    def test_invalid_solver(self):
-        with pytest.raises(ValueError):
-            RunConfig(solver="magic")
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_loads(self, path):
+        # no stale or misspelt key, and the large configs opt in to full scale
+        cfg = RunConfig.from_json(path)
+        assert cfg.full_scale or cfg.n * cfg.m <= FULL_SCALE_DOFS
 
     def test_invalid_physical_parameters(self):
         with pytest.raises(ValueError):
@@ -86,6 +91,8 @@ class TestRunConfig:
             {"max_outer": 0},
             {"grid_res": 1},
             {"profile_samples": 0},
+            {"amplitude": [math.nan, 0.0]},
+            {"amplitude": [1e400, 0.0]},
         ],
         ids=lambda f: "{}={}".format(*next(iter(f.items()))),
     )
@@ -122,20 +129,31 @@ class TestRun:
         with pytest.raises(PipelineError, match="full_scale"):
             run(cfg, write_outputs=False)
 
-    def test_gmres_and_direct_agree(self):
-        cfg_d = smoke_config(solver="direct")
-        cfg_g = smoke_config(solver="gmres")
-        res_d = run(cfg_d, write_outputs=False)
-        res_g = run(cfg_g, write_outputs=False)
-        num = np.linalg.norm(res_g.field.coefficients - res_d.field.coefficients)
-        den = np.linalg.norm(res_d.field.coefficients)
+    def test_shifted_and_zero_shift_agree(self):
+        res_s = run(smoke_config(beta_factor=1.0 / 3.0), write_outputs=False)
+        res_0 = run(smoke_config(beta_factor=0.0), write_outputs=False)
+        num = np.linalg.norm(res_s.field.coefficients - res_0.field.coefficients)
+        den = np.linalg.norm(res_0.field.coefficients)
         assert num / den <= 1e-7
-        # the preconditioner factorization is timed apart from the Krylov solve
-        assert "factor" in res_g.timings and "solve" in res_g.timings
-        assert "factor" not in res_d.timings
-        rep_g = res_g.solve_report
-        assert len(rep_g.history) == rep_g.inner_iterations >= 1
-        assert res_d.solve_report.history == []
+        for res in (res_s, res_0):
+            # the factor is timed apart from the Krylov solve, on either shift
+            assert "factor" in res.timings and "solve" in res.timings
+            rep = res.solve_report
+            assert rep.method == "gmres"
+            assert len(rep.history) == rep.inner_iterations >= 1
+        assert res_0.solve_report.shift == 0.0
+
+    def test_zero_shift_on_an_ill_conditioned_pivot_block(self):
+        # 60 x 45 desk physics at k = 277.5: a pivot block of the tree factor
+        # of A is ill-conditioned, so the factor alone leaves a residual far
+        # above roundoff; GMRES on it must still reach the tolerance
+        res = run(
+            RunConfig(frequency=277.5 * 1500.0 / (2 * math.pi), half_aperture=0.05, n=60, m=45, beta_factor=0.0),
+            write_outputs=False,
+        )
+        rep = res.solve_report
+        assert rep.converged
+        assert rep.true_residual <= 1e-8
 
     def test_serial_determinism_bit_identical(self):
         a = run(smoke_config(), write_outputs=False)
@@ -331,7 +349,7 @@ class TestEnergyBalance:
 
         f = 150.0 * 1500.0 / (2 * math.pi)
         res = run(
-            RunConfig(frequency=f, half_aperture=0.05, n=60, m=40, solver="direct"),
+            RunConfig(frequency=f, half_aperture=0.05, n=60, m=40, beta_factor=0.0),
             write_outputs=False,
         )
         disc = res.discretization
@@ -375,11 +393,11 @@ class TestSelfConvergence:
         # moves the axis magnitude profile by well under a percent
         f = 300.0 * 1500.0 / (2 * math.pi)
         coarse = run(
-            RunConfig(frequency=f, half_aperture=0.05, n=120, m=90, solver="direct"),
+            RunConfig(frequency=f, half_aperture=0.05, n=120, m=90, beta_factor=0.0),
             write_outputs=False,
         )
         fine = run(
-            RunConfig(frequency=f, half_aperture=0.05, n=150, m=112, solver="direct"),
+            RunConfig(frequency=f, half_aperture=0.05, n=150, m=112, beta_factor=0.0),
             write_outputs=False,
         )
         _, v1 = axis_profile(coarse.field, 300)
@@ -417,8 +435,8 @@ class TestOutputs:
         dom = result.discretization.domain
         assert report["derived"]["wavenumber"] == dom.wavenumber
         assert report["derived"]["dofs"] == result.discretization.space.size
-        assert report["solve"]["method"] == "direct"
-        # the direct solve's factor of A on the tree: complex128 blocks plus their index arrays
+        assert report["solve"]["method"] == "gmres"
+        # the zero-shift factor of A on the tree: complex128 blocks plus their index arrays
         lu_nnz = report["derived"]["lu_nnz"]
         assert lu_nnz > 0
         assert 16 * lu_nnz < report["derived"]["factor_bytes"] < 17 * lu_nnz
@@ -428,7 +446,7 @@ class TestOutputs:
         from igarad.assembly import assemble, build_system
         from igarad.solver import frontal_storage
 
-        cfg = smoke_config(solver="gmres", outdir=str(tmp_path))
+        cfg = smoke_config(beta_factor=1.0 / 3.0, outdir=str(tmp_path))
         result = run(cfg)
         report = json.loads((tmp_path / "report.json").read_text())
         lu_nnz = report["derived"]["lu_nnz"]
@@ -444,22 +462,21 @@ class TestOutputs:
         assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
         assert solve["cycle_residuals"][-1] == solve["preconditioned_residual"]
 
-    @pytest.mark.parametrize("solver", ["gmres", "direct"])
-    def test_factor_size_logged_before_it_allocates(self, tmp_path, caplog, solver):
+    @pytest.mark.parametrize("beta_factor", [1.0 / 3.0, 0.0], ids=["shifted", "zero_shift"])
+    def test_factor_size_logged_before_it_allocates(self, tmp_path, caplog, beta_factor):
         import logging
         import re
 
         with caplog.at_level(logging.INFO):
-            run(smoke_config(solver=solver, outdir=str(tmp_path)))
+            run(smoke_config(beta_factor=beta_factor, outdir=str(tmp_path)))
         messages = [r.getMessage() for r in caplog.records]
         lines = [i for i, r in enumerate(caplog.records) if r.name == "igarad.solver"]
         assert len(lines) == 1
         logged = int(re.search(r"stored entries, (\d+) bytes", messages[lines[0]]).group(1))
         report = json.loads((tmp_path / "report.json").read_text())
         assert logged == report["derived"]["factor_bytes"]
-        # logged before the line that closes the stage that factors
-        stage = "[factor]" if solver == "gmres" else "[solve]"
-        assert lines[0] < next(i for i, m in enumerate(messages) if m.startswith(stage))
+        # logged before the line that closes the factor stage
+        assert lines[0] < next(i for i, m in enumerate(messages) if m.startswith("[factor]"))
 
     def test_report_peak_memory(self, outputs):
         from igarad.solver import load_matrix_market
@@ -566,7 +583,7 @@ class TestCli:
 
     def test_run_subcommand(self, tmp_path):
         proc = self._run(
-            "run", "--frequency", "1e5", "--n", "30", "--m", "24", "--solver", "direct",
+            "run", "--frequency", "1e5", "--n", "30", "--m", "24", "--beta-factor", "0",
             "--grid-res", "20", "--profile-samples", "40", "--outdir", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
@@ -589,7 +606,7 @@ class TestCli:
 
     def test_run_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"solver": "nope"}')
+        bad.write_text('{"solver": "nope"}')  # not a RunConfig field
         proc = self._run("run", "--config", str(bad))
         assert proc.returncode == 2
 
@@ -738,6 +755,20 @@ class TestCli:
         proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), *flags)
         assert proc.returncode == 4, proc.stderr
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_solve_mm_matrix_rhs_exit_code(self, tmp_path):
+        # a 3 x 2 right-hand side is not read as a vector of length 6
+        import scipy.io
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market
+
+        save_matrix_market(tmp_path / "A.mtx", sp.identity(6, format="csr", dtype=complex))
+        scipy.io.mmwrite(str(tmp_path / "b.mtx"), np.ones((3, 2)))
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
+        assert proc.returncode == 5, proc.stderr
+        assert "cannot read inputs" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_input_exit_code(self, tmp_path):

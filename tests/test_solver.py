@@ -166,6 +166,13 @@ class TestCslp:
         with pytest.raises(ValueError):
             build_cslp(A, M, 1.0)
 
+    def test_mass_needed_only_with_a_shift(self, rng):
+        A, b = random_complex_system(rng, n=30)
+        x = build_cslp(A, None, 0.0).solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
+        with pytest.raises(ValueError, match="needs the mass matrix"):
+            build_cslp(A, None, 0.5)
+
     def test_negative_shift_rejected(self, rng):
         A, _ = random_complex_system(rng, n=5)
         for beta in (-1.0, float("nan"), float("inf")):
@@ -650,3 +657,15 @@ class TestMatrixMarketIO:
         scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)))
         assert "coordinate" in path.read_text().splitlines()[0]
         assert np.array_equal(load_vector(path), v)
+
+    def test_row_vector_read(self, tmp_path):
+        path = tmp_path / "b.mtx"
+        scipy.io.mmwrite(str(path), np.arange(1.0, 5.0).reshape(1, -1))
+        assert np.array_equal(load_vector(path), np.arange(1.0, 5.0))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["array", "coordinate"])
+    def test_matrix_is_not_a_vector(self, tmp_path, sparse):
+        path = tmp_path / "m.mtx"
+        scipy.io.mmwrite(str(path), sp.coo_matrix(np.ones((3, 2))) if sparse else np.ones((3, 2)))
+        with pytest.raises(ValueError, match="3 x 2 matrix, not a vector"):
+            load_vector(path)
