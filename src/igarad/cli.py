@@ -6,7 +6,8 @@ Subcommands:
 * ``quality-map``  parametrization quality CSV for a given subdivision angle
 * ``mms-converge`` manufactured-solution refinement study
 * ``pollution``    fixed dofs-per-wavelength wavenumber sweep
-* ``solve-mm``     standalone preconditioned solve of Matrix Market files
+* ``solve-mm``     GMRES on Matrix Market files, preconditioned by a factor of
+                   ``A - i beta M`` (of A itself without ``--mass``)
 
 Exit codes: 0 success, 2 configuration/usage error, 3 pipeline failure,
 4 solver non-convergence or a singular factorization, 5 I/O failure.
@@ -21,13 +22,16 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+
+
+def _bad_config(exc) -> int:
+    print(f"error: bad configuration: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _add_run_parser(sub):
@@ -77,8 +81,7 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except (TypeError, ValueError) as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _bad_config(exc)
 
     # the pipeline logs one line per stage at INFO
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
@@ -105,11 +108,12 @@ def _cmd_quality_map(args) -> int:
     from .geometry import DomainConfig, make_semicircle_patch, write_quality_csv
 
     try:
+        if args.grid_res < 2:
+            raise ValueError("--grid-res must be at least 2")
         cfg = DomainConfig(a=args.aperture_fraction * args.radius, r=args.radius, theta=args.theta)
         surface = make_semicircle_patch(cfg)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _bad_config(exc)
     try:
         write_quality_csv(args.out, surface, args.grid_res)
     except OSError as exc:
@@ -122,6 +126,9 @@ def _cmd_quality_map(args) -> int:
 def _cmd_mms(args) -> int:
     from .pipeline import convergence_study, observed_order
 
+    if not 2 <= args.order <= args.base_n or args.levels < 2 or not math.isfinite(args.wavenumber):
+        # the observed order is a slope, which needs two levels
+        return _bad_config("need 2 <= --order <= --base-n, --levels >= 2 and a finite --wavenumber")
     rows = convergence_study(
         wavenumber=args.wavenumber,
         order=args.order,
@@ -147,8 +154,13 @@ def _cmd_mms(args) -> int:
 def _cmd_pollution(args) -> int:
     from .pipeline import pollution_growth, pollution_study
 
-    ks = [float(v) for v in args.wavenumbers.split(",")]
-    orders = [int(v) for v in args.orders.split(",")]
+    try:
+        ks = [float(v) for v in args.wavenumbers.split(",")]
+        orders = [int(v) for v in args.orders.split(",")]
+        if not all(0 < v < math.inf for v in [*ks, args.ppw, args.radius]) or min(orders) < 2:
+            raise ValueError("need finite --wavenumbers, --ppw and --radius > 0, and --orders >= 2")
+    except ValueError as exc:
+        return _bad_config(exc)
     rows = pollution_study(
         wavenumbers=ks, orders=orders, points_per_wavelength=args.ppw, radius=args.radius
     )
@@ -165,75 +177,45 @@ def _cmd_pollution(args) -> int:
 
 
 def _cmd_solve_mm(args) -> int:
-    from .solver import (
-        GmresConfig,
-        build_cslp,
-        direct_solve,
-        gmres,
-        load_matrix_market,
-        load_vector,
-        save_vector,
-    )
+    from .solver import GmresConfig, build_cslp, gmres, load_matrix_market, load_vector, save_vector
 
     try:
         config = GmresConfig(args.restart, args.tol, args.max_outer)
         if not 0 <= args.beta < math.inf:
             raise ValueError("--beta must be nonnegative and finite")
+        if args.beta and not args.mass:
+            raise ValueError("--beta > 0 needs --mass")
     except ValueError as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _bad_config(exc)
     try:
         A = load_matrix_market(args.matrix)
         b = load_vector(args.rhs)
+        M = load_matrix_market(args.mass) if args.mass else None
     except (OSError, ValueError) as exc:
         print(f"error: cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
     if A.shape != (b.size, b.size):
-        print(f"error: bad configuration: a {A.shape[0]} x {A.shape[1]} matrix with a right-hand side "
-              f"of length {b.size}; the matrix must be square, of the right-hand side's length",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if args.direct:
-        try:
-            x = direct_solve(A, b)
-        except RuntimeError as exc:  # "singular matrix in direct solve: ..."
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        b_norm = float(np.linalg.norm(b))
-        res = float(np.linalg.norm(A @ x - b)) / b_norm if b_norm > 0 else 0.0
-        print(f"direct solve: true residual {res:.3e}")
-        code = EXIT_OK
-        report_data = {"method": "direct", "true_residual": res, "n": int(b.size)}
-    else:
-        precond = None
-        if args.mass:
-            try:
-                M = load_matrix_market(args.mass)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read mass matrix: {exc}", file=sys.stderr)
-                return EXIT_IO
-            try:
-                precond = build_cslp(A, M, args.beta)
-            except ValueError as exc:
-                print(f"error: bad configuration: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            except RuntimeError as exc:  # "singular shifted-Laplacian factorization: ..."
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_SOLVER
-        x, rep = gmres(A, b, precond, config)
-        print(
-            f"gmres: outer={rep.outer_iterations} inner={rep.inner_iterations} "
-            f"precond_residual={rep.preconditioned_residual:.3e} true={rep.true_residual:.3e}"
-        )
-        code = EXIT_OK if rep.converged else EXIT_SOLVER
-        report_data = asdict(rep)
+        return _bad_config(f"a {A.shape[0]} x {A.shape[1]} matrix with a right-hand side of length "
+                           f"{b.size}; the matrix must be square, of the right-hand side's length")
+    try:
+        precond = build_cslp(A, M, args.beta)  # A itself without --mass
+    except ValueError as exc:  # M's shape
+        return _bad_config(exc)
+    except RuntimeError as exc:  # "singular shifted-Laplacian factorization: ..."
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    x, rep = gmres(A, b, precond, config)
+    print(
+        f"gmres: outer={rep.outer_iterations} inner={rep.inner_iterations} "
+        f"precond_residual={rep.preconditioned_residual:.3e} true={rep.true_residual:.3e}"
+    )
     if args.out:
         save_vector(args.out, x)
         print(f"solution written to {args.out}")
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report_data, fh, indent=2)
-    return code
+            json.dump(asdict(rep), fh, indent=2)
+    return EXIT_OK if rep.converged else EXIT_SOLVER
 
 
 def main(argv=None) -> int:
@@ -269,12 +251,11 @@ def main(argv=None) -> int:
     s = sub.add_parser("solve-mm", help="solve a Matrix Market system")
     s.add_argument("matrix", help="system matrix (.mtx)")
     s.add_argument("rhs", help="right-hand side vector (.mtx)")
-    s.add_argument("--mass", help="mass matrix for the shifted-Laplacian preconditioner")
-    s.add_argument("--beta", type=float, default=0.0, help="preconditioner shift")
+    s.add_argument("--mass", help="free-dof mass block on the matrix's pattern, for the shift")
+    s.add_argument("--beta", type=float, default=0.0, help="shift of the factored P = A - i beta M")
     s.add_argument("--restart", type=int, default=50)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--max-outer", dest="max_outer", type=int, default=20)
-    s.add_argument("--direct", action="store_true", help="use the sparse direct solver")
     s.add_argument("--out", help="write the solution vector (.mtx)")
     s.add_argument("--report", help="write a JSON solve report")
 

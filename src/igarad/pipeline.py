@@ -93,6 +93,13 @@ class RunConfig:
         bad = [name for name in reals if not math.isfinite(getattr(self, name))]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
+        ints = ["order_xi", "order_eta", "n", "m", "restart", "max_outer", "grid_res", "profile_samples"]
+        if self.quad_points is not None:
+            ints.append("quad_points")
+        bad = [name for name in ints if isinstance(getattr(self, name), bool)
+               or not isinstance(getattr(self, name), (int, np.integer))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be integers")
         if self.frequency <= 0 or self.sound_speed <= 0 or self.half_aperture <= 0:
             raise ValueError("physical parameters must be positive")
         if self.radius_factor <= 0:
@@ -100,6 +107,8 @@ class RunConfig:
         if self.beta_factor < 0:
             raise ValueError("beta_factor must be nonnegative")
         if isinstance(self.amplitude, (list, tuple)):
+            if len(self.amplitude) != 2:
+                raise ValueError("amplitude as a list must be [real, imag]")
             self.amplitude = complex(self.amplitude[0], self.amplitude[1])
         else:
             self.amplitude = complex(self.amplitude)
@@ -131,6 +140,8 @@ class RunConfig:
     def from_json(cls, path, **overrides) -> "RunConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: the top level must be a JSON object, not {type(data).__name__}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 

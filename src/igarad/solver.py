@@ -6,8 +6,8 @@ the grid arrives with its unknowns in elimination order, with the
 nested-dissection tree of that order, so it is factored as it is, with no
 permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).
 SuperLU, under minimum degree, factors only matrices that come without a
-tree; :func:`_factor` picks between the two, and both answer the same
-``solve``, ``nnz`` and ``nbytes``.  Direct solves take one step of
+tree (``solve-mm``'s and the tests' oracle); :func:`_factor` picks between
+the two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Direct solves take one step of
 iterative refinement on either.  GMRES reports
 ``converged`` only when the explicit preconditioned residual
 ``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
@@ -345,12 +345,13 @@ def direct_solve(A, b, *, tree=None) -> np.ndarray:
 
     A is factored by :func:`_factor`: on the nested-dissection ``tree`` that
     numbers it (the grid's :attr:`igarad.assembly.DofPartition.tree`) as a
-    :class:`FrontalLdlt`, else by SuperLU under minimum degree (``solve-mm``
-    and the tests' oracle).  Both pivot statically across blocks, and where
-    a pivot block is ill-conditioned the factor alone leaves a relative
-    residual far above roundoff: on the tree 7.3e-9 on 60 x 45 desk physics
-    at k = 277.5, refined 3.8e-15; with SuperLU 2.2e-12 on the desk run's
-    A, refined 8.6e-16.
+    :class:`FrontalLdlt`, else by SuperLU under minimum degree, which here
+    serves only the tests' oracle (``solve-mm`` factors through
+    :func:`build_cslp` and lets GMRES check the result).  Both pivot
+    statically across blocks, and where a pivot block is ill-conditioned
+    the factor alone leaves a relative residual far above roundoff: on the
+    tree 7.3e-9 on 60 x 45 desk physics at k = 277.5, refined 3.8e-15;
+    with SuperLU 2.2e-12 on the desk run's A, refined 8.6e-16.
     """
     A = as_csr(A)
     factor = _factor(A, None, 0.0, tree, "matrix in direct solve")

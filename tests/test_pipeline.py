@@ -93,6 +93,17 @@ class TestRunConfig:
             {"profile_samples": 0},
             {"amplitude": [math.nan, 0.0]},
             {"amplitude": [1e400, 0.0]},
+            {"restart": 2.5},
+            {"grid_res": 7.5},
+            {"n": 40.7},
+            {"restart": True},
+            {"order_xi": 4.0},
+            {"order_eta": "4"},
+            {"max_outer": 2.0},
+            {"profile_samples": 1.5},
+            {"quad_points": 3.5},
+            {"amplitude": [1]},
+            {"amplitude": [1, 0, 5]},
         ],
         ids=lambda f: "{}={}".format(*next(iter(f.items()))),
     )
@@ -610,6 +621,15 @@ class TestCli:
         proc = self._run("run", "--config", str(bad))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"'], ids=["list", "string"])
+    def test_run_config_not_an_object_exit_code(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = self._run("run", "--config", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert "bad configuration" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_run_invalid_value_exit_code(self, tmp_path):
         proc = self._run("run", "--frequency", "nan", "--outdir", str(tmp_path))
         assert proc.returncode == 2, proc.stderr
@@ -648,15 +668,41 @@ class TestCli:
         assert report["converged"] is True
         assert len(report["history"]) == report["inner_iterations"]
 
+    def test_solve_mm_solves_a_dumped_run_system(self, tmp_path):
+        """With no flags solve-mm factors the dumped A itself, and GMRES
+        confirms the factor's solution in one cycle."""
+        from igarad.assembly import assemble, build_system
+        from igarad.solver import load_vector, save_vector
+
+        config = RunConfig.from_json(
+            Path(__file__).resolve().parents[1] / "configs" / "desk_smoke.json",
+            dump_matrices=True, outdir=str(tmp_path),
+        )
+        result = run(config)
+        disc = result.discretization
+        matrices = assemble(disc.space, disc.geometry, disc.quadrature)
+        _, b = build_system(matrices, disc.partition, disc.domain.wavenumber, disc.domain.amplitude)
+        save_vector(tmp_path / "b.mtx", b)
+        out, rep = tmp_path / "x.mtx", tmp_path / "rep.json"
+        proc = self._run(
+            "solve-mm", str(tmp_path / "system.mtx"), str(tmp_path / "b.mtx"),
+            "--out", str(out), "--report", str(rep),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(rep.read_text())["outer_iterations"] == 1
+        expected = result.field.coefficients[disc.partition.free]
+        assert np.linalg.norm(load_vector(out) - expected) / np.linalg.norm(expected) <= 1e-8
+
     @pytest.mark.parametrize(
         "flag",
         [
             ("--restart", "0"), ("--tol", "-1"), ("--max-outer", "0"), ("--beta", "-1"),
-            ("--tol", "inf"), ("--beta", "inf"),
+            ("--tol", "inf"), ("--beta", "inf"), ("--beta", "1"),
         ],
     )
     def test_solve_mm_bad_setting_exit_code(self, tmp_path, flag):
-        # the inputs do not exist: settings are checked before any file is read
+        # the inputs do not exist: settings are checked before any file is read;
+        # a shift without --mass is a bad setting, not one silently ignored
         missing = str(tmp_path / "missing.mtx")
         proc = self._run("solve-mm", missing, missing, *flag)
         assert proc.returncode == 2, proc.stderr
@@ -667,29 +713,37 @@ class TestCli:
 
         from igarad.solver import save_matrix_market, save_vector
 
+        # without --mass the preconditioner is a factor of A itself
         A = sp.identity(4, format="csr", dtype=complex) * 2.0
         save_matrix_market(tmp_path / "A.mtx", A)
         save_vector(tmp_path / "b.mtx", np.ones(4, dtype=complex))
-        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
+        rep = tmp_path / "rep.json"
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--report", str(rep))
         assert proc.returncode == 0, proc.stderr
+        report = json.loads(rep.read_text())
+        assert report["inner_iterations"] == 1
+        assert report["shift"] == 0.0
 
     def test_solve_mm_coordinate_rhs(self, tmp_path):
         import scipy.io
         import scipy.sparse as sp
 
-        from igarad.solver import save_matrix_market
+        from igarad.solver import load_vector, save_matrix_market
 
         save_matrix_market(tmp_path / "A.mtx", sp.identity(4, format="csr", dtype=complex) * 2.0)
         b = sp.coo_matrix(np.array([[1.0], [0.0], [2.0], [0.0]], dtype=complex))
         scipy.io.mmwrite(str(tmp_path / "b.mtx"), b)
-        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
+        out = tmp_path / "x.mtx"
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        assert "true residual 0.000e+00" in proc.stdout
+        # GMRES's combination of its basis leaves roundoff, so the vector is
+        # checked, not an exactly zero residual
+        np.testing.assert_allclose(load_vector(out), [0.5, 0.0, 1.0, 0.0], rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize(
         "shape, rhs, flags",
-        [((4, 5), 4, ()), ((4, 4), 5, ("--direct",)), ((4, 4), 5, ())],
-        ids=["not_square", "rhs_mismatch_direct", "rhs_mismatch_gmres"],
+        [((4, 5), 4, ()), ((4, 4), 5, ())],
+        ids=["not_square", "rhs_mismatch_gmres"],
     )
     def test_solve_mm_shape_exit_code(self, tmp_path, shape, rhs, flags):
         """Shapes are checked before anything is factored or solved."""
@@ -713,10 +767,10 @@ class TestCli:
         save_vector(tmp_path / "b.mtx", np.zeros(4, dtype=complex))
         rep = tmp_path / "rep.json"
         proc = self._run(
-            "solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct", "--report", str(rep),
+            "solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--report", str(rep),
         )
         assert proc.returncode == 0, proc.stderr
-        assert "true residual 0.000e+00" in proc.stdout
+        assert "true=0.000e+00" in proc.stdout
         assert "Warning" not in proc.stderr
         assert json.loads(rep.read_text())["true_residual"] == 0.0
 
@@ -739,7 +793,7 @@ class TestCli:
         "flags, message",
         [
             (("--mass", "M.mtx"), "singular shifted-Laplacian factorization"),
-            (("--direct",), "singular matrix in direct solve"),
+            ((), "singular shifted-Laplacian factorization"),
         ],
     )
     def test_solve_mm_singular_exit_code(self, tmp_path, flags, message):
@@ -766,7 +820,7 @@ class TestCli:
 
         save_matrix_market(tmp_path / "A.mtx", sp.identity(6, format="csr", dtype=complex))
         scipy.io.mmwrite(str(tmp_path / "b.mtx"), np.ones((3, 2)))
-        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--direct")
+        proc = self._run("solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"))
         assert proc.returncode == 5, proc.stderr
         assert "cannot read inputs" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -795,3 +849,30 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "growth factor" in proc.stdout
         assert len(json.loads(out.read_text())) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("quality-map", "--grid-res", "1"),
+            ("mms-converge", "--levels", "0"),
+            ("mms-converge", "--levels", "1"),
+            ("mms-converge", "--order", "1"),
+            ("mms-converge", "--base-n", "3"),
+            ("mms-converge", "--wavenumber", "nan"),
+            ("pollution", "--orders", "1"),
+            ("pollution", "--wavenumbers", "20,abc"),
+            ("pollution", "--wavenumbers", ""),
+            ("pollution", "--wavenumbers", "20,nan"),
+            ("pollution", "--ppw", "0"),
+            ("pollution", "--radius", "0"),
+        ],
+        ids=lambda a: "{}{}={}".format(*a),
+    )
+    def test_study_bad_argument_exit_code(self, tmp_path, args):
+        # checked before any assembly: nothing is written
+        out = tmp_path / "out"
+        proc = self._run(*args, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "error: bad configuration: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
