@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 pipeline failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -32,6 +33,18 @@ EXIT_IO = 5
 def _bad_config(exc) -> int:
     print(f"error: bad configuration: {exc}", file=sys.stderr)
     return EXIT_CONFIG
+
+
+def _io_error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_IO
+
+
+def _table_file(path):
+    """``path`` opened for a study's JSON table before the study runs, so
+    that an unwritable path fails before any assembly (a null context
+    without a path)."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 def _add_run_parser(sub):
@@ -117,8 +130,7 @@ def _cmd_quality_map(args) -> int:
     try:
         write_quality_csv(args.out, surface, args.grid_res)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _io_error(exc)
     print(f"quality map ({args.grid_res}x{args.grid_res}) written to {args.out}")
     return EXIT_OK
 
@@ -129,25 +141,29 @@ def _cmd_mms(args) -> int:
     if not 2 <= args.order <= args.base_n or args.levels < 2 or not math.isfinite(args.wavenumber):
         # the observed order is a slope, which needs two levels
         return _bad_config("need 2 <= --order <= --base-n, --levels >= 2 and a finite --wavenumber")
-    rows = convergence_study(
-        wavenumber=args.wavenumber,
-        order=args.order,
-        levels=args.levels,
-        base_n=args.base_n,
-    )
-    print(f"{'h':>12} {'n':>6} {'dofs':>8} {'L2 error':>12} {'rate':>6} {'H1 error':>12} {'rate':>6}")
-    for r in rows:
-        r2 = f"{r.l2_rate:.2f}" if r.l2_rate is not None else "-"
-        rh = f"{r.h1_rate:.2f}" if r.h1_rate is not None else "-"
-        print(
-            f"{r.mesh_size:12.5g} {r.n:6d} {r.dofs:8d} {r.l2_error:12.4e} {r2:>6} "
-            f"{r.h1_error:12.4e} {rh:>6}"
+    try:
+        table = _table_file(args.out)
+    except OSError as exc:
+        return _io_error(exc)
+    with table:
+        rows = convergence_study(
+            wavenumber=args.wavenumber,
+            order=args.order,
+            levels=args.levels,
+            base_n=args.base_n,
         )
-    print(f"observed L2 order (last 3 levels): {observed_order(rows):.2f}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([r.__dict__ for r in rows], fh, indent=2)
-        print(f"table written to {args.out}")
+        print(f"{'h':>12} {'n':>6} {'dofs':>8} {'L2 error':>12} {'rate':>6} {'H1 error':>12} {'rate':>6}")
+        for r in rows:
+            r2 = f"{r.l2_rate:.2f}" if r.l2_rate is not None else "-"
+            rh = f"{r.h1_rate:.2f}" if r.h1_rate is not None else "-"
+            print(
+                f"{r.mesh_size:12.5g} {r.n:6d} {r.dofs:8d} {r.l2_error:12.4e} {r2:>6} "
+                f"{r.h1_error:12.4e} {rh:>6}"
+            )
+        print(f"observed L2 order (last 3 levels): {observed_order(rows):.2f}")
+        if args.out:
+            json.dump([r.__dict__ for r in rows], table, indent=2)
+            print(f"table written to {args.out}")
     return EXIT_OK
 
 
@@ -161,18 +177,22 @@ def _cmd_pollution(args) -> int:
             raise ValueError("need finite --wavenumbers, --ppw and --radius > 0, and --orders >= 2")
     except ValueError as exc:
         return _bad_config(exc)
-    rows = pollution_study(
-        wavenumbers=ks, orders=orders, points_per_wavelength=args.ppw, radius=args.radius
-    )
-    print(f"{'order':>6} {'k':>8} {'n':>6} {'dofs':>8} {'rel L2 error':>14}")
-    for r in rows:
-        print(f"{r.order:6d} {r.wavenumber:8.1f} {r.n:6d} {r.dofs:8d} {r.rel_l2_error:14.5e}")
-    for order in orders:
-        print(f"order {order}: error growth factor = {pollution_growth(rows, order):.3f}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([r.__dict__ for r in rows], fh, indent=2)
-        print(f"table written to {args.out}")
+    try:
+        table = _table_file(args.out)
+    except OSError as exc:
+        return _io_error(exc)
+    with table:
+        rows = pollution_study(
+            wavenumbers=ks, orders=orders, points_per_wavelength=args.ppw, radius=args.radius
+        )
+        print(f"{'order':>6} {'k':>8} {'n':>6} {'dofs':>8} {'rel L2 error':>14}")
+        for r in rows:
+            print(f"{r.order:6d} {r.wavenumber:8.1f} {r.n:6d} {r.dofs:8d} {r.rel_l2_error:14.5e}")
+        for order in orders:
+            print(f"order {order}: error growth factor = {pollution_growth(rows, order):.3f}")
+        if args.out:
+            json.dump([r.__dict__ for r in rows], table, indent=2)
+            print(f"table written to {args.out}")
     return EXIT_OK
 
 
@@ -209,12 +229,15 @@ def _cmd_solve_mm(args) -> int:
         f"gmres: outer={rep.outer_iterations} inner={rep.inner_iterations} "
         f"precond_residual={rep.preconditioned_residual:.3e} true={rep.true_residual:.3e}"
     )
-    if args.out:
-        save_vector(args.out, x)
-        print(f"solution written to {args.out}")
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(asdict(rep), fh, indent=2)
+    try:
+        if args.out:
+            save_vector(args.out, x)
+            print(f"solution written to {args.out}")
+        if args.report:
+            with open(args.report, "w") as fh:
+                json.dump(asdict(rep), fh, indent=2)
+    except OSError as exc:
+        return _io_error(exc)
     return EXIT_OK if rep.converged else EXIT_SOLVER
 
 

@@ -8,7 +8,10 @@ permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).
 SuperLU, under minimum degree, factors only matrices that come without a
 tree (``solve-mm``'s and the tests' oracle); :func:`_factor` picks between
 the two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Direct solves take one step of
-iterative refinement on either.  GMRES reports
+iterative refinement on either.  SuperLU (``scipy.sparse.linalg``) and the
+Matrix Market readers and writers (``scipy.io``) are imported where they
+are called: they load scipy's own BLAS and LAPACK, which no grid run or
+study needs, so such a process maps numpy's OpenBLAS alone.  GMRES reports
 ``converged`` only when the explicit preconditioned residual
 ``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
 cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
@@ -23,9 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 log = logging.getLogger(__name__)
 
@@ -100,9 +101,14 @@ class _SuperLU:
     with the default threshold 1.0 minimum degree gives more fill than
     SuperLU's COLAMD.  ``nnz`` counts the entries of L and U, ``nbytes``
     their bytes at 16 B of value and a 4 B row index per entry.
+    ``scipy.sparse.linalg``, and with it scipy's BLAS and LAPACK, is
+    imported on the first factor, and ``splu`` is looked up on that module
+    at every call, where the benchmark's traced runs wrap it.
     """
 
     def __init__(self, matrix, what: str):
+        import scipy.sparse.linalg as spla
+
         matrix = as_csr(matrix)
         transpose = sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape[::-1])
         try:
@@ -447,23 +453,40 @@ def gmres(A, b, precond: CslpPreconditioner | None = None, config: GmresConfig |
     return x, report
 
 
+def _mmwrite(path, a) -> None:
+    """``scipy.io.mmwrite`` into a file opened here: given a path it cannot
+    open, ``mmwrite`` writes nothing and raises nothing, where ``open``
+    raises ``OSError``."""
+    import scipy.io
+
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, a)
+
+
 def save_matrix_market(path, A) -> None:
-    """Matrix Market export (complex general coordinate format)."""
-    scipy.io.mmwrite(str(path), as_csr(A))
+    """Matrix Market export (complex general coordinate format); ``OSError``
+    if ``path`` cannot be written."""
+    _mmwrite(path, as_csr(A))
 
 
 def load_matrix_market(path) -> sp.csr_matrix:
     """Read a Matrix Market file as complex CSR."""
+    import scipy.io
+
     return as_csr(scipy.io.mmread(str(path)))
 
 
 def save_vector(path, v) -> None:
-    scipy.io.mmwrite(str(path), np.asarray(v, dtype=complex).reshape(-1, 1))
+    """Matrix Market export of a column vector (complex array format);
+    ``OSError`` if ``path`` cannot be written."""
+    _mmwrite(path, np.asarray(v, dtype=complex).reshape(-1, 1))
 
 
 def load_vector(path) -> np.ndarray:
     """Read a Matrix Market vector, in array or coordinate format: one row
     or one column, else ``ValueError``."""
+    import scipy.io
+
     arr = scipy.io.mmread(str(path))
     if sp.issparse(arr):
         arr = arr.toarray()

@@ -217,6 +217,35 @@ class TestRun:
         assert calls == []
 
 
+_RESIDENCY_PROBE = """
+import json, os, sys, tempfile
+import igarad
+from igarad.pipeline import RunConfig, convergence_study, run
+with tempfile.TemporaryDirectory() as outdir:
+    run(RunConfig(frequency=1.0e5, n=20, m=15, grid_res=10, profile_samples=20, outdir=outdir))
+convergence_study(wavenumber=5.0, order=3, levels=2, base_n=6)
+maps = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        maps = sorted({line.split()[-1] for line in fh if "openblas" in line})
+print(json.dumps({"modules": sorted(sys.modules), "openblas": maps}))
+"""
+
+
+def test_runs_load_one_blas():
+    """A run that writes its outputs and a study load neither SuperLU nor
+    Matrix Market I/O, and so none of scipy's BLAS and LAPACK: the process
+    maps numpy's OpenBLAS alone.  A fresh interpreter, since any earlier
+    test may have imported them."""
+    proc = subprocess.run([sys.executable, "-c", _RESIDENCY_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert {"scipy.linalg", "scipy.sparse.linalg", "scipy.io"}.isdisjoint(loaded["modules"])
+    if loaded["openblas"] is None:
+        pytest.skip("no /proc/self/maps to list the mapped libraries")
+    assert len(loaded["openblas"]) == 1, loaded["openblas"]
+
+
 class TestStudies:
     def test_pollution_single_k_matches_direct_solve(self):
         import math as _math
@@ -828,6 +857,33 @@ class TestCli:
     def test_missing_input_exit_code(self, tmp_path):
         proc = self._run("solve-mm", str(tmp_path / "nope.mtx"), str(tmp_path / "nope2.mtx"))
         assert proc.returncode == 5
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("mms-converge", "--out"), ("pollution", "--out"), ("solve-mm", "--out"), ("solve-mm", "--report")],
+        ids=lambda a: a,
+    )
+    def test_unwritable_output_exit_code(self, tmp_path, command, flag):
+        """An output into a missing directory exits 5 with a message.  The
+        studies (at their default, desk-scale sizes) open theirs before any
+        assembly, so they print nothing first."""
+        import scipy.sparse as sp
+
+        from igarad.solver import save_matrix_market, save_vector
+
+        args = [command]
+        if command == "solve-mm":
+            save_matrix_market(tmp_path / "A.mtx", sp.identity(4, format="csr", dtype=complex) * 2.0)
+            save_vector(tmp_path / "b.mtx", np.ones(4, dtype=complex))
+            args += [str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx")]
+        out = tmp_path / "missing" / "out"
+        proc = self._run(*args, flag, str(out))
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.parent.exists()
+        if command != "solve-mm":
+            assert proc.stdout == ""
 
     def test_mms_converge_subcommand(self, tmp_path):
         out = tmp_path / "conv.json"

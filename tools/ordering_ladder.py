@@ -5,6 +5,7 @@ Usage, from the root of a checkout::
 
     python3 tools/ordering_ladder.py                      # writes BENCH_ordering.json
     python3 tools/ordering_ladder.py --sizes 40x30 120x90 --orderings nd ldl --out ladder.json
+    python3 tools/ordering_ladder.py --orderings ldl --repeat 3 --out ladder.json
 
 Each point is the desk physics (``configs/desk_radiation_k300.json``) scaled
 at fixed points per wavelength: ``n x m`` cubic elements with the half
@@ -28,7 +29,12 @@ It reports the wall time of ``assemble`` (S, M and E), the stored entries
 entry), the factor's wall time, the residual ``|P x - b| / |b|`` of a solve
 with the factor, the GMRES solve of ``A x = b`` it preconditions (restart
 cycles, inner iterations, true residual), and the process's peak resident
-set.  One process per point keeps the peaks apart.
+set.  One process per point keeps the peaks apart; with ``--repeat N`` each
+point runs in N fresh processes, and ``assemble_s``, ``factor_s`` and
+``ru_maxrss_mib`` are their medians, with ``<name>_min`` and ``<name>_max``
+beside them (the counts and residuals repeat exactly and come from the
+first).  Only the ``nd`` factor imports ``scipy.sparse.linalg`` itself, so
+an ``ldl`` point loads what a run loads.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import math
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -47,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = ("192x144", "300x220", "400x290")
 FACTORS = ("mmd", "nd", "ldl")
+VARYING = ("assemble_s", "factor_s", "ru_maxrss_mib")  # the rest of a point repeats exactly
 
 
 def _system(n: int, m: int):
@@ -84,8 +92,6 @@ def _factor(n: int, m: int, factor: str):
     ``factor`` on ``n x m``, with the wall times of ``assemble`` and the factor."""
     import numpy as np
 
-    import scipy.sparse.linalg as spla
-
     from igarad.solver import build_cslp
 
     disc, A, b, mass, beta, assemble_s = _system(n, m)
@@ -98,6 +104,8 @@ def _factor(n: int, m: int, factor: str):
     if factor == "ldl":
         precond = build_cslp(A, mass, beta, tree=disc.partition.tree)
     elif factor == "nd":
+        import scipy.sparse.linalg as spla
+
         # the package's SuperLU options but the ordering, on P^T's CSC: the CSR arrays of P
         natural = dict(permc_spec="NATURAL", diag_pivot_thresh=0.001, options=dict(SymmetricMode=True))
         precond = _SuperLU(spla.splu((A - 1j * beta * mass).T, **natural), beta)
@@ -139,6 +147,21 @@ def measure(n: int, m: int, factor: str) -> dict:
     }
 
 
+def point(n: int, m: int, ordering: str, repeat: int) -> dict:
+    """One point, measured in ``repeat`` fresh processes."""
+    runs = []
+    for _ in range(repeat):
+        cmd = [sys.executable, __file__, "--point", str(n), str(m), ordering]
+        out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True)
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    record = dict(runs[0], repeat=repeat)
+    for key in VARYING:
+        values = [r[key] for r in runs]
+        record[key] = statistics.median(values)
+        record[f"{key}_min"], record[f"{key}_max"] = min(values), max(values)
+    return record
+
+
 def environment() -> dict:
     import numpy
     import scipy
@@ -165,8 +188,11 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", nargs="+", default=list(DEFAULT_SIZES), help="n x m meshes, e.g. 192x144")
     parser.add_argument("--orderings", nargs="+", default=list(FACTORS), choices=FACTORS, help="factors to measure")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ordering.json"))
+    parser.add_argument("--repeat", type=int, default=1, help="fresh processes per point (medians reported)")
     parser.add_argument("--point", nargs=3, metavar=("N", "M", "ORDERING"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     if args.point:
         n, m, ordering = args.point
         print(json.dumps(measure(int(n), int(m), ordering)))
@@ -176,15 +202,15 @@ def main(argv=None) -> int:
     for size in args.sizes:
         n, m = (int(v) for v in size.split("x"))
         for ordering in args.orderings:
-            cmd = [sys.executable, __file__, "--point", str(n), str(m), ordering]
-            out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True)
-            points.append(json.loads(out.stdout.splitlines()[-1]))
-            p = points[-1]
+            p = point(n, m, ordering, args.repeat)
+            points.append(p)
             print(
                 f"{p['dofs']:8d} dofs {ordering:3s}: assemble {p['assemble_s']:5.2f} s, stored {p['lu_nnz']:>11,d} "
-                f"({p['factor_bytes'] / 2**20:7.1f} MiB), factor {p['factor_s']:6.2f} s, "
+                f"({p['factor_bytes'] / 2**20:7.1f} MiB), factor {p['factor_s']:6.2f} s "
+                f"({p['factor_s_min']:.2f}-{p['factor_s_max']:.2f}), "
                 f"residual {p['direct_residual']:.1e}, GMRES {p['gmres_cycles']} cycles "
-                f"(true {p['true_residual']:.1e}), peak RSS {p['ru_maxrss_mib']:7.1f} MiB",
+                f"(true {p['true_residual']:.1e}), peak RSS {p['ru_maxrss_mib']:7.1f} MiB "
+                f"({p['ru_maxrss_mib_min']:.1f}-{p['ru_maxrss_mib_max']:.1f}) of {args.repeat}",
                 flush=True,
             )
     record = {"environment": environment(), "points": points}
