@@ -21,7 +21,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,33 +48,22 @@ def _table_file(path):
 
 
 def _add_run_parser(sub):
+    """``--config`` and one flag per :class:`RunConfig` field, typed by its
+    default; ``amplitude`` (complex) is set in the config file as ``[re, im]``."""
+    from .pipeline import RunConfig
+
     p = sub.add_parser("run", help="run the radiation pipeline")
     p.add_argument("--config", help="JSON config file (fields of RunConfig)")
-    p.add_argument("--frequency", type=float)
-    p.add_argument("--sound-speed", dest="sound_speed", type=float)
-    p.add_argument("--half-aperture", dest="half_aperture", type=float)
-    p.add_argument("--radius-factor", dest="radius_factor", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--order-xi", dest="order_xi", type=int)
-    p.add_argument("--order-eta", dest="order_eta", type=int)
-    p.add_argument("-n", "--n", type=int)
-    p.add_argument("-m", "--m", type=int)
-    p.add_argument("--beta-factor", dest="beta_factor", type=float)
-    p.add_argument("--restart", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-outer", dest="max_outer", type=int)
-    p.add_argument("--grid-res", dest="grid_res", type=int)
-    p.add_argument("--profile-samples", dest="profile_samples", type=int)
-    p.add_argument("--quad-points", dest="quad_points", type=int)
-    p.add_argument("--outdir")
-    align = p.add_mutually_exclusive_group()
-    align.add_argument("--align-aperture-knots", dest="align_aperture_knots",
-                       action="store_true", default=None)
-    align.add_argument("--no-align-aperture-knots", dest="align_aperture_knots",
-                       action="store_false", default=None)
-    p.add_argument("--full-scale", dest="full_scale", action="store_true", default=None)
-    p.add_argument("--dump-matrices", dest="dump_matrices", action="store_true", default=None)
-    p.add_argument("--vtk", action="store_true", default=None)
+    for field in fields(RunConfig):
+        if field.name == "amplitude":
+            continue
+        flags = [f"--{field.name.replace('_', '-')}"]
+        if len(field.name) == 1:
+            flags.insert(0, f"-{field.name}")
+        if isinstance(field.default, bool):
+            p.add_argument(*flags, action="store_true", default=None)
+        else:
+            p.add_argument(*flags, type=type(field.default))
     return p
 
 
@@ -118,7 +107,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_quality_map(args) -> int:
-    from .geometry import DomainConfig, make_semicircle_patch, write_quality_csv
+    from .geometry import DomainConfig, make_semicircle_patch
+    from .pipeline import write_quality_csv
 
     try:
         if args.grid_res < 2:

@@ -570,11 +570,3 @@ def _spline_coefficients(kv: KnotVector, f) -> np.ndarray:
     g = kv.greville()
     return np.linalg.solve(design(kv, g)[0], f(g))
 
-
-def write_quality_csv(path, surface: CoonsSurface, grid_res: int) -> None:
-    """Quality-map CSV with columns xi, eta, x, y, mean_ratio."""
-    xis, etas, F, mr = surface.quality_grid(grid_res)
-    xi_g, eta_g = np.meshgrid(xis, etas, indexing="ij")
-    data = np.column_stack([xi_g.ravel(), eta_g.ravel(), F[..., 0].ravel(), F[..., 1].ravel(), mr.ravel()])
-    header = "xi,eta,x,y,mean_ratio"
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")

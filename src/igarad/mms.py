@@ -65,7 +65,6 @@ def dirichlet_trace(
     geometry: CoonsSurface,
     partition: DofPartition,
     wave: PlaneWave,
-    npoints: int | None = None,
 ) -> np.ndarray:
     """L2 projection of the exact trace onto the aperture dofs.
 
@@ -74,7 +73,7 @@ def dirichlet_trace(
     Gram system is well posed.
     """
     kv = space.kv_xi
-    rule = _direction_rule(kv, npoints or kv.order + 2, partition.xi_left, partition.xi_right)
+    rule = _direction_rule(kv, kv.order + 2, partition.xi_left, partition.xi_right)
     pts = geometry.evaluate_grid(rule.nodes.ravel(), [0.0])[:, 0, :]
     wv = rule.weights * wave.value(pts).reshape(rule.weights.shape)
     b, _, first = _tabulate(kv, rule)  # b[e, a, q]

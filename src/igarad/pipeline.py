@@ -81,8 +81,6 @@ class RunConfig:
     max_outer: int = 20
     grid_res: int = 200
     profile_samples: int = 400
-    align_aperture_knots: bool = True
-    quad_points: int | None = None
     full_scale: bool = False
     dump_matrices: bool = False
     vtk: bool = False
@@ -93,13 +91,17 @@ class RunConfig:
         bad = [name for name in reals if not math.isfinite(getattr(self, name))]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
-        ints = ["order_xi", "order_eta", "n", "m", "restart", "max_outer", "grid_res", "profile_samples"]
-        if self.quad_points is not None:
-            ints.append("quad_points")
+        ints = ("order_xi", "order_eta", "n", "m", "restart", "max_outer", "grid_res", "profile_samples")
         bad = [name for name in ints if isinstance(getattr(self, name), bool)
                or not isinstance(getattr(self, name), (int, np.integer))]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be integers")
+        bools = ("full_scale", "dump_matrices", "vtk")
+        bad = [name for name in bools if not isinstance(getattr(self, name), bool)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be true or false")
+        if not isinstance(self.outdir, str):
+            raise ValueError("outdir must be a string")
         if self.frequency <= 0 or self.sound_speed <= 0 or self.half_aperture <= 0:
             raise ValueError("physical parameters must be positive")
         if self.radius_factor <= 0:
@@ -119,8 +121,6 @@ class RunConfig:
         GmresConfig(self.restart, self.tol, self.max_outer)
         if not (2 <= self.order_xi <= self.n and 2 <= self.order_eta <= self.m):
             raise ValueError("need 2 <= order_xi <= n and 2 <= order_eta <= m")
-        if self.quad_points is not None and self.quad_points < 1:
-            raise ValueError("quad_points must be at least 1")
         if self.grid_res < 2:
             raise ValueError("grid_res must be at least 2")
         if self.profile_samples < 1:
@@ -169,20 +169,16 @@ def build_discretization(
     order_eta: int,
     n: int,
     m: int,
-    quad_points: int | None = None,
-    align_aperture_knots: bool = True,
 ) -> Discretization:
     """Uniform ``n x m`` B-spline spaces on ``geometry``, their dof split and quadrature.
 
-    Runs (:func:`discretize`) and both studies build every mesh here;
-    ``align_aperture_knots`` inserts the aperture preimages as xi knots.
+    Runs (:func:`discretize`) and both studies build every mesh here.  The
+    aperture preimages are inserted as xi knots, so xi has ``n + 2`` functions.
     """
-    kv_xi = make_uniform_open_knots(order_xi, n)
-    if align_aperture_knots:
-        kv_xi = kv_xi.with_breakpoints(domain.aperture_preimage)
+    kv_xi = make_uniform_open_knots(order_xi, n).with_breakpoints(domain.aperture_preimage)
     space = TensorProductSpace(kv_xi, make_uniform_open_knots(order_eta, m))
     partition = classify_dofs(space, domain)
-    quadrature = QuadratureRule(space, quad_points, quad_points)
+    quadrature = QuadratureRule(space)
     return Discretization(domain, geometry, space, partition, quadrature)
 
 
@@ -195,8 +191,6 @@ def discretize(config: RunConfig) -> Discretization:
         config.order_eta,
         config.n,
         config.m,
-        config.quad_points,
-        config.align_aperture_knots,
     )
 
 
@@ -206,20 +200,13 @@ class SolutionField:
     The magnitude reported everywhere is ``sqrt(Re^2 + Im^2)``.
     """
 
-    def __init__(
-        self,
-        space: TensorProductSpace,
-        geometry: CoonsSurface,
-        coefficients: np.ndarray,
-        wavenumber: float,
-    ):
+    def __init__(self, space: TensorProductSpace, geometry: CoonsSurface, coefficients: np.ndarray):
         coefficients = np.asarray(coefficients, dtype=complex)
         if coefficients.size != space.size:
             raise ValueError("coefficient vector must have one entry per basis function")
         self.space = space
         self.geometry = geometry
         self.coefficients = coefficients
-        self.wavenumber = wavenumber
 
     def evaluate_grid(self, xis, etas) -> np.ndarray:
         """Complex field values on the tensor grid ``xis x etas``."""
@@ -332,7 +319,7 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     def _post():
         alpha = expand_solution(disc.partition, x, disc.domain.amplitude)
-        return SolutionField(disc.space, disc.geometry, alpha, k)
+        return SolutionField(disc.space, disc.geometry, alpha)
 
     sol = stage("postprocess", _post)
     dev = dirichlet_deviation(sol, disc.domain)
@@ -396,6 +383,14 @@ def write_field_csv(path, sol: SolutionField, grid_res: int) -> None:
 def write_profile_csv(path, coord_name: str, coords, values) -> None:
     table = np.column_stack([coords, values.real, values.imag, np.abs(values)])
     _write_csv(path, f"{coord_name},re,im,abs", table)
+
+
+def write_quality_csv(path, surface: CoonsSurface, grid_res: int) -> None:
+    """Quality-map CSV with columns xi, eta, x, y, mean_ratio, xi outer."""
+    xis, etas, F, mr = surface.quality_grid(grid_res)
+    xi_g, eta_g = np.meshgrid(xis, etas, indexing="ij")
+    table = np.column_stack([xi_g.ravel(), eta_g.ravel(), F[..., 0].ravel(), F[..., 1].ravel(), mr.ravel()])
+    _write_csv(path, "xi,eta,x,y,mean_ratio", table)
 
 
 def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
@@ -509,9 +504,6 @@ def convergence_study(
     order: int = 4,
     levels: int = 4,
     base_n: int = 40,
-    radius: float = 1.0,
-    aperture_fraction: float = 0.3,
-    theta: float = math.pi / 4,
     direction=(0.0, 1.0),
 ) -> list[ConvergenceRow]:
     """Manufactured-solution refinement study; rates should approach the order.
@@ -519,7 +511,7 @@ def convergence_study(
     Errors against a zero manufactured solution are identically zero;
     non-monotone error sequences are flagged with a warning.
     """
-    cfg = DomainConfig(a=aperture_fraction * radius, r=radius, theta=theta)
+    cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
     geometry = make_semicircle_patch(cfg)
     wave = mms.PlaneWave(wavenumber, tuple(direction))
     rows: list[ConvergenceRow] = []
@@ -568,15 +560,13 @@ def pollution_study(
     orders=(3, 4),
     points_per_wavelength: float = 8.0,
     radius: float = 0.35,
-    aperture_fraction: float = 0.3,
-    theta: float = math.pi / 4,
 ) -> list[PollutionRow]:
     """Fixed dofs-per-wavelength sweep over the wavenumber.
 
     With the resolution tied to the wavelength, any error growth in k is
     pollution; smoother bases grow slower.
     """
-    cfg = DomainConfig(a=aperture_fraction * radius, r=radius, theta=theta)
+    cfg = DomainConfig(a=0.3 * radius, r=radius, theta=math.pi / 4)
     geometry = make_semicircle_patch(cfg)
     rows: list[PollutionRow] = []
     for order in orders:

@@ -18,8 +18,8 @@ from igarad.geometry import (
     make_semicircle_boundary,
     make_semicircle_patch,
     near_field_length,
-    write_quality_csv,
 )
+from igarad.pipeline import write_quality_csv
 
 
 def unit_square_patch():

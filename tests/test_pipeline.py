@@ -1,9 +1,12 @@
 """Pipeline: configuration, end-to-end runs, field ops, outputs, CLI."""
 
+import argparse
 import json
 import math
 import subprocess
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +88,6 @@ class TestRunConfig:
             {"frequency": math.inf},
             {"beta_factor": math.nan},
             {"beta_factor": -1.0},
-            {"quad_points": 0},
             {"restart": 0},
             {"tol": -1.0},
             {"max_outer": 0},
@@ -101,9 +103,14 @@ class TestRunConfig:
             {"order_eta": "4"},
             {"max_outer": 2.0},
             {"profile_samples": 1.5},
-            {"quad_points": 3.5},
             {"amplitude": [1]},
             {"amplitude": [1, 0, 5]},
+            {"full_scale": "false"},
+            {"full_scale": 1},
+            {"dump_matrices": "true"},
+            {"vtk": None},
+            {"outdir": 5},
+            {"outdir": None},
         ],
         ids=lambda f: "{}={}".format(*next(iter(f.items()))),
     )
@@ -114,16 +121,11 @@ class TestRunConfig:
 
 class TestDiscretize:
     def test_aligned_knots_contain_aperture_preimages(self):
-        cfg = smoke_config(align_aperture_knots=True)
+        cfg = smoke_config()
         disc = discretize(cfg)
         assert disc.partition.xi_left in disc.space.kv_xi.knots
         assert disc.partition.xi_right in disc.space.kv_xi.knots
         assert disc.space.n == cfg.n + 2
-
-    def test_unaligned_keeps_requested_count(self):
-        cfg = smoke_config(align_aperture_knots=False)
-        disc = discretize(cfg)
-        assert disc.space.n == cfg.n
 
 
 class TestRun:
@@ -284,7 +286,7 @@ class TestStudies:
 class TestSolutionField:
     def test_unit_coefficients_partition_of_unity(self, smoke_result):
         space = smoke_result.field.space
-        sol = SolutionField(space, smoke_result.field.geometry, np.ones(space.size), 1.0)
+        sol = SolutionField(space, smoke_result.field.geometry, np.ones(space.size))
         vals = sol.evaluate_grid(np.linspace(0, 1, 9), np.linspace(0, 1, 9))
         assert np.max(np.abs(vals - 1.0)) <= 1e-13
 
@@ -295,7 +297,7 @@ class TestSolutionField:
         q = space.flat_index(3, 2)
         coeffs = np.zeros(space.size, dtype=complex)
         coeffs[q] = 1.0
-        sol = SolutionField(space, smoke_result.field.geometry, coeffs, 1.0)
+        sol = SolutionField(space, smoke_result.field.geometry, coeffs)
         xis = np.linspace(0, 1, 13)
         etas = np.linspace(0, 1, 11)
         got = sol.evaluate_grid(xis, etas)
@@ -366,7 +368,7 @@ class TestAxisProfileSymmetry:
             make_line((-0.2, 1.0), (-0.2, 0.5)),
         )
         space = TensorProductSpace(make_uniform_open_knots(3, 5), make_uniform_open_knots(3, 4))
-        sol = SolutionField(space, geometry, np.ones(space.size), 1.0)
+        sol = SolutionField(space, geometry, np.ones(space.size))
         assert np.max(np.abs(geometry.evaluate_grid([0.5], np.linspace(0, 1, 9))[0][:, 0])) > 1e-6
         with pytest.raises(ValueError, match="does not map onto the axis"):
             axis_profile(sol, 25)
@@ -634,15 +636,36 @@ class TestCli:
         config = Path(__file__).resolve().parents[1] / "configs" / "desk_smoke.json"
         proc = self._run(
             "run", "--config", str(config), "--grid-res", "7", "--profile-samples", "9",
-            "--no-align-aperture-knots", "--outdir", str(tmp_path),
+            "--vtk", "--outdir", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
         written = json.loads((tmp_path / "report.json").read_text())["config"]
         assert written["grid_res"] == 7
         assert written["profile_samples"] == 9
-        assert written["align_aperture_knots"] is False
+        assert written["vtk"] is True
         assert written["outdir"] == str(tmp_path)
         assert written["n"] == 40  # from the config file
+
+    def test_run_parser_has_one_flag_per_field(self):
+        # the run flags are generated from RunConfig: each field but amplitude
+        # has exactly one, typed by the field's default, and there is no other
+        from igarad.cli import _add_run_parser
+
+        parser = _add_run_parser(argparse.ArgumentParser().add_subparsers())
+        hints = typing.get_type_hints(RunConfig)
+        samples = {int: "3", float: "0.5", str: "somewhere"}
+        names = [f.name for f in fields(RunConfig) if f.name != "amplitude"]
+        dests = [a.dest for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert sorted(dests) == sorted([*names, "config"])
+        for field in fields(RunConfig):
+            if field.name == "amplitude":
+                continue
+            assert field.default is not None, f"{field.name} has no default to type its flag"
+            (action,) = [a for a in parser._actions if a.dest == field.name]
+            flag = action.option_strings[-1]
+            argv = [flag] if hints[field.name] is bool else [flag, samples[hints[field.name]]]
+            value = getattr(parser.parse_args(argv), field.name)
+            assert type(value) is hints[field.name], (flag, value)
 
     def test_run_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

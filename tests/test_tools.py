@@ -29,5 +29,7 @@ def test_ordering_ladder_smoke(tmp_path):
         assert p["true_residual"] <= 1e-10
         assert p["gmres_cycles"] == 1
         assert p["repeat"] == 2
-        for key in ("assemble_s", "factor_s", "ru_maxrss_mib"):
-            assert p[f"{key}_min"] <= p[key] <= p[f"{key}_max"]
+        for key in ("assemble_s", "factor_s", "ru_maxrss_mib", "rss_before_factor_mib"):
+            if p[key] is not None:  # the resident set before the factor needs /proc
+                assert p[f"{key}_min"] <= p[key] <= p[f"{key}_max"]
+        assert p["rss_before_factor_mib"] is None or p["rss_before_factor_mib"] <= p["ru_maxrss_mib"]

@@ -29,12 +29,15 @@ It reports the wall time of ``assemble`` (S, M and E), the stored entries
 entry), the factor's wall time, the residual ``|P x - b| / |b|`` of a solve
 with the factor, the GMRES solve of ``A x = b`` it preconditions (restart
 cycles, inner iterations, true residual), and the process's peak resident
-set.  One process per point keeps the peaks apart; with ``--repeat N`` each
-point runs in N fresh processes, and ``assemble_s``, ``factor_s`` and
-``ru_maxrss_mib`` are their medians, with ``<name>_min`` and ``<name>_max``
-beside them (the counts and residuals repeat exactly and come from the
-first).  Only the ``nd`` factor imports ``scipy.sparse.linalg`` itself, so
-an ``ldl`` point loads what a run loads.
+set (``ru_maxrss_mib``) and its resident set just before the factor
+(``rss_before_factor_mib``, ``VmRSS`` of ``/proc/self/status``; null where
+there is no ``/proc``).  One process per point keeps the peaks apart; with
+``--repeat N`` each point runs in N fresh processes, and ``assemble_s``,
+``factor_s``, ``ru_maxrss_mib`` and ``rss_before_factor_mib`` are their
+medians, with ``<name>_min`` and ``<name>_max`` beside them (the counts and
+residuals repeat exactly and come from the first).  Only the ``nd`` factor
+imports ``scipy.sparse.linalg`` itself, so an ``ldl`` point loads what a run
+loads.
 """
 
 from __future__ import annotations
@@ -54,7 +57,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = ("192x144", "300x220", "400x290")
 FACTORS = ("mmd", "nd", "ldl")
-VARYING = ("assemble_s", "factor_s", "ru_maxrss_mib")  # the rest of a point repeats exactly
+VARYING = ("assemble_s", "factor_s", "ru_maxrss_mib", "rss_before_factor_mib")  # the rest repeats exactly
+
+
+def _vmrss_mib():
+    """The process's resident set now, or ``None`` where there is no ``/proc``."""
+    try:
+        with open("/proc/self/status") as fh:
+            kib = next(line.split()[1] for line in fh if line.startswith("VmRSS:"))
+    except (OSError, StopIteration):
+        return None
+    return int(kib) / 1024
 
 
 def _system(n: int, m: int):
@@ -89,7 +102,8 @@ class _SuperLU:
 
 def _factor(n: int, m: int, factor: str):
     """Discretization, ``A``, ``b``, ``M``, ``beta`` and the preconditioner of
-    ``factor`` on ``n x m``, with the wall times of ``assemble`` and the factor."""
+    ``factor`` on ``n x m``, with the wall times of ``assemble`` and the factor
+    and the resident set just before the factor."""
     import numpy as np
 
     from igarad.solver import build_cslp
@@ -100,6 +114,7 @@ def _factor(n: int, m: int, factor: str):
         # the grid's natural one (A's nnz does not depend on the numbering)
         natural = np.argsort(disc.partition.free)
         A, mass, b = A[natural][:, natural], mass[natural][:, natural], b[natural]
+    rss_before = _vmrss_mib()
     t0 = time.perf_counter()
     if factor == "ldl":
         precond = build_cslp(A, mass, beta, tree=disc.partition.tree)
@@ -111,7 +126,7 @@ def _factor(n: int, m: int, factor: str):
         precond = _SuperLU(spla.splu((A - 1j * beta * mass).T, **natural), beta)
     else:
         precond = build_cslp(A, mass, beta)
-    return disc, A, b, mass, beta, precond, assemble_s, time.perf_counter() - t0
+    return disc, A, b, mass, beta, precond, assemble_s, time.perf_counter() - t0, rss_before
 
 
 def measure(n: int, m: int, factor: str) -> dict:
@@ -124,7 +139,7 @@ def measure(n: int, m: int, factor: str) -> dict:
     # the first factorization in a process carries a one-time cost (up to
     # 1 s) that is not the factor's: pay it on the smallest mesh
     _factor(40, 30, factor)
-    disc, A, b, mass, beta, precond, assemble_s, factor_s = _factor(n, m, factor)
+    disc, A, b, mass, beta, precond, assemble_s, factor_s, rss_before = _factor(n, m, factor)
     x = precond.solve(b)
     residual = np.linalg.norm(A @ x - 1j * beta * (mass @ x) - b) / np.linalg.norm(b)
     _, report = gmres(A, b, precond, GmresConfig())
@@ -144,6 +159,7 @@ def measure(n: int, m: int, factor: str) -> dict:
         "gmres_inner": report.inner_iterations,
         "true_residual": report.true_residual,
         "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "rss_before_factor_mib": rss_before,
     }
 
 
@@ -157,6 +173,8 @@ def point(n: int, m: int, ordering: str, repeat: int) -> dict:
     record = dict(runs[0], repeat=repeat)
     for key in VARYING:
         values = [r[key] for r in runs]
+        if None in values:  # no /proc
+            continue
         record[key] = statistics.median(values)
         record[f"{key}_min"], record[f"{key}_max"] = min(values), max(values)
     return record
