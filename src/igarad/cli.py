@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
     for name, path in result.outputs.items():
         print(f"  {name}: {path}")
     if not rep.converged:
-        print("warning: solver did not reach the requested tolerance", file=sys.stderr)
+        print(f"warning: GMRES did not reach its tolerance {rep.tol:g}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -187,10 +187,9 @@ def _cmd_pollution(args) -> int:
 
 
 def _cmd_solve_mm(args) -> int:
-    from .solver import GmresConfig, build_cslp, gmres, load_matrix_market, load_vector, save_vector
+    from .solver import build_cslp, gmres, load_matrix_market, load_vector, save_vector
 
     try:
-        config = GmresConfig(args.restart, args.tol, args.max_outer)
         if not 0 <= args.beta < math.inf:
             raise ValueError("--beta must be nonnegative and finite")
         if args.beta and not args.mass:
@@ -214,7 +213,7 @@ def _cmd_solve_mm(args) -> int:
     except RuntimeError as exc:  # "singular shifted-Laplacian factorization: ..."
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    x, rep = gmres(A, b, precond, config)
+    x, rep = gmres(A, b, precond)
     print(
         f"gmres: outer={rep.outer_iterations} inner={rep.inner_iterations} "
         f"precond_residual={rep.preconditioned_residual:.3e} true={rep.true_residual:.3e}"
@@ -266,9 +265,6 @@ def main(argv=None) -> int:
     s.add_argument("rhs", help="right-hand side vector (.mtx)")
     s.add_argument("--mass", help="free-dof mass block on the matrix's pattern, for the shift")
     s.add_argument("--beta", type=float, default=0.0, help="shift of the factored P = A - i beta M")
-    s.add_argument("--restart", type=int, default=50)
-    s.add_argument("--tol", type=float, default=1e-8)
-    s.add_argument("--max-outer", dest="max_outer", type=int, default=20)
     s.add_argument("--out", help="write the solution vector (.mtx)")
     s.add_argument("--report", help="write a JSON solve report")
 

@@ -38,7 +38,7 @@ from .geometry import (
     make_semicircle_patch,
     near_field_length,
 )
-from .solver import GmresConfig, SolveReport, build_cslp, gmres, save_matrix_market
+from .solver import SolveReport, build_cslp, gmres, save_matrix_market
 from .solver import direct_solve  # noqa: F401  bench/layers.py traces this name
 
 FULL_SCALE_DOFS = 150_000
@@ -76,9 +76,6 @@ class RunConfig:
     n: int = 120
     m: int = 100
     beta_factor: float = 1.0 / 3.0
-    restart: int = 50
-    tol: float = 1.0e-8
-    max_outer: int = 20
     grid_res: int = 200
     profile_samples: int = 400
     full_scale: bool = False
@@ -87,11 +84,13 @@ class RunConfig:
     outdir: str = "out"
 
     def __post_init__(self):
-        reals = ("frequency", "sound_speed", "half_aperture", "radius_factor", "theta", "beta_factor", "tol")
-        bad = [name for name in reals if not math.isfinite(getattr(self, name))]
+        # a JSON true is a Python int: reject bools before reading a number
+        reals = ("frequency", "sound_speed", "half_aperture", "radius_factor", "theta", "beta_factor")
+        bad = [name for name in reals if isinstance(getattr(self, name), bool)
+               or not math.isfinite(getattr(self, name))]
         if bad:
-            raise ValueError(f"{', '.join(bad)} must be finite")
-        ints = ("order_xi", "order_eta", "n", "m", "restart", "max_outer", "grid_res", "profile_samples")
+            raise ValueError(f"{', '.join(bad)} must be finite numbers")
+        ints = ("order_xi", "order_eta", "n", "m", "grid_res", "profile_samples")
         bad = [name for name in ints if isinstance(getattr(self, name), bool)
                or not isinstance(getattr(self, name), (int, np.integer))]
         if bad:
@@ -108,17 +107,17 @@ class RunConfig:
             raise ValueError("radius_factor must be positive")
         if self.beta_factor < 0:
             raise ValueError("beta_factor must be nonnegative")
-        if isinstance(self.amplitude, (list, tuple)):
-            if len(self.amplitude) != 2:
-                raise ValueError("amplitude as a list must be [real, imag]")
-            self.amplitude = complex(self.amplitude[0], self.amplitude[1])
-        else:
-            self.amplitude = complex(self.amplitude)
+        as_list = isinstance(self.amplitude, (list, tuple))
+        parts = self.amplitude if as_list else [self.amplitude]
+        if as_list and len(parts) != 2:
+            raise ValueError("amplitude as a list must be [real, imag]")
+        if any(isinstance(v, bool) for v in parts):
+            raise ValueError("amplitude must be a number, not true or false")
+        self.amplitude = complex(*parts)
         if not cmath.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
-        # fail before any work: the domain and the GMRES settings check themselves
+        # fail before any work: the domain checks itself
         self.domain()
-        GmresConfig(self.restart, self.tol, self.max_outer)
         if not (2 <= self.order_xi <= self.n and 2 <= self.order_eta <= self.m):
             raise ValueError("need 2 <= order_xi <= n and 2 <= order_eta <= m")
         if self.grid_res < 2:
@@ -314,8 +313,7 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
     mass = None
     factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes}
-    gmres_config = GmresConfig(restart=config.restart, tol=config.tol, max_outer=config.max_outer)
-    x, solve_report = stage("solve", lambda: gmres(A, b, precond, gmres_config))
+    x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():
         alpha = expand_solution(disc.partition, x, disc.domain.amplitude)

@@ -46,7 +46,8 @@ def as_csr(A) -> sp.csr_matrix:
 @dataclass
 class GmresConfig:
     """Restart length, relative tolerance on the explicit preconditioned
-    residual, and outer-iteration (restart cycle) budget."""
+    residual, and outer-iteration (restart cycle) budget.  Every run and
+    ``solve-mm`` use these defaults; the GMRES tests set others."""
 
     restart: int = 50
     tol: float = 1e-8

@@ -31,7 +31,7 @@ from igarad.pipeline import (
     pollution_study,
     run,
 )
-from igarad.solver import build_cslp, direct_solve, gmres, GmresConfig
+from igarad.solver import build_cslp, direct_solve, gmres
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -54,8 +54,6 @@ def desk_config(**kw):
         m=90,
         order_xi=4,
         order_eta=4,
-        tol=1e-8,
-        restart=50,
         profile_samples=800,
     )
     base.update(kw)

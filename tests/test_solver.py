@@ -130,7 +130,7 @@ class TestCslp:
         A, b = random_complex_system(rng, n=70)
         M = sp.identity(70, format="csr", dtype=complex)
         precond = build_cslp(A, M, 0.0)
-        x, rep = gmres(A, b, precond, GmresConfig())
+        x, rep = gmres(A, b, precond)
         assert rep.outer_iterations == 1
         assert rep.inner_iterations == 1
         x_star = np.linalg.solve(A.toarray(), b)
@@ -591,7 +591,7 @@ class TestFrontalLdlt:
 
     def test_desk_gmres_ends_after_one_cycle(self, desk_system):
         A, b, mass, beta, tree = desk_system
-        x, rep = gmres(A, b, build_cslp(A, mass, beta, tree=tree), GmresConfig())
+        x, rep = gmres(A, b, build_cslp(A, mass, beta, tree=tree))
         assert rep.converged and rep.outer_iterations == 1
         assert rep.true_residual <= 1e-10
         x_direct = direct_solve(A, b, tree=tree)
