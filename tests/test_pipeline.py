@@ -749,11 +749,21 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag",
-        [("--beta", "-1"), ("--beta", "inf"), ("--beta", "1")],
+        [
+            ("--beta", "nan"),
+            ("--beta=-inf",),
+            ("--beta", "1e400"),
+            ("--beta", "-1"),
+            ("--beta=-1e-300",),
+            ("--beta", "inf"),
+            ("--beta", "1"),
+        ],
     )
     def test_solve_mm_bad_setting_exit_code(self, tmp_path, flag):
         # the inputs do not exist: settings are checked before any file is read;
-        # a shift without --mass is a bad setting, not one silently ignored
+        # a shift that is NaN, negative (however small) or infinite (also by
+        # overflow) is rejected, and a shift without --mass is a bad setting,
+        # not one silently ignored
         missing = str(tmp_path / "missing.mtx")
         proc = self._run("solve-mm", missing, missing, *flag)
         assert proc.returncode == 2, proc.stderr
