@@ -27,7 +27,6 @@ from .geometry import (
     make_line,
     make_semicircle_boundary,
     make_semicircle_patch,
-    near_field_length,
 )
 from .assembly import (
     DofPartition,
@@ -78,7 +77,6 @@ __all__ = [
     "make_line",
     "make_semicircle_boundary",
     "make_semicircle_patch",
-    "near_field_length",
     "DofPartition",
     "NonPositiveJacobianError",
     "QuadratureRule",

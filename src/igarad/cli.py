@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``          full radiation pipeline from a JSON config plus overrides
-* ``quality-map``  parametrization quality CSV for a given subdivision angle
+* ``quality-map``  parametrization quality CSV for a given subdivision angle,
+                   on the unit half-disc
 * ``mms-converge`` manufactured-solution refinement study
 * ``pollution``    fixed dofs-per-wavelength wavenumber sweep
 * ``solve-mm``     GMRES on Matrix Market files, preconditioned by a factor of
@@ -113,8 +114,8 @@ def _cmd_quality_map(args) -> int:
     try:
         if args.grid_res < 2:
             raise ValueError("--grid-res must be at least 2")
-        cfg = DomainConfig(a=args.aperture_fraction * args.radius, r=args.radius, theta=args.theta)
-        surface = make_semicircle_patch(cfg)
+        # the mean ratio does not depend on a, and r only scales x and y
+        surface = make_semicircle_patch(DomainConfig(a=0.1, r=1.0, theta=args.theta))
     except ValueError as exc:
         return _bad_config(exc)
     try:
@@ -163,8 +164,8 @@ def _cmd_pollution(args) -> int:
     try:
         ks = [float(v) for v in args.wavenumbers.split(",")]
         orders = [int(v) for v in args.orders.split(",")]
-        if not all(0 < v < math.inf for v in [*ks, args.ppw, args.radius]) or min(orders) < 2:
-            raise ValueError("need finite --wavenumbers, --ppw and --radius > 0, and --orders >= 2")
+        if not all(0 < v < math.inf for v in [*ks, args.ppw]) or min(orders) < 2:
+            raise ValueError("need finite --wavenumbers and --ppw > 0, and --orders >= 2")
     except ValueError as exc:
         return _bad_config(exc)
     try:
@@ -172,9 +173,7 @@ def _cmd_pollution(args) -> int:
     except OSError as exc:
         return _io_error(exc)
     with table:
-        rows = pollution_study(
-            wavenumbers=ks, orders=orders, points_per_wavelength=args.ppw, radius=args.radius
-        )
+        rows = pollution_study(wavenumbers=ks, orders=orders, points_per_wavelength=args.ppw)
         print(f"{'order':>6} {'k':>8} {'n':>6} {'dofs':>8} {'rel L2 error':>14}")
         for r in rows:
             print(f"{r.order:6d} {r.wavenumber:8.1f} {r.n:6d} {r.dofs:8d} {r.rel_l2_error:14.5e}")
@@ -241,8 +240,6 @@ def main(argv=None) -> int:
 
     q = sub.add_parser("quality-map", help="export the parametrization quality map")
     q.add_argument("--theta", type=float, default=math.pi / 4)
-    q.add_argument("--radius", type=float, default=1.0)
-    q.add_argument("--aperture-fraction", dest="aperture_fraction", type=float, default=0.1)
     q.add_argument("--grid-res", dest="grid_res", type=int, default=200)
     q.add_argument("--out", default="quality.csv")
 
@@ -257,7 +254,6 @@ def main(argv=None) -> int:
     pl.add_argument("--wavenumbers", default="20,40,80,160")
     pl.add_argument("--orders", default="3,4")
     pl.add_argument("--ppw", type=float, default=8.0)
-    pl.add_argument("--radius", type=float, default=0.35)
     pl.add_argument("--out")
 
     s = sub.add_parser("solve-mm", help="solve a Matrix Market system")

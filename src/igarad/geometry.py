@@ -43,61 +43,20 @@ _CORNER_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DomainConfig:
-    """Physical and geometric parameters of the radiation problem.
-
-    ``r`` is normally derived from the near-field length (``r = rho * a^2
-    / lambda``); use :meth:`from_frequency` for that.  ``theta`` is the
-    polar angle subtended by each of the two side arcs.
+    """Shape of the radiation domain: half aperture ``a``, semicircle radius
+    ``r`` and the polar angle ``theta`` subtended by each of the two side
+    arcs.  The physics that sets ``r`` lives in :class:`igarad.pipeline.RunConfig`.
     """
 
     a: float
     r: float
-    theta: float = math.pi / 4
-    amplitude: complex = 1.0 + 0.0j
-    frequency: float | None = None
-    sound_speed: float = 1500.0
+    theta: float
 
     def __post_init__(self):
         if not 0.0 < self.a < self.r:
             raise ValueError(f"need 0 < a < r, got a={self.a}, r={self.r}")
         if not 0.0 < self.theta < math.pi / 2:
             raise ValueError(f"theta must lie in (0, pi/2), got {self.theta}")
-        if self.frequency is not None and self.frequency <= 0:
-            raise ValueError("frequency must be positive")
-
-    @classmethod
-    def from_frequency(
-        cls,
-        frequency: float,
-        half_aperture: float = 0.01,
-        sound_speed: float = 1500.0,
-        radius_factor: float = 2.0,
-        theta: float = math.pi / 4,
-        amplitude: complex = 1.0 + 0.0j,
-    ) -> "DomainConfig":
-        """Config with ``r = radius_factor * a^2 / lambda``."""
-        lam = sound_speed / frequency
-        r = radius_factor * half_aperture**2 / lam
-        return cls(
-            a=half_aperture,
-            r=r,
-            theta=theta,
-            amplitude=amplitude,
-            frequency=frequency,
-            sound_speed=sound_speed,
-        )
-
-    @property
-    def wavenumber(self) -> float:
-        if self.frequency is None:
-            raise ValueError("wavenumber undefined: config has no frequency")
-        return 2.0 * math.pi * self.frequency / self.sound_speed
-
-    @property
-    def wavelength(self) -> float:
-        if self.frequency is None:
-            raise ValueError("wavelength undefined: config has no frequency")
-        return self.sound_speed / self.frequency
 
     @property
     def aperture_preimage(self) -> tuple[float, float]:
@@ -108,11 +67,6 @@ class DomainConfig:
         ``(r -/+ a) / (2 r)``.
         """
         return (self.r - self.a) / (2.0 * self.r), (self.r + self.a) / (2.0 * self.r)
-
-
-def near_field_length(cfg: DomainConfig) -> float:
-    """Near-field (natural focus) distance ``a^2 / lambda``."""
-    return cfg.a**2 / cfg.wavelength
 
 
 class RationalCurve:

@@ -32,12 +32,7 @@ from .assembly import (
 )
 from .bspline import TensorProductSpace, design, make_uniform_open_knots
 from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
-from .geometry import (
-    CoonsSurface,
-    DomainConfig,
-    make_semicircle_patch,
-    near_field_length,
-)
+from .geometry import CoonsSurface, DomainConfig, make_semicircle_patch
 from .solver import SolveReport, build_cslp, gmres, save_matrix_market
 from .solver import direct_solve  # noqa: F401  bench/layers.py traces this name
 
@@ -125,15 +120,22 @@ class RunConfig:
         if self.profile_samples < 1:
             raise ValueError("profile_samples must be at least 1")
 
+    @property
+    def wavelength(self) -> float:
+        return self.sound_speed / self.frequency
+
+    @property
+    def wavenumber(self) -> float:
+        return 2.0 * math.pi * self.frequency / self.sound_speed
+
+    @property
+    def near_field_length(self) -> float:
+        """Near-field (natural focus) distance ``a^2 / lambda``."""
+        return self.half_aperture**2 / self.wavelength
+
     def domain(self) -> DomainConfig:
-        return DomainConfig.from_frequency(
-            frequency=self.frequency,
-            half_aperture=self.half_aperture,
-            sound_speed=self.sound_speed,
-            radius_factor=self.radius_factor,
-            theta=self.theta,
-            amplitude=self.amplitude,
-        )
+        r = self.radius_factor * self.half_aperture**2 / self.wavelength
+        return DomainConfig(self.half_aperture, r, self.theta)
 
     @classmethod
     def from_json(cls, path, **overrides) -> "RunConfig":
@@ -243,11 +245,13 @@ def bottom_profile(sol: SolutionField, samples: int = 400):
     return xs, vals
 
 
-def dirichlet_deviation(sol: SolutionField, domain: DomainConfig, samples: int = 200) -> float:
-    """max |u - C| over the transducer segment."""
+def dirichlet_deviation(
+    sol: SolutionField, domain: DomainConfig, amplitude: complex, samples: int = 200
+) -> float:
+    """max |u - C| over the transducer segment, for the amplitude C."""
     xis = np.linspace(*domain.aperture_preimage, samples)
     vals = sol.evaluate_grid(xis, [0.0])[:, 0]
-    return float(np.max(np.abs(vals - domain.amplitude)))
+    return float(np.max(np.abs(vals - amplitude)))
 
 
 @dataclass
@@ -296,13 +300,13 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
-    k = disc.domain.wavenumber
+    k = config.wavenumber
     beta = config.beta_factor / k
 
     def _system():
         # one gather of the free block for A and, if shifted, the preconditioner's mass block
         gather = free_gather(matrices, disc.partition)
-        A, b = build_system(matrices, disc.partition, k, disc.domain.amplitude, gather=gather)
+        A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
         mass = gather.block(matrices.mass) if beta > 0 else None
         return A, b, mass
 
@@ -316,11 +320,11 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():
-        alpha = expand_solution(disc.partition, x, disc.domain.amplitude)
+        alpha = expand_solution(disc.partition, x, config.amplitude)
         return SolutionField(disc.space, disc.geometry, alpha)
 
     sol = stage("postprocess", _post)
-    dev = dirichlet_deviation(sol, disc.domain)
+    dev = dirichlet_deviation(sol, disc.domain, config.amplitude)
 
     outputs: dict[str, str] = {}
     if write_outputs:
@@ -449,14 +453,13 @@ def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, 
     """Dump ``report.json`` next to the outputs; returns its path.  ``factor``
     holds the preconditioner factor's ``lu_nnz`` (stored entries) and
     ``factor_bytes``."""
-    domain = disc.domain
     report = {
         "config": config.to_dict(),
         "derived": {
-            "wavenumber": domain.wavenumber,
-            "wavelength": domain.wavelength,
-            "near_field_length": near_field_length(domain),
-            "radius": domain.r,
+            "wavenumber": config.wavenumber,
+            "wavelength": config.wavelength,
+            "near_field_length": config.near_field_length,
+            "radius": disc.domain.r,
             "dofs": disc.space.size,
             "n_actual": disc.space.n,
             "m_actual": disc.space.m,
@@ -557,13 +560,15 @@ def pollution_study(
     wavenumbers=(20.0, 40.0, 80.0, 160.0),
     orders=(3, 4),
     points_per_wavelength: float = 8.0,
-    radius: float = 0.35,
 ) -> list[PollutionRow]:
     """Fixed dofs-per-wavelength sweep over the wavenumber.
 
     With the resolution tied to the wavelength, any error growth in k is
-    pollution; smoother bases grow slower.
+    pollution; smoother bases grow slower.  The domain's radius is fixed at
+    0.35: scaling lengths by s maps the problem at (k, r) onto (k / s, s r),
+    so in 2D the errors depend on k r alone and the wavenumbers sweep it.
     """
+    radius = 0.35
     cfg = DomainConfig(a=0.3 * radius, r=radius, theta=math.pi / 4)
     geometry = make_semicircle_patch(cfg)
     rows: list[PollutionRow] = []

@@ -80,8 +80,8 @@ class SolveReport:
     true_residual: float
     wall_time_s: float
     converged: bool
-    restart: int | None = None
-    tol: float | None = None
+    restart: int
+    tol: float
     shift: float | None = None
     history: list[float] = field(default_factory=list)
     cycle_lengths: list[int] = field(default_factory=list)

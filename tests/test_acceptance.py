@@ -18,7 +18,6 @@ from igarad.geometry import (
     make_line,
     make_semicircle_boundary,
     make_semicircle_patch,
-    near_field_length,
 )
 from igarad.pipeline import (
     RunConfig,
@@ -165,12 +164,11 @@ class TestCriterion3AssemblyOracle:
 class TestCriterion4Dirichlet:
     def test_boundary_value_after_solve(self, desk_run):
         """max over 200 aperture samples of |u - C| after a desk solve."""
-        dom = desk_run.discretization.domain
         xi_l = desk_run.discretization.partition.xi_left
         xi_r = desk_run.discretization.partition.xi_right
         xis = np.linspace(xi_l, xi_r, 200)
         vals = desk_run.field.evaluate_grid(xis, [0.0])[:, 0]
-        dev = float(np.max(np.abs(vals - dom.amplitude)))
+        dev = float(np.max(np.abs(vals - desk_run.config.amplitude)))
         verdict("criterion 4 (Dirichlet correctness)", dev <= 1e-10, f"max |u - C| = {dev:.2e}")
         assert dev <= 1e-10
 
@@ -222,12 +220,12 @@ class TestCriterion7PreconditionedSolver:
         t0 = time.perf_counter()
         rep = desk_run.solve_report
         disc = desk_run.discretization
-        k = disc.domain.wavenumber
+        k = desk_run.config.wavenumber
         assert abs(k - DESK_WAVENUMBER) < 1.0
         assert 9000 <= disc.partition.n_free <= 12000
 
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        A, b = build_system(matrices, disc.partition, k, disc.domain.amplitude)
+        A, b = build_system(matrices, disc.partition, k, desk_run.config.amplitude)
         x_direct = direct_solve(A, b)
         x_gmres = desk_run.field.coefficients[disc.partition.free]
         rel = float(np.linalg.norm(x_gmres - x_direct) / np.linalg.norm(x_direct))
@@ -266,7 +264,7 @@ class TestCriterion8PhysicalSanity:
         is an artifact of the truncation, not beam structure.
         """
         dom = desk_run.discretization.domain
-        nf = near_field_length(dom)
+        nf = desk_run.config.near_field_length
         ys, vals = axis_profile(desk_run.field, 800)
         mag = np.abs(vals)
         prom = 0.02 * mag.max()
@@ -284,14 +282,14 @@ class TestCriterion8PhysicalSanity:
 
         xs, bvals = bottom_profile(desk_run.field, 400)
         on_ap = np.abs(xs) <= dom.a * (1 - 1e-12)
-        plateau = float(np.max(np.abs(bvals[on_ap] - dom.amplitude)))
+        plateau = float(np.max(np.abs(bvals[on_ap] - desk_run.config.amplitude)))
         # smoothness on the baffle: the mixed-BC transition at x = +/- a
         # carries a gradient singularity, so the check applies one
         # wavelength away from the aperture edges
         out_mag = np.abs(bvals)
         incr = np.abs(np.diff(out_mag)) / out_mag.max()
         xmid = 0.5 * (xs[1:] + xs[:-1])
-        baffle = np.abs(xmid) >= dom.a + dom.wavelength
+        baffle = np.abs(xmid) >= dom.a + desk_run.config.wavelength
         jumps = float(incr[baffle].max())
 
         oscillates = n_max_before >= 1 and n_min_before >= 1
@@ -321,9 +319,9 @@ class TestCriterion9StructuralInvariants:
     def test_symmetry_sparsity_definiteness(self, desk_run):
         """A symmetric non-Hermitian, sparsity bound, M positive definite."""
         disc = desk_run.discretization
-        k = disc.domain.wavenumber
+        k = desk_run.config.wavenumber
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        A, _ = build_system(matrices, disc.partition, k, disc.domain.amplitude)
+        A, _ = build_system(matrices, disc.partition, k, desk_run.config.amplitude)
 
         d = (A - A.T).tocoo()
         asym = float(np.max(np.abs(d.data))) if d.nnz else 0.0

@@ -506,7 +506,7 @@ class TestBuildSystem:
 
     def test_zero_wavenumber_zero_amplitude(self, sys_setup):
         _, _, space, _, mats = sys_setup
-        part = classify_dofs(space, DomainConfig(a=0.3, r=1.0))
+        part = classify_dofs(space, DomainConfig(a=0.3, r=1.0, theta=math.pi / 4))
         A, b = build_system(mats, part, 0.0, 0.0)
         assert np.all(b == 0.0)
         x = direct_solve(A, b)
@@ -524,12 +524,12 @@ class TestBuildSystem:
     def test_post_solve_dirichlet_value(self, sys_setup):
         cfg, geometry, space, _, mats = sys_setup
         part = classify_dofs(space, cfg)
-        k = 40.0
-        A, b = build_system(mats, part, k, cfg.amplitude)
-        alpha = expand_solution(part, direct_solve(A, b), cfg.amplitude)
+        k, amplitude = 40.0, 1.0 + 0.0j
+        A, b = build_system(mats, part, k, amplitude)
+        alpha = expand_solution(part, direct_solve(A, b), amplitude)
         xis = np.linspace(part.xi_left, part.xi_right, 100)
         vals = space.evaluate(alpha, xis, [0.0])[:, 0]
-        assert np.max(np.abs(vals - cfg.amplitude)) <= 1e-10
+        assert np.max(np.abs(vals - amplitude)) <= 1e-10
 
     def test_empty_dirichlet_rejected(self, sys_setup):
         from igarad.assembly import DissectionTree, DofPartition

@@ -17,7 +17,6 @@ from igarad.geometry import (
     make_patch_boundary,
     make_semicircle_boundary,
     make_semicircle_patch,
-    near_field_length,
 )
 from igarad.pipeline import write_quality_csv
 
@@ -32,16 +31,9 @@ def unit_square_patch():
 
 
 class TestDomainConfig:
-    def test_paper_values_at_1mhz(self):
-        cfg = DomainConfig.from_frequency(1.0e6)
-        assert cfg.wavelength == pytest.approx(0.0015)
-        assert near_field_length(cfg) == pytest.approx(0.066666666, rel=1e-6)
-        assert cfg.r == pytest.approx(2 * 0.0666666666, rel=1e-6)
-        assert cfg.wavenumber == pytest.approx(4188.790204786391)
-
     def test_invalid_aperture(self):
         with pytest.raises(ValueError):
-            DomainConfig(a=0.2, r=0.1)
+            DomainConfig(a=0.2, r=0.1, theta=math.pi / 4)
 
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
@@ -281,6 +273,18 @@ class TestQualityMap:
         _, _, _, mr = S.quality_grid(60)
         assert mr.min() > 0.0
         assert mr.max() <= 1.0 + 1e-14
+
+    def test_map_scales_with_radius_and_ignores_aperture(self):
+        # what lets the quality-map command draw every map on the unit half-disc
+        def grid(a, r):
+            return make_semicircle_patch(DomainConfig(a=a, r=r, theta=math.pi / 4)).quality_grid(50)
+
+        _, _, F1, mr1 = grid(0.1, 1.0)
+        _, _, F3, mr3 = grid(0.3, 3.0)
+        assert np.max(np.abs(mr3 - mr1)) <= 1e-12
+        assert np.max(np.abs(F3 - 3.0 * F1)) <= 1e-13
+        _, _, F7, mr7 = grid(0.7, 1.0)
+        assert np.array_equal(F7, F1) and np.array_equal(mr7, mr1)
 
     def test_csv_export(self, tmp_path):
         S = unit_square_patch()

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from igarad.bspline import TensorProductSpace, make_uniform_open_knots
-from igarad.geometry import near_field_length
 from igarad.pipeline import (
     FULL_SCALE_DOFS,
     PipelineError,
@@ -48,16 +47,22 @@ def smoke_result():
 
 
 class TestRunConfig:
+    def test_paper_values_at_1mhz(self):
+        cfg = RunConfig(frequency=1.0e6)
+        assert cfg.wavelength == pytest.approx(0.0015)
+        assert cfg.near_field_length == pytest.approx(0.066666666, rel=1e-6)
+        assert cfg.domain().r == pytest.approx(2 * 0.0666666666, rel=1e-6)
+        assert cfg.wavenumber == pytest.approx(4188.790204786391)
+
     def test_radius_is_derived_from_near_field(self):
         cfg = RunConfig(frequency=1.0e6, radius_factor=2.0)
         dom = cfg.domain()
-        assert dom.r == pytest.approx(2 * near_field_length(dom))
+        assert dom.r == pytest.approx(2 * cfg.near_field_length)
         assert dom.r == pytest.approx(0.13333333, rel=1e-6)
 
     def test_wavenumber_consistency(self):
         cfg = RunConfig(frequency=2.5e5, sound_speed=1480.0)
-        dom = cfg.domain()
-        assert dom.wavenumber == 2 * math.pi * 2.5e5 / 1480.0
+        assert cfg.wavenumber == 2 * math.pi * 2.5e5 / 1480.0
 
     def test_json_roundtrip_with_overrides(self, tmp_path):
         cfg = smoke_config(n=24, amplitude=2.0 + 1.0j)
@@ -273,6 +278,25 @@ class TestStudies:
         rel = l2_error(space, geometry, alpha, wave, quad) / l2_norm(space, geometry, wave, quad)
         assert rel == row.rel_l2_error  # same deterministic computation
 
+    def test_error_depends_on_k_times_r(self):
+        # why the pollution study fixes its radius: scaling the domain by s
+        # and the wavenumber by 1/s maps one discrete problem onto the other
+        from igarad import mms
+        from igarad.geometry import DomainConfig, make_semicircle_patch
+        from igarad.pipeline import _manufactured_level
+
+        def rel_error(k, r):
+            cfg = DomainConfig(a=0.3 * r, r=r, theta=math.pi / 4)
+            geometry = make_semicircle_patch(cfg)
+            wave = mms.PlaneWave(k, (0.6, 0.8))
+            disc, alpha = _manufactured_level(cfg, geometry, 3, 12, wave)
+            space, quad = disc.space, disc.quadrature
+            return mms.l2_error(space, geometry, alpha, wave, quad) / mms.l2_norm(space, geometry, wave, quad)
+
+        e = rel_error(30.0, 0.35)
+        assert e > 1e-6  # a resolved but inexact solve, so the comparison means something
+        assert rel_error(15.0, 0.70) == pytest.approx(e, rel=1e-10)
+
     def test_doubling_dofs_reduces_error(self):
         from igarad.pipeline import pollution_study
 
@@ -334,7 +358,7 @@ class TestProfiles:
         assert xs[0] == pytest.approx(-dom.r, abs=1e-14)
         assert xs[-1] == pytest.approx(dom.r, abs=1e-14)
         on_ap = np.abs(xs) <= dom.a * (1 - 1e-12)
-        assert np.max(np.abs(vals[on_ap] - dom.amplitude)) <= 1e-10
+        assert np.max(np.abs(vals[on_ap] - smoke_result.config.amplitude)) <= 1e-10
 
     def test_bottom_profile_symmetric_magnitude(self, smoke_result):
         xs, vals = bottom_profile(smoke_result.field, 121)
@@ -393,7 +417,7 @@ class TestEnergyBalance:
             write_outputs=False,
         )
         disc = res.discretization
-        k = disc.domain.wavenumber
+        k = res.config.wavenumber
         alpha = res.field.coefficients
         mats = assemble(disc.space, disc.geometry, disc.quadrature)
         absorbed = k * float(np.real(np.conj(alpha) @ (mats.robin_mass @ alpha)))
@@ -472,8 +496,7 @@ class TestOutputs:
         cfg, result, outdir = outputs
         with open(outdir / "report.json") as fh:
             report = json.load(fh)
-        dom = result.discretization.domain
-        assert report["derived"]["wavenumber"] == dom.wavenumber
+        assert report["derived"]["wavenumber"] == cfg.wavenumber
         assert report["derived"]["dofs"] == result.discretization.space.size
         assert report["solve"]["method"] == "gmres"
         # the zero-shift factor of A on the tree: complex128 blocks plus their index arrays
@@ -496,7 +519,7 @@ class TestOutputs:
         # the preconditioner's factor is the size the tree's symbolic pass counts from A
         disc = result.discretization
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        A, _ = build_system(matrices, disc.partition, disc.domain.wavenumber, disc.domain.amplitude)
+        A, _ = build_system(matrices, disc.partition, cfg.wavenumber, cfg.amplitude)
         assert frontal_storage(A, disc.partition.tree) == (lu_nnz, report["derived"]["factor_bytes"])
         solve = report["solve"]
         assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
@@ -694,7 +717,12 @@ class TestCli:
         out = tmp_path / "q.csv"
         proc = self._run("quality-map", "--grid-res", "40", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        assert out.exists()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "xi,eta,x,y,mean_ratio"
+        # the map is drawn on the unit half-disc
+        x, y = np.loadtxt(lines[1:], delimiter=",", usecols=(2, 3)).T
+        assert len(x) == 40 * 40
+        assert np.all(y >= -1e-14) and np.all(x * x + y * y <= 1.0 + 1e-12)
 
     def test_solve_mm_roundtrip(self, tmp_path):
         import scipy.sparse as sp
@@ -735,7 +763,7 @@ class TestCli:
         result = run(config)
         disc = result.discretization
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        _, b = build_system(matrices, disc.partition, disc.domain.wavenumber, disc.domain.amplitude)
+        _, b = build_system(matrices, disc.partition, config.wavenumber, config.amplitude)
         save_vector(tmp_path / "b.mtx", b)
         out, rep = tmp_path / "x.mtx", tmp_path / "rep.json"
         proc = self._run(
@@ -952,7 +980,7 @@ class TestCli:
             ("pollution", "--wavenumbers", ""),
             ("pollution", "--wavenumbers", "20,nan"),
             ("pollution", "--ppw", "0"),
-            ("pollution", "--radius", "0"),
+            ("pollution", "--ppw", "inf"),
         ],
         ids=lambda a: "{}{}={}".format(*a),
     )

@@ -377,7 +377,7 @@ def desk_system():
     config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
     disc = discretize(config)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
-    k = disc.domain.wavenumber
+    k = config.wavenumber
     gather = free_gather(mats, disc.partition)
     A, b = build_system(mats, disc.partition, k, config.amplitude, gather=gather)
     return A, b, gather.block(mats.mass), config.beta_factor / k, disc.partition.tree
@@ -513,7 +513,7 @@ def desk_physics_system(n, m, k):
     config = replace(base, n=n, m=m, frequency=k * base.sound_speed / (2 * math.pi))
     disc = discretize(config)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
-    A, b = build_system(mats, disc.partition, disc.domain.wavenumber, config.amplitude)
+    A, b = build_system(mats, disc.partition, config.wavenumber, config.amplitude)
     return A, b, disc.partition.tree
 
 

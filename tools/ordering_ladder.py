@@ -79,7 +79,7 @@ def _system(n: int, m: int):
     t0 = time.perf_counter()
     matrices = assemble(disc.space, disc.geometry, disc.quadrature)
     assemble_s = time.perf_counter() - t0
-    k = disc.domain.wavenumber
+    k = config.wavenumber
     gather = free_gather(matrices, disc.partition)
     A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
     return disc, A, b, gather.block(matrices.mass), config.beta_factor / k, assemble_s
