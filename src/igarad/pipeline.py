@@ -316,7 +316,8 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
     mass = None
-    factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes}
+    factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes,
+              "child_peak_rss_mib": precond.child_peak_rss_mib}
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():
@@ -451,8 +452,9 @@ def _write_outputs(config, sol, matrices, system) -> dict:
 
 def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, peak_rss_mib, outputs) -> str:
     """Dump ``report.json`` next to the outputs; returns its path.  ``factor``
-    holds the preconditioner factor's ``lu_nnz`` (stored entries) and
-    ``factor_bytes``."""
+    holds the preconditioner factor's ``lu_nnz`` (stored entries),
+    ``factor_bytes`` and ``child_peak_rss_mib`` (its child process's peak
+    resident set, ``None`` if it ran in one process)."""
     report = {
         "config": config.to_dict(),
         "derived": {

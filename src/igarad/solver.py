@@ -4,24 +4,33 @@ shifted-Laplacian preconditioner and sparse direct solves.
 Matrices are scipy CSR with sorted, deduplicated indices; a system from
 the grid arrives with its unknowns in elimination order, with the
 nested-dissection tree of that order, so it is factored as it is, with no
-permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).
-SuperLU, under minimum degree, factors only matrices that come without a
-tree (``solve-mm``'s and the tests' oracle); :func:`_factor` picks between
-the two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Direct solves take one step of
-iterative refinement on either.  SuperLU (``scipy.sparse.linalg``) and the
-Matrix Market readers and writers (``scipy.io``) are imported where they
-are called: they load scipy's own BLAS and LAPACK, which no grid run or
-study needs, so such a process maps numpy's OpenBLAS alone.  GMRES reports
-``converged`` only when the explicit preconditioned residual
-``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
-cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
-alongside as a guard.  Solver objects hold factorizations and are not safe
-to share across threads; distinct instances are independent.
+permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).  That
+factor takes the two subtrees under the tree's root at once, one in a
+forked child process, with numpy's OpenBLAS at one thread in both; it runs
+in this process alone where the thread count cannot be set, one core is
+usable or the root has one subtree.  Solves are serial.  SuperLU, under
+minimum degree, factors only matrices that come without a tree
+(``solve-mm``'s and the tests' oracle); :func:`_factor` picks between the
+two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Direct
+solves take one step of iterative refinement on either.  SuperLU
+(``scipy.sparse.linalg``) and the Matrix Market readers and writers
+(``scipy.io``) are imported where they are called: they load scipy's own
+BLAS and LAPACK, which no grid run or study needs, so such a process maps
+numpy's OpenBLAS alone.  GMRES reports ``converged`` only when the
+explicit preconditioned residual ``|P^-1 (b - A x)| / |P^-1 b|``,
+recomputed at the end of each restart cycle, meets ``tol``; the
+unpreconditioned ("true") residual is reported alongside as a guard.
+Solver objects hold factorizations and are not safe to share across
+threads; distinct instances are independent.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import mmap
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -123,6 +132,7 @@ class _SuperLU:
             raise RuntimeError(f"singular {what}: {exc}") from exc
         self.nnz = int(self.lu.nnz)
         self.nbytes = 20 * self.nnz
+        self.child_peak_rss_mib = None  # factored in this process
 
     def solve(self, v) -> np.ndarray:
         """Solve ``matrix x = v``."""
@@ -199,6 +209,145 @@ def frontal_storage(A, tree) -> tuple[int, int]:
     return sum(sizes), nbytes
 
 
+def _factor_fronts(A, M, beta, what, fronts, target, pending, order) -> None:
+    """Factor the :class:`FrontalLdlt` ``fronts`` numbered in ``order``, in
+    that order, writing each front's ``W`` and ``X`` in place.  ``pending``
+    maps a front to the updates of the fronts below it, ``(up, N)``; each
+    front takes its own and adds its ``N`` for ``target[f]``."""
+    for f in order:
+        s, e, up, W, X = fronts[f]
+        k = e - s
+        front = np.concatenate([np.arange(s, e), up])
+        F = np.zeros((k, front.size), dtype=complex)  # the fully-summed rows [F11 F12]
+        lo, hi = A.indptr[s], A.indptr[e]
+        cols = A.indices[lo:hi]
+        rows = np.repeat(np.arange(k), np.diff(A.indptr[s : e + 1]))
+        keep = cols >= s  # the rest is the symmetric half of a descendant's rows
+        vals = A.data[lo:hi] - (1j * beta) * M.data[lo:hi] if beta else A.data[lo:hi]  # P's rows
+        F[rows[keep], np.searchsorted(front, cols[keep])] = vals[keep]
+        uppers = _subtract_rows(F, front, e, pending.pop(f, []))
+        try:
+            W[...] = np.linalg.inv(F[:, :k])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"singular {what}: pivot block of front {f}: {exc}") from exc
+        if not np.all(np.isfinite(W)):
+            raise RuntimeError(f"singular {what}: pivot block of front {f} has a non-finite inverse")
+        # the solve applies X^T as W F12, which needs W symmetric; inv leaves
+        # it asymmetric by roundoff times the pivot block's condition
+        W += W.T
+        W *= 0.5
+        np.matmul(F[:, k:].T, W, out=X)
+        N = X @ F[:, k:]
+        del F
+        while uppers:  # each child's block goes as soon as it is added
+            pos, block = uppers.pop()
+            np.add.at(N.reshape(-1), (pos[:, None] * up.size + pos).ravel(), block.ravel())
+            del block
+        if up.size:
+            pending.setdefault(target[f], []).append((up, N))
+        del N
+
+
+def _root_split(target) -> int:
+    """Number of fronts in the first subtree under the root front (the last
+    one): ``f + 1`` for the first front ``f`` whose update the root takes,
+    since in postorder fronts ``0 .. f`` are exactly ``f``'s subtree (with
+    any tree before it that updates no front past it); 0 where the root
+    takes fewer than two fronts' updates."""
+    root = len(target) - 1
+    below = [f for f, t in enumerate(target) if t == root]
+    return below[0] + 1 if len(below) > 1 else 0
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's wheel
+    bundles (``numpy.libs/libscipy_openblas64_*.so``), through ctypes, or
+    ``None`` where it is not found.  Looked up on the first call, so that
+    importing the package does not load ctypes or search for it."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_MESSAGE_BYTES = 4096  # room for a failing child's error message
+
+
+def _factor_with_child(factor, fronts, split, pending, blas, what) -> float:
+    """Factor ``fronts`` ``0 .. split - 1`` (:func:`_root_split`) in a
+    forked child while this process factors the rest below the root front,
+    both with BLAS at one thread; returns the child's peak RSS in MiB.
+
+    ``factor(pending, order)`` is :func:`_factor_fronts` on ``fronts``.  The
+    child writes its blocks in place into the shared store behind
+    ``fronts`` and its update for the root front into a shared mapping of
+    its own, which joins ``pending`` ahead of this process's updates, as in
+    a serial factor.  The child is reaped, and the BLAS thread count
+    restored, whatever happens; if this process's half raises, the child is
+    killed first.  A child that fails raises its error's message here as
+    ``RuntimeError``, one killed by a signal a ``RuntimeError`` naming the
+    signal; ``what`` names the factor.
+    """
+    root, up = len(fronts) - 1, fronts[split - 1][2]
+    transfer = mmap.mmap(-1, 16 * up.size**2 + _MESSAGE_BYTES)
+    update = np.frombuffer(transfer, dtype=complex, count=up.size**2).reshape(up.size, up.size)
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(factor, split, root, update, transfer)
+        try:
+            factor(pending, range(split, root))
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)  # its half is of no use now
+            raise
+        finally:
+            _, status, usage = os.wait4(pid, 0)
+    finally:
+        set_threads(threads)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise RuntimeError(f"{what}: the child process factoring fronts 0 to {split - 1} "
+                           f"was killed by {signal.Signals(-code).name}")
+    if code:
+        raise RuntimeError(transfer[-_MESSAGE_BYTES:].rstrip(b"\0").decode(errors="replace")
+                           or f"{what}: the child process factoring fronts 0 to {split - 1} exited with {code}")
+    pending[root] = [(up, update), *pending.get(root, [])]
+    return usage.ru_maxrss / 1024
+
+
+def _child(factor, split, root, update, transfer):
+    """The forked child of :func:`_factor_with_child`, which never returns:
+    it factors fronts ``0 .. split - 1``, copies the last one's update for
+    the ``root`` front into ``update`` and exits 0; on any error it writes
+    the message to the end of ``transfer`` and exits 1."""
+    code = 1
+    try:
+        pending = {}
+        factor(pending, range(split))
+        ((_, block),) = pending.pop(root)
+        update[...] = block
+        code = 0
+    except BaseException as exc:  # whatever it is, the child ends below
+        message = str(exc) if isinstance(exc, RuntimeError) else f"{type(exc).__name__} in a factor's child: {exc}"
+        transfer[-_MESSAGE_BYTES:] = message.encode()[:_MESSAGE_BYTES].ljust(_MESSAGE_BYTES, b"\0")
+    finally:
+        os._exit(code)
+
+
 class FrontalLdlt:
     """Block LDL^T of the complex symmetric ``P = A - i beta M``, front by
     front over a nested-dissection tree (multifrontal: Duff & Reid, ACM
@@ -233,6 +382,28 @@ class FrontalLdlt:
     of the blocks and their index arrays (:func:`frontal_storage`).  Both
     are counted from the tree before the one allocation that holds the
     blocks, and logged at INFO, so a factor too large to fit says so first.
+
+    The factor runs on two cores (the subtree-to-process mapping of Amestoy,
+    Duff, L'Excellent & Koster, SIMAX 23, 2001).  The allocation is an
+    anonymous shared mapping.  A forked child factors the first subtree
+    under the root front, which postorder makes the prefix of the fronts
+    (:func:`_root_split`), and writes its blocks there in place, while this
+    process factors the other fronts below the root; the root front comes
+    last, from both halves' updates, in the order a serial factor adds
+    them.  Both processes run numpy's OpenBLAS at one thread meanwhile (at
+    two, four BLAS threads on two cores thrash: the desk factor took a
+    median 0.67 s against 0.08 s), set through ctypes
+    (:func:`_openblas_threads`) and restored before the root front,
+    whatever happens.  The child is always reaped; its errors are raised
+    here with the message they would have in one process, and its peak
+    resident set is ``child_peak_rss_mib``.  Where the thread count cannot
+    be set, only one core is usable, or the root front takes fewer than two
+    fronts' updates, every front is factored in this process and
+    ``child_peak_rss_mib`` is ``None``.  The results differ
+    from a one-process factor by roundoff only: a one-thread BLAS does not
+    sum in the order a two-thread one does.  ``os.fork`` with live OpenBLAS
+    threads is what Python 3.12 and later warn of (``DeprecationWarning``);
+    the child runs numpy and nothing else, and ends in ``os._exit``.
     """
 
     def __init__(self, A, M, beta: float, tree, what: str):
@@ -243,48 +414,27 @@ class FrontalLdlt:
                 raise ValueError("M must be stored on A's pattern")
         structure, target = _fronts(A, tree)
         # every block in one allocation: the factor does not interleave with
-        # the fronts' temporaries, and its memory goes back as a whole
+        # the fronts' temporaries, and its memory goes back as a whole; it is
+        # a shared mapping, so a forked child writes its blocks in place
         sizes, self.nbytes = _storage(structure)
         self.nnz = sum(sizes)
         log.info("%s: %d unknowns, %d stored entries, %d bytes (%.2f GiB)",
                  what, A.shape[0], self.nnz, self.nbytes, self.nbytes / 2**30)
-        store = np.empty(self.nnz, dtype=complex)
-        pending: dict[int, list] = {}  # front -> negated Schur complements of the fronts below it, (unknowns, matrix)
+        store = np.frombuffer(mmap.mmap(-1, max(16 * self.nnz, 1)), dtype=complex, count=self.nnz)
         self.fronts = []  # (start, stop, up, W, X) per front, in postorder
-        for f, ((s, e, up), at) in enumerate(zip(structure, np.cumsum([0, *sizes[:-1]]))):
+        for (s, e, up), at in zip(structure, np.cumsum([0, *sizes[:-1]])):
             k = e - s
             W = store[at : at + k * k].reshape(k, k)
-            X = store[at + k * k : at + k * (k + up.size)].reshape(up.size, k)
-            front = np.concatenate([np.arange(s, e), up])
-            F = np.zeros((k, front.size), dtype=complex)  # the fully-summed rows [F11 F12]
-            lo, hi = A.indptr[s], A.indptr[e]
-            cols = A.indices[lo:hi]
-            rows = np.repeat(np.arange(k), np.diff(A.indptr[s : e + 1]))
-            keep = cols >= s  # the rest is the symmetric half of a descendant's rows
-            vals = A.data[lo:hi] - (1j * beta) * M.data[lo:hi] if beta else A.data[lo:hi]  # P's rows
-            F[rows[keep], np.searchsorted(front, cols[keep])] = vals[keep]
-            uppers = _subtract_rows(F, front, e, pending.pop(f, []))
-            try:
-                W[...] = np.linalg.inv(F[:, :k])
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(f"singular {what}: pivot block of front {f}: {exc}") from exc
-            if not np.all(np.isfinite(W)):
-                raise RuntimeError(f"singular {what}: pivot block of front {f} has a non-finite inverse")
-            # the solve applies X^T as W F12, which needs W symmetric; inv leaves
-            # it asymmetric by roundoff times the pivot block's condition
-            W += W.T
-            W *= 0.5
-            np.matmul(F[:, k:].T, W, out=X)
-            N = X @ F[:, k:]
-            del F
-            while uppers:  # each child's block goes as soon as it is added
-                pos, block = uppers.pop()
-                np.add.at(N.reshape(-1), (pos[:, None] * up.size + pos).ravel(), block.ravel())
-                del block
-            if up.size:
-                pending.setdefault(target[f], []).append((up, N))
-            del N
-            self.fronts.append((s, e, up, W, X))
+            self.fronts.append((s, e, up, W, store[at + k * k : at + k * (k + up.size)].reshape(up.size, k)))
+        factor = functools.partial(_factor_fronts, A, M, beta, what, self.fronts, target)
+        split, pending, first = _root_split(target), {}, 0
+        self.child_peak_rss_mib = None
+        if split and (blas := _openblas_threads()) and len(os.sched_getaffinity(0)) > 1:
+            self.child_peak_rss_mib = _factor_with_child(factor, self.fronts, split, pending, blas, what)
+            log.info("%s: fronts 0 to %d of %d factored in a child process, its peak RSS %.0f MiB",
+                     what, split - 1, len(self.fronts), self.child_peak_rss_mib)
+            first = len(self.fronts) - 1  # the root front
+        factor(pending, range(first, len(self.fronts)))
 
     def solve(self, v) -> np.ndarray:
         """Solve ``P x = v``: forward over the postorder, then back."""
@@ -304,7 +454,8 @@ def _factor(A, M, beta: float, tree, what: str):
     """Factor of ``P = A - i beta M`` (``M`` unread when ``beta = 0``):
     :class:`FrontalLdlt` on the nested-dissection ``tree`` that numbers A,
     or, without one, :class:`_SuperLU` of P formed whole.  Either answers
-    ``solve``, ``nnz`` and ``nbytes``; ``what`` names it if singular."""
+    ``solve``, ``nnz``, ``nbytes`` and ``child_peak_rss_mib``; ``what``
+    names it if singular."""
     if tree is None:
         return _SuperLU(A - 1j * beta * M if beta else A, what)
     return FrontalLdlt(A, M, beta, tree, what)
@@ -320,8 +471,10 @@ class CslpPreconditioner:
     so M must be stored on A's pattern and P be complex symmetric.
     Without one, P is formed and factored by SuperLU under minimum degree
     (threshold partial pivoting).  ``factor`` is the factor, ``lu_nnz`` its
-    stored entries (the fronts' blocks, or SuperLU's L and U) and
-    ``factor_bytes`` their bytes.  ``beta = 0`` makes the preconditioner an
+    stored entries (the fronts' blocks, or SuperLU's L and U),
+    ``factor_bytes`` their bytes and ``child_peak_rss_mib`` the peak
+    resident set of the tree factor's child process (``None`` without
+    one).  ``beta = 0`` makes the preconditioner an
     exact solve of A, and ``M`` may then be ``None``.
     """
 
@@ -336,6 +489,7 @@ class CslpPreconditioner:
         self.factor = _factor(A, M, self.beta, tree, "shifted-Laplacian factorization")
         self.lu_nnz = self.factor.nnz
         self.factor_bytes = self.factor.nbytes
+        self.child_peak_rss_mib = self.factor.child_peak_rss_mib
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return self.factor.solve(v)

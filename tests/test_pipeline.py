@@ -503,6 +503,9 @@ class TestOutputs:
         lu_nnz = report["derived"]["lu_nnz"]
         assert lu_nnz > 0
         assert 16 * lu_nnz < report["derived"]["factor_bytes"] < 17 * lu_nnz
+        # null where the factor ran in one process
+        peak = report["derived"]["child_peak_rss_mib"]
+        assert peak is None or peak > 0
         assert report["config"]["n"] == cfg.n
 
     def test_report_lu_fill(self, tmp_path):
@@ -534,12 +537,17 @@ class TestOutputs:
             run(smoke_config(beta_factor=beta_factor, outdir=str(tmp_path)))
         messages = [r.getMessage() for r in caplog.records]
         lines = [i for i, r in enumerate(caplog.records) if r.name == "igarad.solver"]
-        assert len(lines) == 1
-        logged = int(re.search(r"stored entries, (\d+) bytes", messages[lines[0]]).group(1))
+        size, *child = lines
+        logged = int(re.search(r"stored entries, (\d+) bytes", messages[size]).group(1))
         report = json.loads((tmp_path / "report.json").read_text())
         assert logged == report["derived"]["factor_bytes"]
+        # a factor that forked says so next, with the child's peak the report keeps
+        peak = report["derived"]["child_peak_rss_mib"]
+        assert len(child) == (peak is not None)
+        if child:
+            assert messages[child[0]].endswith(f"its peak RSS {peak:.0f} MiB")
         # logged before the line that closes the factor stage
-        assert lines[0] < next(i for i, m in enumerate(messages) if m.startswith("[factor]"))
+        assert lines[-1] < next(i for i, m in enumerate(messages) if m.startswith("[factor]"))
 
     def test_report_peak_memory(self, outputs):
         from igarad.solver import load_matrix_market

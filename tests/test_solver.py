@@ -1,5 +1,7 @@
 """Solver: restarted GMRES, shifted-Laplacian preconditioner, direct solve."""
 
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from igarad import solver
 from igarad.solver import (
     FrontalLdlt,
     GmresConfig,
@@ -418,12 +421,13 @@ class TestFactorize:
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_ordered_preconditioner_makes_no_copy_of_p(self, desk_system):
-        """Factoring P on the tree allocates what the factor stores and, while
-        a node is factored, its front and the updates that meet there; P is
-        formed row block by row block, never whole.  Measured: 42.5 MB
-        against the bound's 51.6 MB (factor 33.7 MB, 1.5 P 12.5 MB, twice
-        the largest live front 5.5 MB); two copies of P, or the fronts kept
-        past their nodes, would not fit."""
+        """Factoring P on the tree allocates, on the heap, only what a node
+        holds while it is factored, its front and the updates that meet
+        there; P is formed row block by row block, never whole.  The factor's
+        blocks live in a shared mapping, which ``tracemalloc`` does not see.
+        Measured: 7.9 MB (9.0 MB in one process) against the bound's 18.0 MB
+        (1.5 P 12.5 MB, twice the largest live front 5.5 MB); two copies of
+        P, or the fronts kept past their nodes, would not fit."""
         A, _, mass, beta, tree = desk_system
         tracemalloc.start()
         try:
@@ -433,7 +437,7 @@ class TestFactorize:
             tracemalloc.stop()
         fronts = precond.factor.fronts
         largest = max(_live_front_bytes(W, X) for _, _, _, W, X in fronts)
-        assert peak <= precond.factor_bytes + 1.5 * A.nnz * 16 + 2 * largest
+        assert peak <= 1.5 * A.nnz * 16 + 2 * largest
 
     def test_tiny_diagonal_is_pivoted_away(self):
         """A symmetric matrix whose diagonal is 1e-13: diagonal pivots alone
@@ -534,11 +538,58 @@ def aperture_leaves_system():
     return (*grid_system(space, cfg, k), k)
 
 
+def can_split() -> bool:
+    """Whether a factor here puts a subtree in a child process: numpy's
+    OpenBLAS thread count is settable and there are two cores."""
+    return solver._openblas_threads() is not None and len(os.sched_getaffinity(0)) > 1
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids ``os.fork`` returns in this process from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def blas_threads():
+    return solver._openblas_threads()[0]()
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's OpenBLAS at two threads for the test, whatever an earlier
+    test left, and back at its count after it."""
+    get, set_ = solver._openblas_threads()
+    threads = get()
+    set_(2)
+    yield
+    set_(threads)
+
+
+def two_leaves_and_root(diagonal):
+    """``(A, M, tree)``: two leaves of one unknown each, both coupled to the
+    root's one unknown, with ``diagonal`` on A's diagonal.  The root takes
+    two fronts' updates, so leaf 0 is factored in a child process."""
+    from igarad.assembly import DissectionTree
+
+    d0, d1, d2 = diagonal
+    A = sp.csr_matrix(np.array([[d0, 0, 1], [0, d1, 1], [1, 1, d2]], dtype=complex))
+    tree = DissectionTree(np.arange(3), np.array([0, 1, 2, 3]), np.array([2, 2, -1]))
+    return A, sp.csr_matrix((3, 3), dtype=complex), tree
+
+
 class TestFrontalLdlt:
     """The shifted-Laplacian factor on the nested-dissection tree."""
 
     @pytest.mark.parametrize("system", ["cubic_20x12", "aperture_leaves"])
-    def test_every_front_against_the_dense_schur_complement(self, system):
+    def test_every_front_against_the_dense_schur_complement(self, system, monkeypatch):
         """Per front, against dense elimination of every unknown before it:
         ``inv(W)`` is the Schur complement on the node's own unknowns, ``X``
         the eliminated coupling of its ancestors to them times ``W``, and
@@ -551,8 +602,11 @@ class TestFrontalLdlt:
             A, _, mass, tree, k = aperture_leaves_system()
         beta = 1.0 / (3 * k)
         P = (A - 1j * beta * mass).toarray()
+        forks = count_forks(monkeypatch)
         factor = build_cslp(A, mass, beta, tree=tree).factor
         assert len(factor.fronts) > 5
+        if system == "cubic_20x12":  # the two subtrees under the root: one in a child
+            assert len(forks) == can_split()
         for s, e, up, W, X in factor.fronts:
             eliminated = np.linalg.solve(P[:s, :s], P[:s, s:e])
             schur = P[s:e, s:e] - P[s:e, :s] @ eliminated
@@ -621,6 +675,67 @@ class TestFrontalLdlt:
         tiny = sp.csr_matrix(np.diag([2.0, 1.0, 1e-320]).astype(complex))
         with pytest.raises(RuntimeError, match="^singular shifted-Laplacian factorization: "):
             build_cslp(tiny, M, 0.0, tree=leaf_and_root)
+
+    @pytest.mark.skipif(not can_split(), reason="no settable BLAS thread count or one core: no child process")
+    def test_failing_child_reported_and_reaped(self, monkeypatch, blas_at_two_threads):
+        """A singular pivot block in the child's subtree raises what the
+        in-process factor raises; no child is left, and the BLAS thread
+        count is what it was, after a failure and after a success."""
+        threads = blas_threads()
+        A, M, tree = two_leaves_and_root([0.0, 2.0, 3.0])
+        with monkeypatch.context() as one_core:
+            one_core.setattr(os, "sched_getaffinity", lambda pid: {0})
+            with pytest.raises(RuntimeError) as in_process:
+                build_cslp(A, M, 0.0, tree=tree)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(RuntimeError) as forked:
+            build_cslp(A, M, 0.0, tree=tree)
+        assert len(forks) == 1
+        assert str(forked.value) == str(in_process.value)
+        assert str(forked.value).startswith("singular shifted-Laplacian factorization: pivot block of front 0: ")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert blas_threads() == threads
+        # the parent's own half fails: the child is killed and reaped
+        A, M, tree = two_leaves_and_root([2.0, 0.0, 3.0])
+        with pytest.raises(RuntimeError, match="pivot block of front 1: "):
+            build_cslp(A, M, 0.0, tree=tree)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert blas_threads() == threads
+        # a success, against the dense solve
+        A, M, tree = two_leaves_and_root([2.0, 4.0, 3.0])
+        b = np.array([1.0, 2.0, 3.0], dtype=complex)
+        x = build_cslp(A, M, 0.0, tree=tree).solve(b)
+        assert len(forks) == 3
+        assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-14)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert blas_threads() == threads
+
+    @pytest.mark.skipif(not can_split(), reason="no settable BLAS thread count or one core: no child process")
+    def test_child_killed_by_a_signal_reported(self, monkeypatch):
+        parent, factor_fronts = os.getpid(), solver._factor_fronts
+
+        def dies_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            factor_fronts(*args)
+
+        monkeypatch.setattr(solver, "_factor_fronts", dies_in_the_child)
+        A, M, tree = two_leaves_and_root([2.0, 4.0, 3.0])
+        with pytest.raises(RuntimeError, match="child process factoring fronts 0 to 0 was killed by SIGKILL"):
+            build_cslp(A, M, 0.0, tree=tree)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_two_factors_are_bit_identical(self, desk_system):
+        A, _, mass, beta, tree = desk_system
+        first, second = (build_cslp(A, mass, beta, tree=tree).factor for _ in range(2))
+        assert (first.child_peak_rss_mib is not None) == can_split()
+        for (*_, W1, X1), (*_, W2, X2) in zip(first.fronts, second.fronts, strict=True):
+            assert np.array_equal(W1, W2) and np.array_equal(X1, X2)
 
     def test_tree_must_match_the_coupling(self):
         """Two sibling leaves that couple: no node holds the coupled pair."""

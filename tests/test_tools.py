@@ -26,8 +26,8 @@ def test_ordering_ladder_smoke(tmp_path):
     assert p["true_residual"] <= 1e-10
     assert p["gmres_cycles"] == 1
     assert p["repeat"] == 2
-    for key in ("assemble_s", "factor_s", "ru_maxrss_mib", "rss_before_factor_mib", "rss_after_factor_mib",
-                "rss_after_gmres_mib"):
+    for key in ("assemble_s", "factor_s", "ru_maxrss_mib", "ru_maxrss_children_mib", "rss_before_factor_mib",
+                "rss_after_factor_mib", "rss_after_gmres_mib"):
         if p[key] is not None:  # the resident sets need /proc
             assert p[f"{key}_min"] <= p[key] <= p[f"{key}_max"]
     # the later two can sit at the peak, which the kernel's ru_maxrss counts

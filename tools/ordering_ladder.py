@@ -22,7 +22,9 @@ It reports the wall time of ``assemble`` (S, M and E), the factor's stored
 entries (``lu_nnz``) and bytes (``factor_bytes``), its wall time, the
 residual ``|P x - b| / |b|`` of a solve with the factor, the GMRES solve of
 ``A x = b`` it preconditions (restart cycles, inner iterations, true
-residual), and the process's peak resident set (``ru_maxrss_mib``) and its
+residual), the process's peak resident set (``ru_maxrss_mib``), the
+largest peak of its children (``ru_maxrss_children_mib``: the factor's
+child process, which factors the first subtree under the root), and its
 resident set (``VmRSS`` of ``/proc/self/status``; null where there is no
 ``/proc``) just before the factor, just after it and after GMRES
 (``rss_before_factor_mib``, ``rss_after_factor_mib``,
@@ -50,7 +52,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = ("192x144", "300x220", "400x290")
 VARYING = (  # the rest repeats exactly
-    "assemble_s", "factor_s", "ru_maxrss_mib", "rss_before_factor_mib", "rss_after_factor_mib", "rss_after_gmres_mib",
+    "assemble_s", "factor_s", "ru_maxrss_mib", "ru_maxrss_children_mib", "rss_before_factor_mib",
+    "rss_after_factor_mib", "rss_after_gmres_mib",
 )
 
 
@@ -129,6 +132,7 @@ def measure(n: int, m: int) -> dict:
         "gmres_inner": report.inner_iterations,
         "true_residual": report.true_residual,
         "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "ru_maxrss_children_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
         "rss_before_factor_mib": rss_before,
         "rss_after_factor_mib": rss_after,
         "rss_after_gmres_mib": _vmrss_mib(),
