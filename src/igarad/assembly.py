@@ -24,19 +24,35 @@ dofs are numbered in the elimination order of the grid's nested
 dissection (:func:`classify_dofs`), so the restricted system comes out
 ready to factor, and the partition carries the dissection's tree
 (:class:`DissectionTree`) for the preconditioner's factor.
+
+A slab writes only the rows of its ``order`` xi functions, so slabs far
+apart write disjoint entries, and the slabs run on two cores (the
+subtree-to-process split of the factor, :class:`igarad.solver.FrontalLdlt`):
+a forked child sums the first half, this process the second half from the
+first slab that shares no entry with the child's last, both into S's and
+M's ``data`` in one anonymous shared mapping
+(:func:`igarad._fork.in_two_processes`).  The few slabs between (3 for
+cubic) run here after the join.  Where no child can run, every slab runs
+here in order; the two differ by roundoff on the entries those slabs
+share with the halves, which are summed in another order.
 """
 
 from __future__ import annotations
 
+import logging
+import mmap
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._fork import in_two_processes
 from .bspline import KnotVector, TensorProductSpace, tabulate
 from .bspline import eval_basis  # noqa: F401  bench/layers.py traces this name
 from .geometry import CoonsSurface, DomainConfig
+
+log = logging.getLogger(__name__)
 
 
 class NonPositiveJacobianError(RuntimeError):
@@ -49,6 +65,9 @@ class NonPositiveJacobianError(RuntimeError):
         self.xi = xi
         self.eta = eta
         self.det = det
+
+    def __reduce__(self):  # the default would call __init__ with the message alone
+        return type(self), (self.xi, self.eta, self.det)
 
 
 @dataclass(frozen=True)
@@ -287,12 +306,15 @@ class SystemMatrices:
     """Stiffness, mass and Robin boundary-mass matrices over all N dofs.
 
     Entries are real; the complex Helmholtz combination is formed in
-    :func:`build_system`.
+    :func:`build_system`.  ``child_peak_rss_mib`` is the peak resident set
+    of the child process :func:`assemble` ran half the slabs in, ``None``
+    where it ran in one process.
     """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     robin_mass: sp.csr_matrix
+    child_peak_rss_mib: float | None = None
 
 
 def _eta_operator(be: np.ndarray, dbe: np.ndarray, fe: np.ndarray, first_e: np.ndarray, len_e: np.ndarray):
@@ -331,11 +353,28 @@ def _eta_operator(be: np.ndarray, dbe: np.ndarray, fe: np.ndarray, first_e: np.n
     return G, rows, slots
 
 
+def _halves(first: np.ndarray, order: int) -> tuple[int, int]:
+    """``(h, g)``: slabs ``0 .. h-1`` and ``g .. E1-1`` of the ``E1`` slabs whose
+    xi functions are ``first[e] .. first[e] + order - 1`` (``first``
+    increasing) share no function, so they write disjoint rows of S and M;
+    ``g`` is the first slab that shares none with slab ``h - 1``.  Where
+    every knot is simple the ``order - 1`` slabs between are the seam and
+    ``h`` makes the halves equal to one slab; repeated knots shorten the
+    seam and lengthen the second half.  ``g == E1`` where there are too
+    few slabs for two."""
+    h = (first.size - order + 1) // 2
+    return h, int(np.searchsorted(first, first[h - 1] + order)) if h > 0 else first.size
+
+
 def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule) -> SystemMatrices:
     """Assemble stiffness, mass and Robin boundary-mass matrices.
 
     Aborts with :class:`NonPositiveJacobianError` if the geometry Jacobian
-    determinant is nonpositive at any quadrature point.
+    determinant is nonpositive at any quadrature point: the error of the
+    first slab of xi nodes where it is, as a one-process assembly raises
+    it.  The slabs run on two cores where they can (see the module
+    docstring); ``child_peak_rss_mib`` of the result is the child process's
+    peak resident set, ``None`` where every slab ran in this process.
     """
     kvx, kve = space.kv_xi, space.kv_eta
     n = space.n
@@ -354,8 +393,9 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
     first_x, len_x = _band(kvx)
     first_e, len_e = _band(kve)
     indptr, indices = _tensor_pattern(first_x, len_x, first_e, len_e)
-    s_data = np.zeros(indices.size)
-    m_data = np.zeros(indices.size)
+    # S's and M's values in one shared mapping, so that a forked child's slabs land in them
+    data = np.frombuffer(mmap.mmap(-1, max(16 * indices.size, 1)), count=2 * indices.size)
+    s_data, m_data = data[: indices.size], data[indices.size :]
 
     G, eta_rows, eta_slots = _eta_operator(be, dbe, fe, first_e, len_e)
 
@@ -365,39 +405,58 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
     # the stiffness terms' xi factors, stacked in the order of G's terms
     xi_s = np.concatenate([xi_pairs(dbx, dbx), xi_pairs(bx, bx), xi_pairs(dbx, bx), xi_pairs(bx, dbx)], axis=1)
     xi_m = xi_pairs(bx, bx)
-    weights = np.empty((5, w_eta.size, q1))  # the slab's weights of G's five terms, eta node major
-    for e1 in range(E1):
-        # geometry of one slab of xi nodes: the metric weights of the whole
-        # volume are never held at once
-        sl = slice(e1 * q1, (e1 + 1) * q1)
-        designs = tuple(d[sl] for d in xi_design), eta_design
-        _, F_xi, F_eta, det = geometry.jacobian_grid(xi_flat[sl], eta_flat, designs)
-        if np.any(det <= 0.0):
-            p, q = np.unravel_index(int(np.argmin(det)), det.shape)
-            raise NonPositiveJacobianError(xi_flat[sl][p], eta_flat[q], float(det.min()))
-        w2d = np.outer(quad.xi.weights[e1], w_eta)
-        (u0, u1), (v0, v1) = np.moveaxis(F_xi, -1, 0), np.moveaxis(F_eta, -1, 0)
-        weights[0] = ((v0**2 + v1**2) / det * w2d).T
-        weights[1] = ((u0**2 + u1**2) / det * w2d).T
-        weights[2] = (-(u0 * v0 + u1 * v1) / det * w2d).T
-        weights[3] = weights[2]
-        weights[4] = (det * w2d).T
-        # contract eta, then xi: (band entry t, term * q1 + xi node), then (t, a * k1 + a')
-        band = (G @ weights.reshape(-1, q1)).reshape(eta_rows.size, 5 * q1)
-        s_vals = band[:, : 4 * q1] @ xi_s[e1]
-        m_vals = band[:, 4 * q1 :] @ xi_m[e1]
 
-        # each (t, a, a') of the slab is a distinct entry of the pattern
-        ix = fx[e1] + np.arange(k1)
-        row_pos = indptr[eta_rows[:, None] * n + ix] + eta_slots[:, None] * len_x[ix] - first_x[ix]
-        pos = (row_pos[:, :, None] + ix).ravel()
-        s_data[pos] += s_vals.ravel()
-        m_data[pos] += m_vals.ravel()
+    def slabs(span):
+        """Sum the volume integrals of the slabs ``span`` into S and M."""
+        weights = np.empty((5, w_eta.size, q1))  # the slab's weights of G's five terms, eta node major
+        for e1 in span:
+            # geometry of one slab of xi nodes: the metric weights of the whole
+            # volume are never held at once
+            sl = slice(e1 * q1, (e1 + 1) * q1)
+            designs = tuple(d[sl] for d in xi_design), eta_design
+            _, F_xi, F_eta, det = geometry.jacobian_grid(xi_flat[sl], eta_flat, designs)
+            if np.any(det <= 0.0):
+                p, q = np.unravel_index(int(np.argmin(det)), det.shape)
+                raise NonPositiveJacobianError(xi_flat[sl][p], eta_flat[q], float(det.min()))
+            w2d = np.outer(quad.xi.weights[e1], w_eta)
+            (u0, u1), (v0, v1) = np.moveaxis(F_xi, -1, 0), np.moveaxis(F_eta, -1, 0)
+            weights[0] = ((v0**2 + v1**2) / det * w2d).T
+            weights[1] = ((u0**2 + u1**2) / det * w2d).T
+            weights[2] = (-(u0 * v0 + u1 * v1) / det * w2d).T
+            weights[3] = weights[2]
+            weights[4] = (det * w2d).T
+            # contract eta, then xi: (band entry t, term * q1 + xi node), then (t, a * k1 + a')
+            band = (G @ weights.reshape(-1, q1)).reshape(eta_rows.size, 5 * q1)
+            s_vals = band[:, : 4 * q1] @ xi_s[e1]
+            m_vals = band[:, 4 * q1 :] @ xi_m[e1]
+
+            # each (t, a, a') of the slab is a distinct entry of the pattern
+            ix = fx[e1] + np.arange(k1)
+            row_pos = indptr[eta_rows[:, None] * n + ix] + eta_slots[:, None] * len_x[ix] - first_x[ix]
+            pos = (row_pos[:, :, None] + ix).ravel()
+            s_data[pos] += s_vals.ravel()
+            m_data[pos] += m_vals.ravel()
+
+    h, g = _halves(fx, k1)
+    child_peak = None
+    if g < E1:
+        try:
+            child_peak = in_two_processes(lambda: slabs(range(h)), lambda: slabs(range(g, E1)),
+                                          f"assembly: the child process assembling xi slabs 0 to {h - 1}")
+        except NonPositiveJacobianError:
+            slabs(range(E1))  # raises the first failing slab's error, as one process does
+            raise
+    if child_peak is None:
+        slabs(range(E1))
+    else:
+        log.info("assembly: xi slabs 0 to %d of %d assembled in a child process, its peak RSS %.0f MiB",
+                 h - 1, E1, child_peak)
+        slabs(range(h, g))
 
     stiffness = sp.csr_matrix((s_data, indices, indptr), shape=(N, N))
     mass = sp.csr_matrix((m_data, indices.copy(), indptr.copy()), shape=(N, N))
     robin = _robin_mass(space, geometry, quad)
-    return SystemMatrices(stiffness=stiffness, mass=mass, robin_mass=robin)
+    return SystemMatrices(stiffness=stiffness, mass=mass, robin_mass=robin, child_peak_rss_mib=child_peak)
 
 
 _ROBIN_EDGES = ("left", "top", "right")

@@ -311,13 +311,15 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         return A, b, mass
 
     A, b, mass = stage("system", _system)
+    assemble_child_peak = matrices.child_peak_rss_mib
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
     precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
     mass = None
-    factor = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes,
-              "child_peak_rss_mib": precond.child_peak_rss_mib}
+    costs = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes,
+              "child_peak_rss_mib": precond.child_peak_rss_mib,
+              "assemble_child_peak_rss_mib": assemble_child_peak}
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():
@@ -332,7 +334,7 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A))
         # after the write stage, so that its time and memory are in the report
         outputs["report"] = _write_report(
-            config, disc, solve_report, dev, factor, A.nnz, timings, peak_rss_mib, outputs
+            config, disc, solve_report, dev, costs, A.nnz, timings, peak_rss_mib, outputs
         )
     return RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev)
 
@@ -450,11 +452,12 @@ def _write_outputs(config, sol, matrices, system) -> dict:
     return outputs
 
 
-def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, peak_rss_mib, outputs) -> str:
-    """Dump ``report.json`` next to the outputs; returns its path.  ``factor``
+def _write_report(config, disc, solve_report, dev, costs, system_nnz, timings, peak_rss_mib, outputs) -> str:
+    """Dump ``report.json`` next to the outputs; returns its path.  ``costs``
     holds the preconditioner factor's ``lu_nnz`` (stored entries),
     ``factor_bytes`` and ``child_peak_rss_mib`` (its child process's peak
-    resident set, ``None`` if it ran in one process)."""
+    resident set, ``None`` if it ran in one process), and the assembly's
+    ``assemble_child_peak_rss_mib``, likewise."""
     report = {
         "config": config.to_dict(),
         "derived": {
@@ -469,7 +472,7 @@ def _write_report(config, disc, solve_report, dev, factor, system_nnz, timings, 
             "n_dirichlet": disc.partition.n_dirichlet,
             "dirichlet_deviation": dev,
             "system_nnz": system_nnz,
-            **factor,
+            **costs,
         },
         "solve": asdict(solve_report),
         "timings": timings,

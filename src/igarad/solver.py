@@ -6,9 +6,9 @@ the grid arrives with its unknowns in elimination order, with the
 nested-dissection tree of that order, so it is factored as it is, with no
 permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).  That
 factor takes the two subtrees under the tree's root at once, one in a
-forked child process, with numpy's OpenBLAS at one thread in both; it runs
-in this process alone where the thread count cannot be set, one core is
-usable or the root has one subtree.  Solves are serial.  SuperLU, under
+forked child process, with numpy's OpenBLAS at one thread in both
+(:mod:`igarad._fork`); it runs in this process alone where no child can
+run or the root has one subtree.  Solves are serial.  SuperLU, under
 minimum degree, factors only matrices that come without a tree
 (``solve-mm``'s and the tests' oracle); :func:`_factor` picks between the
 two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Direct
@@ -29,13 +29,13 @@ from __future__ import annotations
 import functools
 import logging
 import mmap
-import os
-import signal
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from ._fork import in_two_processes
 
 log = logging.getLogger(__name__)
 
@@ -259,95 +259,6 @@ def _root_split(target) -> int:
     return below[0] + 1 if len(below) > 1 else 0
 
 
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` of the thread count of the OpenBLAS that numpy's wheel
-    bundles (``numpy.libs/libscipy_openblas64_*.so``), through ctypes, or
-    ``None`` where it is not found.  Looked up on the first call, so that
-    importing the package does not load ctypes or search for it."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so*")):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-_MESSAGE_BYTES = 4096  # room for a failing child's error message
-
-
-def _factor_with_child(factor, fronts, split, pending, blas, what) -> float:
-    """Factor ``fronts`` ``0 .. split - 1`` (:func:`_root_split`) in a
-    forked child while this process factors the rest below the root front,
-    both with BLAS at one thread; returns the child's peak RSS in MiB.
-
-    ``factor(pending, order)`` is :func:`_factor_fronts` on ``fronts``.  The
-    child writes its blocks in place into the shared store behind
-    ``fronts`` and its update for the root front into a shared mapping of
-    its own, which joins ``pending`` ahead of this process's updates, as in
-    a serial factor.  The child is reaped, and the BLAS thread count
-    restored, whatever happens; if this process's half raises, the child is
-    killed first.  A child that fails raises its error's message here as
-    ``RuntimeError``, one killed by a signal a ``RuntimeError`` naming the
-    signal; ``what`` names the factor.
-    """
-    root, up = len(fronts) - 1, fronts[split - 1][2]
-    transfer = mmap.mmap(-1, 16 * up.size**2 + _MESSAGE_BYTES)
-    update = np.frombuffer(transfer, dtype=complex, count=up.size**2).reshape(up.size, up.size)
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _child(factor, split, root, update, transfer)
-        try:
-            factor(pending, range(split, root))
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)  # its half is of no use now
-            raise
-        finally:
-            _, status, usage = os.wait4(pid, 0)
-    finally:
-        set_threads(threads)
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        raise RuntimeError(f"{what}: the child process factoring fronts 0 to {split - 1} "
-                           f"was killed by {signal.Signals(-code).name}")
-    if code:
-        raise RuntimeError(transfer[-_MESSAGE_BYTES:].rstrip(b"\0").decode(errors="replace")
-                           or f"{what}: the child process factoring fronts 0 to {split - 1} exited with {code}")
-    pending[root] = [(up, update), *pending.get(root, [])]
-    return usage.ru_maxrss / 1024
-
-
-def _child(factor, split, root, update, transfer):
-    """The forked child of :func:`_factor_with_child`, which never returns:
-    it factors fronts ``0 .. split - 1``, copies the last one's update for
-    the ``root`` front into ``update`` and exits 0; on any error it writes
-    the message to the end of ``transfer`` and exits 1."""
-    code = 1
-    try:
-        pending = {}
-        factor(pending, range(split))
-        ((_, block),) = pending.pop(root)
-        update[...] = block
-        code = 0
-    except BaseException as exc:  # whatever it is, the child ends below
-        message = str(exc) if isinstance(exc, RuntimeError) else f"{type(exc).__name__} in a factor's child: {exc}"
-        transfer[-_MESSAGE_BYTES:] = message.encode()[:_MESSAGE_BYTES].ljust(_MESSAGE_BYTES, b"\0")
-    finally:
-        os._exit(code)
-
-
 class FrontalLdlt:
     """Block LDL^T of the complex symmetric ``P = A - i beta M``, front by
     front over a nested-dissection tree (multifrontal: Duff & Reid, ACM
@@ -390,20 +301,16 @@ class FrontalLdlt:
     (:func:`_root_split`), and writes its blocks there in place, while this
     process factors the other fronts below the root; the root front comes
     last, from both halves' updates, in the order a serial factor adds
-    them.  Both processes run numpy's OpenBLAS at one thread meanwhile (at
-    two, four BLAS threads on two cores thrash: the desk factor took a
-    median 0.67 s against 0.08 s), set through ctypes
-    (:func:`_openblas_threads`) and restored before the root front,
-    whatever happens.  The child is always reaped; its errors are raised
-    here with the message they would have in one process, and its peak
-    resident set is ``child_peak_rss_mib``.  Where the thread count cannot
-    be set, only one core is usable, or the root front takes fewer than two
-    fronts' updates, every front is factored in this process and
-    ``child_peak_rss_mib`` is ``None``.  The results differ
-    from a one-process factor by roundoff only: a one-thread BLAS does not
-    sum in the order a two-thread one does.  ``os.fork`` with live OpenBLAS
-    threads is what Python 3.12 and later warn of (``DeprecationWarning``);
-    the child runs numpy and nothing else, and ends in ``os._exit``.
+    them.  Both processes run numpy's OpenBLAS at one thread meanwhile
+    (:func:`igarad._fork.in_two_processes`, which forks, reaps and restores
+    the thread count).  The child's errors are raised here as they would be
+    raised in one process, and its peak resident set is
+    ``child_peak_rss_mib``.  Where no child can run (no settable thread
+    count, one usable core, a fork that fails) or the root front takes
+    fewer than two fronts' updates, every front is factored in this process
+    and ``child_peak_rss_mib`` is ``None``.  The results differ from a
+    one-process factor by roundoff only: a one-thread BLAS does not sum in
+    the order a two-thread one does.
     """
 
     def __init__(self, A, M, beta: float, tree, what: str):
@@ -427,14 +334,28 @@ class FrontalLdlt:
             W = store[at : at + k * k].reshape(k, k)
             self.fronts.append((s, e, up, W, store[at + k * k : at + k * (k + up.size)].reshape(up.size, k)))
         factor = functools.partial(_factor_fronts, A, M, beta, what, self.fronts, target)
-        split, pending, first = _root_split(target), {}, 0
+        split, pending = _root_split(target), {}
         self.child_peak_rss_mib = None
-        if split and (blas := _openblas_threads()) and len(os.sched_getaffinity(0)) > 1:
-            self.child_peak_rss_mib = _factor_with_child(factor, self.fronts, split, pending, blas, what)
+        if split:
+            root, up = len(self.fronts) - 1, self.fronts[split - 1][2]
+            update = np.frombuffer(mmap.mmap(-1, 16 * up.size**2), dtype=complex).reshape(up.size, up.size)
+
+            def first_subtree():  # its update for the root goes back through shared memory
+                own = {}
+                factor(own, range(split))
+                ((_, block),) = own.pop(root)
+                update[...] = block
+
+            self.child_peak_rss_mib = in_two_processes(
+                first_subtree, lambda: factor(pending, range(split, root)),
+                f"{what}: the child process factoring fronts 0 to {split - 1}")
+        if self.child_peak_rss_mib is None:
+            factor(pending, range(len(self.fronts)))
+        else:
             log.info("%s: fronts 0 to %d of %d factored in a child process, its peak RSS %.0f MiB",
                      what, split - 1, len(self.fronts), self.child_peak_rss_mib)
-            first = len(self.fronts) - 1  # the root front
-        factor(pending, range(first, len(self.fronts)))
+            pending[root] = [(up, update), *pending.get(root, [])]
+            factor(pending, [root])
 
     def solve(self, v) -> np.ndarray:
         """Solve ``P x = v``: forward over the postorder, then back."""

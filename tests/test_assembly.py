@@ -1,6 +1,8 @@
 """Assembly: quadrature, dof classification, matrices, system formation."""
 
+import logging
 import math
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,9 +13,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forking import blas_at_two_threads, blas_threads, can_split, count_forks  # noqa: F401  a fixture
 from igarad.assembly import (
     NonPositiveJacobianError,
     QuadratureRule,
+    _halves,
+    _tabulate,
     assemble,
     build_system,
     classify_dofs,
@@ -287,8 +292,9 @@ class TestAssemblePattern:
 
 
 def assembly_peak_and_output():
-    """tracemalloc peak of assembling the 120 x 90 cubic semicircle, and the
-    bytes of the S, M and E it returns."""
+    """tracemalloc peak of assembling the 120 x 90 cubic semicircle, with
+    the shared mapping that holds S's and M's values (which tracemalloc does
+    not see) added, and the bytes of the S, M and E it returns."""
     space = make_space(4, 120, 90)
     quad = QuadratureRule(space)
     tracemalloc.start()
@@ -297,6 +303,7 @@ def assembly_peak_and_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    peak += mats.stiffness.data.nbytes + mats.mass.data.nbytes
     out = sum(
         m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
         for m in (mats.stiffness, mats.mass, mats.robin_mass)
@@ -318,6 +325,112 @@ class TestAssembleMemory:
         # output; per slab of xi nodes they are a few hundred kB.
         peak, out = assembly_peak_and_output()
         assert peak <= 2 * out
+
+
+class Folded:
+    """``SEMICIRCLE`` with its Jacobian determinant negated at the xi nodes
+    inside the open intervals ``folds``."""
+
+    def __init__(self, *folds):
+        self.folds = folds
+
+    def __getattr__(self, name):
+        return getattr(SEMICIRCLE, name)
+
+    def jacobian_grid(self, xis, etas, designs=None):
+        F, F_xi, F_eta, det = SEMICIRCLE.jacobian_grid(xis, etas, designs)
+        folded = np.any([(lo < np.asarray(xis)) & (np.asarray(xis) < hi) for lo, hi in self.folds], axis=0)
+        return F, F_xi, F_eta, np.where(folded[:, None], -det, det)
+
+
+def one_process_assembly(monkeypatch, space, geometry):
+    """``assemble`` with one usable core: no child, every slab in order."""
+    with monkeypatch.context() as one_core:
+        one_core.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return assemble(space, geometry, QuadratureRule(space))
+
+
+class TestAssembleTwoProcesses:
+    """The xi slabs in two halves at once, the first in a forked child.  On
+    the 60 x 45 cubic mesh the 57 slabs split at 27 and 30: the child sums
+    slabs 0-26 (xi < 0.474), this process 30-56 (xi > 0.526), then 27-29."""
+
+    SPACE = make_space(4, 60, 45)
+
+    def test_agrees_with_one_process(self, monkeypatch, caplog):
+        """Same pattern; the values differ only on the entries the seam
+        slabs share with the halves, whose rows and columns belong to
+        2 (order - 1) consecutive xi functions around the middle one, and
+        there by roundoff.  The child's peak is logged."""
+        space, k = self.SPACE, self.SPACE.kv_xi.order
+        one = one_process_assembly(monkeypatch, space, SEMICIRCLE)
+        assert one.child_peak_rss_mib is None
+        forks = count_forks(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="igarad.assembly"):
+            two = assemble(space, SEMICIRCLE, QuadratureRule(space))
+        assert len(forks) == can_split()
+        assert (two.child_peak_rss_mib is not None) == can_split()
+        logged = [r.getMessage() for r in caplog.records if r.name == "igarad.assembly"]
+        assert logged == [f"assembly: xi slabs 0 to 26 of 57 assembled in a child process, "
+                          f"its peak RSS {two.child_peak_rss_mib:.0f} MiB"] * can_split()
+        for a, b in ((one.stiffness, two.stiffness), (one.mass, two.mass)):
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            rows = np.repeat(np.arange(space.size), np.diff(a.indptr))
+            moved = np.flatnonzero(a.data != b.data)
+            xi_functions = np.concatenate([rows[moved], a.indices[moved], [space.n // 2]]) % space.n
+            assert np.ptp(xi_functions) < 2 * (k - 1)
+            assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(a.data).max()
+        assert (one.robin_mass != two.robin_mass).nnz == 0
+
+    def test_two_forked_assemblies_are_bit_identical(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        first, second = (assemble(self.SPACE, SEMICIRCLE, QuadratureRule(self.SPACE)) for _ in range(2))
+        assert len(forks) == 2 * can_split()
+        for a, b in ((first.stiffness, second.stiffness), (first.mass, second.mass)):
+            assert np.array_equal(a.data, b.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_halves_share_no_xi_function(self, data):
+        """The two halves write disjoint rows, and the seam between them is
+        as short as that allows: on up to 40 breakpoints of a 1/60 grid,
+        each repeated up to the degree."""
+        order = data.draw(st.integers(2, 5))
+        breaks = sorted(data.draw(st.lists(st.integers(1, 59), min_size=1, max_size=40, unique=True)))
+        mult = [data.draw(st.integers(1, order - 1)) for _ in breaks]
+        kv = repeated_knots(order, np.asarray(breaks) / 60, mult)
+        first = _tabulate(kv, QuadratureRule(TensorProductSpace(kv, kv)).xi)[2]
+        h, g = _halves(first, kv.order)
+        if g == first.size:
+            return
+        assert 0 < h <= g < first.size
+        assert first[h - 1] + kv.order <= first[g]  # child's last function < parent's first
+        assert first[h - 1] + kv.order > first[g - 1]  # slab g - 1 still shares one with slab h - 1
+        assert 0 <= (first.size - g) - h <= kv.order - 1  # this process's half is never the smaller
+
+    @pytest.mark.skipif(not can_split(), reason="no settable BLAS thread count or one core: no child process")
+    @pytest.mark.parametrize(
+        "folds",
+        [[(0.2, 0.3)], [(0.7, 0.8)], [(0.2, 0.3), (0.6, 0.9)], [(0.5, 0.8)]],
+        ids=["child", "parent", "both", "seam_and_parent"],
+    )
+    def test_fold_raises_what_one_process_raises(self, monkeypatch, blas_at_two_threads, folds):
+        """The error of the first failing slab, wherever the fold lies; no
+        child is left, and the BLAS thread count is what it was."""
+        geometry = Folded(*folds)
+        threads = blas_threads()
+        with pytest.raises(NonPositiveJacobianError) as in_process:
+            one_process_assembly(monkeypatch, self.SPACE, geometry)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(NonPositiveJacobianError) as forked:
+            assemble(self.SPACE, geometry, QuadratureRule(self.SPACE))
+        assert len(forks) == 1
+        expected, got = in_process.value, forked.value
+        assert (got.xi, got.eta, got.det, str(got)) == (expected.xi, expected.eta, expected.det, str(expected))
+        assert folds[0][0] < got.xi < folds[0][1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert blas_threads() == threads
 
 
 @st.composite

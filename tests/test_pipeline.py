@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forking import can_split
 from igarad.bspline import TensorProductSpace, make_uniform_open_knots
 from igarad.pipeline import (
     FULL_SCALE_DOFS,
@@ -506,6 +507,10 @@ class TestOutputs:
         # null where the factor ran in one process
         peak = report["derived"]["child_peak_rss_mib"]
         assert peak is None or peak > 0
+        # the assembly's child, which runs wherever one can: the 40 x 30 mesh has two halves
+        assemble_peak = report["derived"]["assemble_child_peak_rss_mib"]
+        assert (assemble_peak is not None) == can_split()
+        assert assemble_peak is None or assemble_peak > 0
         assert report["config"]["n"] == cfg.n
 
     def test_report_lu_fill(self, tmp_path):

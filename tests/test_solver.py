@@ -10,6 +10,7 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from forking import blas_at_two_threads, blas_threads, can_split, count_forks  # noqa: F401  a fixture
 from igarad import solver
 from igarad.solver import (
     FrontalLdlt,
@@ -536,41 +537,6 @@ def aperture_leaves_system():
     )
     k = 8.0
     return (*grid_system(space, cfg, k), k)
-
-
-def can_split() -> bool:
-    """Whether a factor here puts a subtree in a child process: numpy's
-    OpenBLAS thread count is settable and there are two cores."""
-    return solver._openblas_threads() is not None and len(os.sched_getaffinity(0)) > 1
-
-
-def count_forks(monkeypatch) -> list:
-    """The pids ``os.fork`` returns in this process from now on."""
-    forks, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def blas_threads():
-    return solver._openblas_threads()[0]()
-
-
-@pytest.fixture
-def blas_at_two_threads():
-    """numpy's OpenBLAS at two threads for the test, whatever an earlier
-    test left, and back at its count after it."""
-    get, set_ = solver._openblas_threads()
-    threads = get()
-    set_(2)
-    yield
-    set_(threads)
 
 
 def two_leaves_and_root(diagonal):

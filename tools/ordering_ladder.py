@@ -22,9 +22,11 @@ It reports the wall time of ``assemble`` (S, M and E), the factor's stored
 entries (``lu_nnz``) and bytes (``factor_bytes``), its wall time, the
 residual ``|P x - b| / |b|`` of a solve with the factor, the GMRES solve of
 ``A x = b`` it preconditions (restart cycles, inner iterations, true
-residual), the process's peak resident set (``ru_maxrss_mib``), the
-largest peak of its children (``ru_maxrss_children_mib``: the factor's
-child process, which factors the first subtree under the root), and its
+residual), the process's peak resident set (``ru_maxrss_mib``), the peaks
+of the child processes of the assembly, which sums the first half of the xi
+slabs, and of the factor, which factors the first subtree under the root
+(``assemble_child_peak_rss_mib``, ``factor_child_peak_rss_mib``, as those
+objects report them; null where one process did the work), and its
 resident set (``VmRSS`` of ``/proc/self/status``; null where there is no
 ``/proc``) just before the factor, just after it and after GMRES
 (``rss_before_factor_mib``, ``rss_after_factor_mib``,
@@ -52,8 +54,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = ("192x144", "300x220", "400x290")
 VARYING = (  # the rest repeats exactly
-    "assemble_s", "factor_s", "ru_maxrss_mib", "ru_maxrss_children_mib", "rss_before_factor_mib",
-    "rss_after_factor_mib", "rss_after_gmres_mib",
+    "assemble_s", "factor_s", "ru_maxrss_mib", "assemble_child_peak_rss_mib", "factor_child_peak_rss_mib",
+    "rss_before_factor_mib", "rss_after_factor_mib", "rss_after_gmres_mib",
 )
 
 
@@ -70,7 +72,7 @@ def _vmrss_mib():
 def _system(n: int, m: int):
     """Discretization, ``A``, ``b``, the free mass block on A's pattern and
     the shift ``beta`` of the scaled desk physics on ``n x m``, with the wall
-    time of ``assemble``."""
+    time of ``assemble`` and its child's peak."""
     from dataclasses import replace
 
     from igarad import pipeline
@@ -85,21 +87,22 @@ def _system(n: int, m: int):
     k = config.wavenumber
     gather = free_gather(matrices, disc.partition)
     A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
-    return disc, A, b, gather.block(matrices.mass), config.beta_factor / k, assemble_s
+    return disc, A, b, gather.block(matrices.mass), config.beta_factor / k, assemble_s, matrices.child_peak_rss_mib
 
 
 def _factor(n: int, m: int):
     """Discretization, ``A``, ``b``, ``M``, ``beta`` and the preconditioner on
-    ``n x m``, with the wall times of ``assemble`` and the factor and the
-    resident set just before and just after the factor."""
+    ``n x m``, with the wall times of ``assemble`` and the factor, the
+    assembly's child's peak and the resident set just before and just after
+    the factor."""
     from igarad.solver import build_cslp
 
-    disc, A, b, mass, beta, assemble_s = _system(n, m)
+    disc, A, b, mass, beta, assemble_s, assemble_child = _system(n, m)
     rss_before = _vmrss_mib()
     t0 = time.perf_counter()
     precond = build_cslp(A, mass, beta, tree=disc.partition.tree)
     factor_s = time.perf_counter() - t0
-    return disc, A, b, mass, beta, precond, assemble_s, factor_s, rss_before, _vmrss_mib()
+    return disc, A, b, mass, beta, precond, assemble_s, assemble_child, factor_s, rss_before, _vmrss_mib()
 
 
 def measure(n: int, m: int) -> dict:
@@ -112,7 +115,7 @@ def measure(n: int, m: int) -> dict:
     # the first factorization in a process carries a one-time cost (up to
     # 1 s) that is not the factor's: pay it on the smallest mesh
     _factor(40, 30)
-    disc, A, b, mass, beta, precond, assemble_s, factor_s, rss_before, rss_after = _factor(n, m)
+    disc, A, b, mass, beta, precond, assemble_s, assemble_child, factor_s, rss_before, rss_after = _factor(n, m)
     x = precond.solve(b)
     residual = np.linalg.norm(A @ x - 1j * beta * (mass @ x) - b) / np.linalg.norm(b)
     _, report = gmres(A, b, precond)
@@ -132,7 +135,8 @@ def measure(n: int, m: int) -> dict:
         "gmres_inner": report.inner_iterations,
         "true_residual": report.true_residual,
         "ru_maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "ru_maxrss_children_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+        "assemble_child_peak_rss_mib": assemble_child,
+        "factor_child_peak_rss_mib": precond.child_peak_rss_mib,
         "rss_before_factor_mib": rss_before,
         "rss_after_factor_mib": rss_after,
         "rss_after_gmres_mib": _vmrss_mib(),
