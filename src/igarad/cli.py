@@ -90,7 +90,11 @@ def _cmd_run(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
     try:
         result = run(config)
+    except OSError as exc:  # the output directory, before any stage, or report.json
+        return _io_error(exc)
     except PipelineError as exc:
+        if exc.stage == "write" and isinstance(exc.cause, OSError):
+            return _io_error(exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     rep = result.solve_report
@@ -151,7 +155,8 @@ def _cmd_mms(args) -> int:
                 f"{r.mesh_size:12.5g} {r.n:6d} {r.dofs:8d} {r.l2_error:12.4e} {r2:>6} "
                 f"{r.h1_error:12.4e} {rh:>6}"
             )
-        print(f"observed L2 order (last 3 levels): {observed_order(rows):.2f}")
+        last = min(3, len(rows))
+        print(f"observed L2 order (last {last} levels): {observed_order(rows, last):.2f}")
         if args.out:
             json.dump([r.__dict__ for r in rows], table, indent=2)
             print(f"table written to {args.out}")

@@ -185,14 +185,8 @@ def build_discretization(
 
 def discretize(config: RunConfig) -> Discretization:
     domain = config.domain()
-    return build_discretization(
-        domain,
-        make_semicircle_patch(domain),
-        config.order_xi,
-        config.order_eta,
-        config.n,
-        config.m,
-    )
+    geometry = make_semicircle_patch(domain)
+    return build_discretization(domain, geometry, config.order_xi, config.order_eta, config.n, config.m)
 
 
 class SolutionField:
@@ -256,6 +250,10 @@ def dirichlet_deviation(
 
 @dataclass
 class RunResult:
+    """What a run computed and what it cost: the factor's stored entries and
+    bytes, and the peak resident sets of the factor's and the assembly's
+    child processes (``None`` where one process did the work)."""
+
     config: RunConfig
     discretization: Discretization
     field: SolutionField
@@ -264,6 +262,40 @@ class RunResult:
     peak_rss_mib: dict
     outputs: dict
     dirichlet_deviation: float
+    system_nnz: int
+    lu_nnz: int
+    factor_bytes: int
+    child_peak_rss_mib: float | None
+    assemble_child_peak_rss_mib: float | None
+
+    def report(self) -> dict:
+        """The run as ``report.json`` holds it, whose ``outputs`` are the
+        files written before it."""
+        config, disc = self.config, self.discretization
+        return {
+            "config": config.to_dict(),
+            "derived": {
+                "wavenumber": config.wavenumber,
+                "wavelength": config.wavelength,
+                "near_field_length": config.near_field_length,
+                "radius": disc.domain.r,
+                "dofs": disc.space.size,
+                "n_actual": disc.space.n,
+                "m_actual": disc.space.m,
+                "n_free": disc.partition.n_free,
+                "n_dirichlet": disc.partition.n_dirichlet,
+                "dirichlet_deviation": self.dirichlet_deviation,
+                "system_nnz": self.system_nnz,
+                "lu_nnz": self.lu_nnz,
+                "factor_bytes": self.factor_bytes,
+                "child_peak_rss_mib": self.child_peak_rss_mib,
+                "assemble_child_peak_rss_mib": self.assemble_child_peak_rss_mib,
+            },
+            "solve": asdict(self.solve_report),
+            "timings": self.timings,
+            "peak_rss_mib": self.peak_rss_mib,
+            "outputs": {name: path for name, path in self.outputs.items() if name != "report"},
+        }
 
 
 def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
@@ -271,6 +303,8 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     Each stage's wall time and the process's peak resident memory at its
     end are logged at INFO and kept in ``timings`` and ``peak_rss_mib``.
+    With ``write_outputs``, ``config.outdir`` is created before the first
+    stage; an ``OSError`` there or from ``report.json`` propagates as is.
     """
     timings: dict[str, float] = {}
     peak_rss_mib: dict[str, float] = {}
@@ -287,6 +321,8 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
         log.info("[%s] %.3fs, peak RSS %.0f MiB", name, timings[name], peak_rss_mib[name])
         return out
 
+    if write_outputs:
+        Path(config.outdir).mkdir(parents=True, exist_ok=True)
     disc = stage("discretize", lambda: discretize(config))
     N = disc.space.size
     if N > FULL_SCALE_DOFS and not config.full_scale:
@@ -317,9 +353,6 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
     mass = None
-    costs = {"lu_nnz": precond.lu_nnz, "factor_bytes": precond.factor_bytes,
-              "child_peak_rss_mib": precond.child_peak_rss_mib,
-              "assemble_child_peak_rss_mib": assemble_child_peak}
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():
@@ -329,14 +362,13 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     sol = stage("postprocess", _post)
     dev = dirichlet_deviation(sol, disc.domain, config.amplitude)
 
-    outputs: dict[str, str] = {}
+    outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A)) if write_outputs else {}
+    result = RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev, A.nnz,
+                       precond.lu_nnz, precond.factor_bytes, precond.child_peak_rss_mib, assemble_child_peak)
     if write_outputs:
-        outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A))
         # after the write stage, so that its time and memory are in the report
-        outputs["report"] = _write_report(
-            config, disc, solve_report, dev, costs, A.nnz, timings, peak_rss_mib, outputs
-        )
-    return RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev)
+        outputs["report"] = _write_report(result)
+    return result
 
 
 def _field_table(sol: SolutionField, grid_res: int) -> np.ndarray:
@@ -416,29 +448,17 @@ def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
 
 def _write_outputs(config, sol, matrices, system) -> dict:
     """Field, profiles, optional VTK and Matrix Market files; returns their paths."""
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
 
-    field_path = outdir / "field.csv"
-    write_field_csv(field_path, sol, config.grid_res)
-    outputs["field"] = str(field_path)
+    def path(name, filename):
+        outputs[name] = str(Path(config.outdir) / filename)
+        return outputs[name]
 
-    ys, axis_vals = axis_profile(sol, config.profile_samples)
-    axis_path = outdir / "axis_profile.csv"
-    write_profile_csv(axis_path, "y", ys, axis_vals)
-    outputs["axis_profile"] = str(axis_path)
-
-    xs, bot_vals = bottom_profile(sol, config.profile_samples)
-    bottom_path = outdir / "bottom_profile.csv"
-    write_profile_csv(bottom_path, "x", xs, bot_vals)
-    outputs["bottom_profile"] = str(bottom_path)
-
+    write_field_csv(path("field", "field.csv"), sol, config.grid_res)
+    write_profile_csv(path("axis_profile", "axis_profile.csv"), "y", *axis_profile(sol, config.profile_samples))
+    write_profile_csv(path("bottom_profile", "bottom_profile.csv"), "x", *bottom_profile(sol, config.profile_samples))
     if config.vtk:
-        vtk_path = outdir / "field.vtk"
-        write_vtk(vtk_path, sol, config.grid_res)
-        outputs["vtk"] = str(vtk_path)
-
+        write_vtk(path("vtk", "field.vtk"), sol, config.grid_res)
     if config.dump_matrices:
         for name, mat in (
             ("stiffness", matrices.stiffness),
@@ -446,42 +466,15 @@ def _write_outputs(config, sol, matrices, system) -> dict:
             ("robin_mass", matrices.robin_mass),
             ("system", system),
         ):
-            p = outdir / f"{name}.mtx"
-            save_matrix_market(p, mat)
-            outputs[name] = str(p)
+            save_matrix_market(path(name, f"{name}.mtx"), mat)
     return outputs
 
 
-def _write_report(config, disc, solve_report, dev, costs, system_nnz, timings, peak_rss_mib, outputs) -> str:
-    """Dump ``report.json`` next to the outputs; returns its path.  ``costs``
-    holds the preconditioner factor's ``lu_nnz`` (stored entries),
-    ``factor_bytes`` and ``child_peak_rss_mib`` (its child process's peak
-    resident set, ``None`` if it ran in one process), and the assembly's
-    ``assemble_child_peak_rss_mib``, likewise."""
-    report = {
-        "config": config.to_dict(),
-        "derived": {
-            "wavenumber": config.wavenumber,
-            "wavelength": config.wavelength,
-            "near_field_length": config.near_field_length,
-            "radius": disc.domain.r,
-            "dofs": disc.space.size,
-            "n_actual": disc.space.n,
-            "m_actual": disc.space.m,
-            "n_free": disc.partition.n_free,
-            "n_dirichlet": disc.partition.n_dirichlet,
-            "dirichlet_deviation": dev,
-            "system_nnz": system_nnz,
-            **costs,
-        },
-        "solve": asdict(solve_report),
-        "timings": timings,
-        "peak_rss_mib": peak_rss_mib,
-        "outputs": outputs,
-    }
-    report_path = Path(config.outdir) / "report.json"
+def _write_report(result: RunResult) -> str:
+    """Dump ``result.report()`` to ``report.json`` next to the outputs; returns its path."""
+    report_path = Path(result.config.outdir) / "report.json"
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(result.report(), fh, indent=2)
         fh.write("\n")
     return str(report_path)
 

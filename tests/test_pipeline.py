@@ -513,6 +513,27 @@ class TestOutputs:
         assert assemble_peak is None or assemble_peak > 0
         assert report["config"]["n"] == cfg.n
 
+    def test_report_is_the_run_result(self, outputs):
+        _, result, outdir = outputs
+        written = json.loads((outdir / "report.json").read_text())
+        assert written == json.loads(json.dumps(result.report()))
+        # report.json lists the files written before it
+        assert list(written["outputs"]) == [k for k in result.outputs if k != "report"]
+
+    def test_report_without_writers_has_the_same_blocks(self, outputs, smoke_result):
+        _, _, outdir = outputs
+        written = json.loads((outdir / "report.json").read_text())
+        report = smoke_result.report()
+        assert list(report) == list(written)
+        for block in ("derived", "solve"):
+            assert list(report[block]) == list(written[block]), block
+        # every stage but the write stage, which did not run
+        for block in ("timings", "peak_rss_mib"):
+            assert list(report[block]) == [k for k in written[block] if k != "write"], block
+        assert report["derived"]["lu_nnz"] == written["derived"]["lu_nnz"] > 0
+        assert report["derived"]["system_nnz"] == written["derived"]["system_nnz"] > 0
+        assert report["outputs"] == {}
+
     def test_report_lu_fill(self, tmp_path):
         from igarad.assembly import assemble, build_system
         from igarad.solver import frontal_storage
@@ -933,13 +954,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("mms-converge", "--out"), ("pollution", "--out"), ("solve-mm", "--out"), ("solve-mm", "--report")],
+        [("mms-converge", "--out"), ("pollution", "--out"), ("solve-mm", "--out"), ("solve-mm", "--report"),
+         ("run", "--outdir")],
         ids=lambda a: a,
     )
     def test_unwritable_output_exit_code(self, tmp_path, command, flag):
-        """An output into a missing directory exits 5 with a message.  The
-        studies (at their default, desk-scale sizes) open theirs before any
-        assembly, so they print nothing first."""
+        """An output into a missing directory exits 5 with a message; so does
+        a run whose output directory would lie under a regular file.  The
+        studies and the run (at their default, desk-scale sizes) open or
+        create theirs before any assembly, so they print nothing first."""
         import scipy.sparse as sp
 
         from igarad.solver import save_matrix_market, save_vector
@@ -950,13 +973,28 @@ class TestCli:
             save_vector(tmp_path / "b.mtx", np.ones(4, dtype=complex))
             args += [str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx")]
         out = tmp_path / "missing" / "out"
+        if command == "run":  # a run creates a missing directory
+            out.parent.write_text("a regular file")
         proc = self._run(*args, flag, str(out))
         assert proc.returncode == 5, proc.stderr
         assert proc.stderr.startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not out.parent.exists()
+        assert not out.exists()
+        assert out.parent.exists() == (command == "run")
         if command != "solve-mm":
-            assert proc.stdout == ""
+            assert proc.stdout == ""  # no stage line either
+
+    def test_run_write_failure_exit_code(self, tmp_path):
+        """A writer that cannot open its file is an I/O failure too."""
+        (tmp_path / "field.csv").mkdir()
+        proc = self._run(
+            "run", "--n", "30", "--m", "24", "--beta-factor", "0", "--grid-res", "20",
+            "--profile-samples", "40", "--outdir", str(tmp_path),
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("error: stage 'write' failed: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_mms_converge_subcommand(self, tmp_path):
         out = tmp_path / "conv.json"
@@ -968,6 +1006,8 @@ class TestCli:
         rows = json.loads(out.read_text())
         assert len(rows) == 2
         assert rows[1]["l2_error"] < rows[0]["l2_error"]
+        # the order is fitted to the two levels there are, and says so
+        assert "observed L2 order (last 2 levels): " in proc.stdout
 
     def test_pollution_subcommand(self, tmp_path):
         out = tmp_path / "poll.json"
