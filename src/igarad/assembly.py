@@ -23,7 +23,11 @@ free/Dirichlet blocks entry by entry from it (:class:`Gather`).  The free
 dofs are numbered in the elimination order of the grid's nested
 dissection (:func:`classify_dofs`), so the restricted system comes out
 ready to factor, and the partition carries the dissection's tree
-(:class:`DissectionTree`) for the preconditioner's factor.
+(:class:`DissectionTree`) for the studies' direct solves.  A run's field is
+even under the mirror x -> -x, so its preconditioner is factored on the
+even unknowns (:class:`MirrorFold`, numbered by the tree of the left half
+of the grid): :func:`fold_gather` sums each folded entry of ``T^T S T``
+and ``T^T M T`` from the same pattern.
 
 A slab writes only the rows of its ``order`` xi functions, so slabs far
 apart write disjoint entries, and the slabs run on two cores (the
@@ -42,7 +46,7 @@ from __future__ import annotations
 import logging
 import mmap
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -251,27 +255,27 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     dirichlet = i_all[on_aperture].astype(np.int64)  # flat q = 0*n + i
     is_free = np.ones(space.size, dtype=bool)
     is_free[dirichlet] = False
-    tree = nested_dissection(space).restrict(is_free)
+    tree = nested_dissection(space.n, space.m, kv.order, space.kv_eta.order).restrict(is_free)
     return DofPartition(dirichlet=dirichlet, xi_left=xi_left, xi_right=xi_right, tree=tree)
 
 
 _ND_LEAF = 32  # blocks this small keep the natural order; 64 fills 3 % more at 27,936 dofs
 
 
-def nested_dissection(space: TensorProductSpace) -> DissectionTree:
-    """Fill-reducing order of the ``n x m`` tensor dof grid: geometric
-    nested dissection (George, SINUM 10, 1973), with its tree.
+def nested_dissection(n: int, m: int, order_xi: int, order_eta: int) -> DissectionTree:
+    """Fill-reducing order of an ``n x m`` tensor grid of order
+    ``order_xi x order_eta`` splines: geometric nested dissection (George,
+    SINUM 10, 1973), with its tree.
 
     Two basis functions couple only if their indices differ by less than
     the order in both directions, so ``order - 1`` whole grid lines split a
     block of the grid in two.  Each block is cut across its longer side,
     the halves are ordered recursively and the separator after them;
     blocks of at most ``_ND_LEAF`` dofs (or too thin to cut) are leaves in
-    the natural order.  The tree's ``order`` holds the flat indices of all
-    ``n * m`` dofs in elimination order.
+    the natural order.  The tree's ``order`` holds the flat indices
+    ``j * n + i`` of all ``n * m`` grid points in elimination order.
     """
-    n = space.n
-    cut_x, cut_e = space.kv_xi.order - 1, space.kv_eta.order - 1
+    cut_x, cut_e = order_xi - 1, order_eta - 1
     blocks, parent = [], []
 
     def node(i0, i1, j0, j1, children=()):
@@ -295,10 +299,79 @@ def nested_dissection(space: TensorProductSpace) -> DissectionTree:
             return node(i0, i1, a, a + cut_e, halves)
         return node(i0, i1, j0, j1)
 
-    dissect(0, n, 0, space.m)
+    dissect(0, n, 0, m)
     offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
     np.cumsum([b.size for b in blocks], out=offsets[1:])
     return DissectionTree(np.concatenate(blocks), offsets, np.array(parent, dtype=np.int64))
+
+
+_MIRROR_TOL = 1e-10  # relative: 2.2e-16 on the shipped xi knots, 1.4e-14 on their patches' nets
+
+
+@dataclass(frozen=True)
+class MirrorFold:
+    """The 0/1 map ``T`` from the even unknowns of a mirror-symmetric problem
+    to its free dofs.
+
+    Mirroring ``x -> -x`` maps xi column ``i`` to ``n - 1 - i``.  Unknown
+    ``u`` stands for the free dof ``tree.order[u]`` (a flat grid index) in
+    the left ``ceil(n / 2)`` columns and its mirror; on the middle column
+    of an odd ``n`` the two are one dof.  ``tree`` is the
+    :func:`nested_dissection` of the left columns without the Dirichlet
+    dofs, so it numbers the unknowns; ``unknown`` maps each free dof, in
+    the restricted system's numbering, to its unknown.
+    """
+
+    tree: DissectionTree
+    unknown: np.ndarray
+
+    @property
+    def n_unknowns(self) -> int:
+        return int(self.tree.offsets[-1])
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """``T``: row ``i`` has a 1 in the column of free dof ``i``'s unknown."""
+        n = self.unknown.size
+        return sp.csr_matrix((np.ones(n), self.unknown, np.arange(n + 1)), shape=(n, self.n_unknowns))
+
+
+def mirror_fold(space: TensorProductSpace, partition: DofPartition, geometry: CoonsSurface) -> MirrorFold:
+    """The :class:`MirrorFold` of ``space``'s free dofs.
+
+    Raises ``ValueError`` unless the problem is mirror-symmetric: the
+    space's xi knots (``t + t[::-1] = 1``), and the geometry's xi knots,
+    control net and weights, reflected in xi and in x, to ``_MIRROR_TOL``
+    relative to 1 and to the net's extent, and the Dirichlet set exactly.
+    """
+
+    def symmetric(knots):
+        return np.max(np.abs(knots + knots[::-1] - 1.0)) <= _MIRROR_TOL
+
+    n, m = space.n, space.m
+    if not symmetric(space.kv_xi.knots):
+        raise ValueError("the xi knots are not mirror-symmetric")
+    ctrl, w = geometry.ctrl, geometry.weights
+    mirrored = np.stack([-ctrl[::-1, :, 0], ctrl[::-1, :, 1]], axis=-1)
+    if (not symmetric(geometry.kv_xi.knots)
+            or np.max(np.abs(mirrored - ctrl)) > _MIRROR_TOL * np.max(np.abs(ctrl))
+            or np.max(np.abs(w[::-1] - w)) > _MIRROR_TOL * np.max(w)):
+        raise ValueError("the patch is not mirror-symmetric in x")
+
+    def mirror(q):
+        return q + n - 1 - 2 * (q % n)
+
+    if not np.array_equal(np.sort(mirror(partition.dirichlet)), np.sort(partition.dirichlet)):
+        raise ValueError("the Dirichlet set is not mirror-symmetric")
+    h = (n + 1) // 2
+    half = nested_dissection(h, m, space.kv_xi.order, space.kv_eta.order)
+    is_free = np.ones(space.size, dtype=bool)
+    is_free[partition.dirichlet] = False
+    tree = DissectionTree(half.order // h * n + half.order % h, half.offsets, half.parent).restrict(is_free)
+    number = np.empty(space.size, dtype=np.int64)
+    number[tree.order] = np.arange(tree.order.size)
+    free = partition.free
+    return MirrorFold(tree, number[np.where(2 * (free % n) <= n - 1, free, mirror(free))])
 
 
 @dataclass(frozen=True)
@@ -590,6 +663,110 @@ def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
     gives both :func:`build_system`'s ``A`` and the free mass block
     (``gather.block(matrices.mass)``), on the same index arrays."""
     return _gather(matrices.stiffness, partition.free, partition.free)
+
+
+@dataclass(frozen=True)
+class FoldGather:
+    """The folded block ``T^T X T`` of a matrix ``X`` on the pattern S and M
+    share, for the map ``T`` of a :class:`MirrorFold`: its CSR ``indptr``
+    and ``indices`` (sorted) and the positions of the entries of X that
+    sum into each folded entry.
+
+    Mirroring maps the entries of X that land on one folded entry onto each
+    other, so they are one or two mirror pairs.  Entry ``e`` sums the pair
+    ``pos[:, e]``, halved where the pair is one entry that is its own mirror
+    (``once``, on the middle column of an odd ``n``), and the pairs
+    ``extra_pos`` into the entries ``extra`` that take a second one.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: np.ndarray
+    once: np.ndarray
+    extra: np.ndarray
+    extra_pos: np.ndarray
+    shape: tuple[int, int]
+
+    def block(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
+        """The folded block of ``matrix`` (stored on the gathered pattern),
+        sharing this gather's index arrays."""
+        x = matrix.data
+        data = x[self.pos[0]]
+        data += x[self.pos[1]]
+        data[self.once] *= 0.5  # x + x halved: exact
+        data[self.extra] += x[self.extra_pos[0]] + x[self.extra_pos[1]]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def within(self, gather: Gather) -> "FoldGather":
+        """The same fold of the block ``gather`` gathers (the free-free
+        block of :func:`free_gather`, ``A`` of :func:`build_system`): the
+        positions in the block's ``data``.  Every entry it folds is in it."""
+        inverse = np.full(gather.pos.max() + 1, -1, dtype=gather.pos.dtype)
+        inverse[gather.pos] = np.arange(gather.pos.size, dtype=gather.pos.dtype)
+        return replace(self, pos=inverse[self.pos], extra_pos=inverse[self.extra_pos])
+
+
+def fold_gather(matrices: SystemMatrices, space: TensorProductSpace, partition: DofPartition,
+                fold: MirrorFold) -> FoldGather:
+    """The :class:`FoldGather` of the pattern S and M share.
+
+    Each mirror pair of entries is found from one member, an entry of the
+    unknowns' left rows: every entry of a row off the middle column, and
+    on the middle row the entries in the left columns.  Those are sorted
+    into folded rows once; their mirrors come from the tensor pattern's
+    layout (:func:`_tensor_pattern`): the mirrored row, the same eta slot,
+    the xi slot reversed.
+    """
+    pattern, n = matrices.stiffness, space.n
+    index_type = pattern.indices.dtype
+    width = _band(space.kv_xi)[1].astype(index_type)
+    if not np.array_equal(width, width[::-1]):
+        raise ValueError("the xi coupling band is not mirror-symmetric")
+    rows = fold.tree.order
+    lens = np.diff(pattern.indptr)[rows]
+    heads = np.cumsum(lens, dtype=index_type) - lens
+    offset = np.arange(heads[-1] + lens[-1], dtype=index_type) - np.repeat(heads, lens)
+    pos = np.repeat(pattern.indptr[rows], lens) + offset
+    # an entry's mirror: the mirrored row, the same eta slot, the xi slot reversed
+    i = rows % n
+    mirror = offset % np.repeat(width[i], lens)
+    mirror *= -2
+    mirror += np.repeat(pattern.indptr[rows + n - 1 - 2 * i] + width[i] - 1, lens)
+    mirror += offset
+    del offset
+    unknown = np.full(space.size, -1, dtype=index_type)
+    unknown[partition.free] = fold.unknown
+    cols = unknown[pattern.indices[pos]]
+    keep = cols >= 0
+    middle = np.flatnonzero(np.repeat(2 * i == n - 1, lens))  # on it, only the left columns' entries
+    keep[middle] &= 2 * (pattern.indices[pos[middle]] % n) <= n - 1
+    indptr = np.zeros(rows.size + 1, dtype=index_type)
+    np.cumsum(np.add.reduceat(keep, heads, dtype=index_type), out=indptr[1:])
+    pos, mirror, cols = pos[keep], mirror[keep], cols[keep]
+    del keep
+    # each member's index rides along as data while each folded row's columns are sorted
+    block = sp.csr_matrix((np.arange(pos.size, dtype=index_type), cols, indptr), shape=(rows.size,) * 2)
+    del cols
+    block.has_sorted_indices = False
+    block.sort_indices()
+    first = np.ones(block.nnz, dtype=bool)  # the first member found of each folded entry
+    first[1:] = block.indices[1:] != block.indices[:-1]
+    first[indptr[:-1]] = True
+    entry = np.cumsum(first, dtype=index_type)  # 1 + the folded entry of each member
+    folded_ptr = np.zeros_like(indptr)
+    folded_ptr[1:] = entry[indptr[1:] - 1]
+
+    def members(at):  # (2, k): the members at the mask ``at`` and their mirrors
+        at = block.data[at]
+        out = np.empty((2, at.size), dtype=index_type)
+        np.take(pos, at, out=out[0])
+        np.take(mirror, at, out=out[1])
+        return out
+
+    pairs = members(first)
+    second = ~first
+    return FoldGather(folded_ptr, block.indices[first], pairs, np.flatnonzero(pairs[0] == pairs[1]),
+                      entry[second] - 1, members(second), block.shape)
 
 
 def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:

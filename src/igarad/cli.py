@@ -95,6 +95,8 @@ def _cmd_run(args) -> int:
     except PipelineError as exc:
         if exc.stage == "write" and isinstance(exc.cause, OSError):
             return _io_error(exc)
+        if exc.stage == "discretize" and isinstance(exc.cause, ValueError):
+            return _bad_config(exc.cause)  # a mesh the run does not take, found before any assembly
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     rep = result.solve_report

@@ -15,7 +15,7 @@ import logging
 import math
 import resource
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +23,15 @@ import numpy as np
 from . import mms
 from .assembly import (
     DofPartition,
+    MirrorFold,
     QuadratureRule,
     assemble,
     build_system,
     classify_dofs,
     expand_solution,
+    fold_gather,
     free_gather,
+    mirror_fold,
 )
 from .bspline import TensorProductSpace, design, make_uniform_open_knots
 from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
@@ -154,13 +157,16 @@ class RunConfig:
 
 @dataclass
 class Discretization:
-    """Geometry, spaces and dof split shared by solves on one config."""
+    """Geometry, spaces and dof split shared by solves on one config; a
+    run's (:func:`discretize`) also has the mirror ``fold`` its
+    preconditioner is factored on."""
 
     domain: DomainConfig
     geometry: CoonsSurface
     space: TensorProductSpace
     partition: DofPartition
     quadrature: QuadratureRule
+    fold: MirrorFold | None = None
 
 
 def build_discretization(
@@ -174,9 +180,14 @@ def build_discretization(
     """Uniform ``n x m`` B-spline spaces on ``geometry``, their dof split and quadrature.
 
     Runs (:func:`discretize`) and both studies build every mesh here.  The
-    aperture preimages are inserted as xi knots, so xi has ``n + 2`` functions.
+    aperture preimages are inserted as xi knots, so xi has ``n + 2`` functions,
+    and so are the geometry's interior xi breakpoints, so that no element
+    straddles a kink of the map: a patch with ``theta < pi/4`` is only C^0
+    across xi = 1/2, and a Gauss node on the kink would see one side's
+    Jacobian (xi gets one more function where the uniform knots miss 1/2).
     """
-    kv_xi = make_uniform_open_knots(order_xi, n).with_breakpoints(domain.aperture_preimage)
+    breaks = [*domain.aperture_preimage, *geometry.kv_xi.breakpoints[1:-1]]
+    kv_xi = make_uniform_open_knots(order_xi, n).with_breakpoints(breaks)
     space = TensorProductSpace(kv_xi, make_uniform_open_knots(order_eta, m))
     partition = classify_dofs(space, domain)
     quadrature = QuadratureRule(space)
@@ -184,9 +195,13 @@ def build_discretization(
 
 
 def discretize(config: RunConfig) -> Discretization:
+    """A run's :func:`build_discretization` with its mirror fold
+    (:func:`igarad.assembly.mirror_fold`); ``ValueError`` if the problem is
+    not mirror-symmetric."""
     domain = config.domain()
     geometry = make_semicircle_patch(domain)
-    return build_discretization(domain, geometry, config.order_xi, config.order_eta, config.n, config.m)
+    disc = build_discretization(domain, geometry, config.order_xi, config.order_eta, config.n, config.m)
+    return replace(disc, fold=mirror_fold(disc.space, disc.partition, geometry))
 
 
 class SolutionField:
@@ -283,6 +298,7 @@ class RunResult:
                 "n_actual": disc.space.n,
                 "m_actual": disc.space.m,
                 "n_free": disc.partition.n_free,
+                "factor_unknowns": disc.fold.n_unknowns,
                 "n_dirichlet": disc.partition.n_dirichlet,
                 "dirichlet_deviation": self.dirichlet_deviation,
                 "system_nnz": self.system_nnz,
@@ -340,19 +356,24 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     beta = config.beta_factor / k
 
     def _system():
-        # one gather of the free block for A and, if shifted, the preconditioner's mass block
+        # one gather of the free block for A, and one of the folded blocks
+        # T^T A T and, if shifted, T^T M T, which the preconditioner factors
         gather = free_gather(matrices, disc.partition)
         A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
-        mass = gather.block(matrices.mass) if beta > 0 else None
-        return A, b, mass
+        folded = fold_gather(matrices, disc.space, disc.partition, disc.fold)
+        mass = folded.block(matrices.mass) if beta > 0 else None
+        folded = folded.within(gather)  # positions in A's data; the gather is not needed past here
+        del gather
+        return A, b, folded.block(A), mass
 
-    A, b, mass = stage("system", _system)
+    A, b, folded_A, mass = stage("system", _system)
     assemble_child_peak = matrices.child_peak_rss_mib
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
-    precond = stage("factor", lambda: build_cslp(A, mass, beta, tree=disc.partition.tree))
-    mass = None
+    fold = disc.fold
+    precond = stage("factor", lambda: build_cslp(folded_A, mass, beta, tree=fold.tree, fold=fold.matrix))
+    folded_A = mass = None
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():

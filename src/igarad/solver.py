@@ -397,28 +397,40 @@ class CslpPreconditioner:
     resident set of the tree factor's child process (``None`` without
     one).  ``beta = 0`` makes the preconditioner an
     exact solve of A, and ``M`` may then be ``None``.
+
+    With ``fold``, a sparse 0/1 matrix ``T`` with one 1 per row (a run's
+    :attr:`igarad.assembly.MirrorFold.matrix`), A and M are the folded
+    blocks ``T^T A T`` and ``T^T M T`` and :meth:`solve` applies
+    ``T (T^T P T)^-1 T^T``: on a vector in the range of ``T`` (a
+    mirror-even one) that is ``P^-1`` of the unfolded P, whose action keeps
+    that range.
     """
 
-    def __init__(self, A, M, beta: float, tree=None):
+    def __init__(self, A, M, beta: float, tree=None, fold=None):
         if not 0 <= beta < np.inf:
             raise ValueError("shift beta must be nonnegative and finite")
         if M is None and beta:
             raise ValueError("a shift beta > 0 needs the mass matrix M")
         if M is not None and A.shape != M.shape:
             raise ValueError("A and M must have the same shape")
+        if fold is not None and fold.shape[1] != A.shape[0]:
+            raise ValueError(f"the fold maps {fold.shape[1]} unknowns, A has {A.shape[0]}")
         self.beta = float(beta)
+        self.fold = fold
         self.factor = _factor(A, M, self.beta, tree, "shifted-Laplacian factorization")
         self.lu_nnz = self.factor.nnz
         self.factor_bytes = self.factor.nbytes
         self.child_peak_rss_mib = self.factor.child_peak_rss_mib
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.factor.solve(v)
+        if self.fold is None:
+            return self.factor.solve(v)
+        return self.fold @ self.factor.solve(self.fold.T @ v)
 
 
-def build_cslp(A, M, beta: float, tree=None) -> CslpPreconditioner:
+def build_cslp(A, M, beta: float, tree=None, fold=None) -> CslpPreconditioner:
     """Factorized shifted-Laplacian preconditioner (see :class:`CslpPreconditioner`)."""
-    return CslpPreconditioner(A, M, beta, tree)
+    return CslpPreconditioner(A, M, beta, tree, fold)
 
 
 def direct_solve(A, b, *, tree=None) -> np.ndarray:

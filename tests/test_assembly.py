@@ -1,5 +1,6 @@
 """Assembly: quadrature, dof classification, matrices, system formation."""
 
+import dataclasses
 import logging
 import math
 import os
@@ -24,6 +25,9 @@ from igarad.assembly import (
     classify_dofs,
     edge_load,
     expand_solution,
+    fold_gather,
+    free_gather,
+    mirror_fold,
 )
 from igarad.bspline import KnotVector, TensorProductSpace, basis_matrix, make_uniform_open_knots
 from igarad.geometry import CoonsSurface, DomainConfig, coons_patch, make_line, make_semicircle_patch
@@ -717,7 +721,7 @@ class TestNestedDissection:
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(order, n, m)
         part = classify_dofs(space, cfg)
-        grid_order = nested_dissection(space).order
+        grid_order = nested_dissection(space.n, space.m, order, order).order
         assert np.array_equal(np.sort(grid_order), np.arange(space.size))
         assert np.array_equal(part.free, grid_order[~np.isin(grid_order, part.dirichlet)])
 
@@ -764,6 +768,80 @@ class TestNestedDissection:
         separator = np.flatnonzero((i >= a) & (i < a + 3))
         assert separator.min() == part.n_free - separator.size
         assert left.max() < right.min()
+
+
+def mirror_setup(order, n, m):
+    """An aperture-aligned ``n x m`` space (``n + 2`` xi functions) on the
+    semicircle, its partition and its mirror fold."""
+    cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+    geometry = make_semicircle_patch(cfg)
+    kv_xi = make_uniform_open_knots(order, n).with_breakpoints(cfg.aperture_preimage)
+    space = TensorProductSpace(kv_xi, make_uniform_open_knots(order, m))
+    part = classify_dofs(space, cfg)
+    return cfg, geometry, space, part, mirror_fold(space, part, geometry)
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("order, n, m", [(3, 20, 12), (4, 21, 12)], ids=["even", "odd"])
+    def test_map_pairs_each_free_dof_with_its_mirror(self, order, n, m):
+        """T maps each unknown to a free dof in the left columns and to its
+        mirror, one dof on the middle column of an odd ``n``; the tree
+        numbers the unknowns."""
+        _, _, space, part, fold = mirror_setup(order, n, m)
+        assert space.n % 2 == n % 2
+        T = fold.matrix.toarray()
+        assert np.array_equal(T.sum(axis=1), np.ones(part.n_free))  # one unknown per free dof
+        i = fold.tree.order % space.n
+        assert np.all(2 * i <= space.n - 1)
+        left = part.free == fold.tree.order[fold.unknown]  # the free dofs that are their unknown's own
+        mirror = fold.tree.order + space.n - 1 - 2 * i
+        assert np.array_equal(part.free[~left], mirror[fold.unknown[~left]])
+        middle = 2 * i == space.n - 1
+        assert middle.sum() == (space.m - 1 if space.n % 2 else 0)  # the middle's bottom dof is Dirichlet
+        assert np.array_equal(T.sum(axis=0), np.where(middle, 1, 2))
+        assert fold.n_unknowns == fold.tree.order.size == (part.n_free + middle.sum()) // 2
+
+    @pytest.mark.parametrize("order, n, m", [(3, 20, 12), (4, 21, 12)], ids=["even", "odd"])
+    def test_folded_blocks_are_the_products(self, order, n, m):
+        """The gathered folds of S, M and A are ``T^T X T`` as sparse
+        products form them, to roundoff, on one pattern with sorted indices."""
+        _, geometry, space, part, fold = mirror_setup(order, n, m)
+        mats = assemble(space, geometry, QuadratureRule(space))
+        gather = free_gather(mats, part)
+        A, _ = build_system(mats, part, 10.0, 1.0, gather=gather)
+        folded = fold_gather(mats, space, part, fold)
+        T = fold.matrix
+        blocks = [(folded.block(mats.stiffness), gather.block(mats.stiffness)),
+                  (folded.block(mats.mass), gather.block(mats.mass)), (folded.within(gather).block(A), A)]
+        for block, full in blocks:
+            ref = (T.T @ full @ T).tocsr()
+            ref.sort_indices()
+            assert block.has_sorted_indices
+            assert np.array_equal(block.indptr, ref.indptr) and np.array_equal(block.indices, ref.indices)
+            assert np.max(np.abs(block.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+            assert np.shares_memory(block.indices, blocks[0][0].indices)
+
+    def test_asymmetric_knots_rejected(self):
+        cfg, geometry, space, part, _ = mirror_setup(4, 20, 12)
+        knots = space.kv_xi.knots.copy()
+        knots[6] += 1e-6
+        nudged = TensorProductSpace(KnotVector(4, knots), space.kv_eta)
+        with pytest.raises(ValueError, match="xi knots are not mirror-symmetric"):
+            mirror_fold(nudged, classify_dofs(nudged, cfg), geometry)
+
+    def test_asymmetric_dirichlet_set_rejected(self):
+        _, geometry, space, part, _ = mirror_setup(4, 20, 12)
+        lopsided = dataclasses.replace(part, dirichlet=part.dirichlet[:-1])
+        with pytest.raises(ValueError, match="Dirichlet set is not mirror-symmetric"):
+            mirror_fold(space, lopsided, geometry)
+
+    def test_asymmetric_patch_rejected(self):
+        _, geometry, space, part, _ = mirror_setup(4, 20, 12)
+        ctrl = geometry.ctrl.copy()
+        ctrl[1, 2, 0] += 1e-6
+        moved = CoonsSurface(ctrl, geometry.weights, geometry.kv_xi, geometry.kv_eta)
+        with pytest.raises(ValueError, match="patch is not mirror-symmetric"):
+            mirror_fold(space, part, moved)
 
 
 class TestEdgeLoad:

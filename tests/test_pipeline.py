@@ -25,7 +25,8 @@ from igarad.pipeline import (
     run,
 )
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def smoke_config(**kw):
@@ -250,6 +251,88 @@ def test_runs_load_one_blas():
     if loaded["openblas"] is None:
         pytest.skip("no /proc/self/maps to list the mapped libraries")
     assert len(loaded["openblas"]) == 1, loaded["openblas"]
+
+
+@pytest.fixture(scope="module", params=[(40, 30), (41, 30)], ids=["even_n", "odd_n"])
+def desk_fold(request):
+    """A desk-physics run on a small mesh whose space has an even (42) or an
+    odd (43, a middle column) number of xi functions, with the full free
+    system it solved."""
+    from igarad.assembly import assemble, build_system, free_gather
+
+    n, m = request.param
+    cfg = RunConfig.from_json(CONFIG_DIR / "desk_radiation_k300.json", n=n, m=m)
+    result = run(cfg, write_outputs=False)
+    disc = result.discretization
+    matrices = assemble(disc.space, disc.geometry, disc.quadrature)
+    gather = free_gather(matrices, disc.partition)
+    A, b = build_system(matrices, disc.partition, cfg.wavenumber, cfg.amplitude, gather=gather)
+    return cfg, result, matrices, gather, A, b
+
+
+class TestMirrorFold:
+    def test_space_parity_and_factor_size(self, desk_fold):
+        cfg, result, *_ = desk_fold
+        disc = result.discretization
+        assert disc.space.n == cfg.n + 2  # so odd for the 41 x 30 mesh: a middle column
+        derived = result.report()["derived"]
+        middle = disc.space.m - 1 if disc.space.n % 2 else 0  # the middle column's free dofs
+        assert derived["factor_unknowns"] == disc.fold.n_unknowns == (derived["n_free"] + middle) // 2
+
+    def test_folded_solve_is_the_full_solve_on_even_vectors(self, desk_fold):
+        """On a random even vector the folded preconditioner's solve is the
+        full P's: within 1e-12 of the full tree's factor of P refined once.
+        (That factor alone is off by up to 2.5e-9 on the odd mesh: its
+        static pivoting, not the fold; the fold is within 1e-13.)"""
+        from igarad.assembly import fold_gather
+        from igarad.solver import FrontalLdlt, build_cslp
+
+        cfg, result, matrices, gather, A, _ = desk_fold
+        disc, fold = result.discretization, result.discretization.fold
+        beta = cfg.beta_factor / cfg.wavenumber
+        folded = fold_gather(matrices, disc.space, disc.partition, fold)
+        precond = build_cslp(folded.within(gather).block(A), folded.block(matrices.mass), beta,
+                             tree=fold.tree, fold=fold.matrix)
+        M = gather.block(matrices.mass)
+        full = FrontalLdlt(A, M, beta, disc.partition.tree, "full P")
+        rng = np.random.default_rng(7)
+        v = fold.matrix @ (rng.standard_normal(fold.n_unknowns) + 1j * rng.standard_normal(fold.n_unknowns))
+        ref = full.solve(v)
+        ref += full.solve(v - (A - 1j * beta * M) @ ref)
+        assert np.linalg.norm(precond.solve(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert precond.lu_nnz < 0.5 * full.nnz
+
+    def test_run_field_is_even(self, desk_fold):
+        """The folded preconditioner returns even vectors, so GMRES builds
+        only even ones: the coefficients are even to roundoff (exactly, here)."""
+        _, result, *_ = desk_fold
+        space = result.discretization.space
+        grid = result.field.coefficients.reshape(space.m, space.n)
+        assert np.linalg.norm(grid - grid[:, ::-1]) <= 1e-14 * np.linalg.norm(grid)
+
+    def test_narrow_patch_kink_is_a_knot(self):
+        """With theta < pi/4 the patch is only C^0 across xi = 1/2, which is
+        then a knot: no Gauss node sits on the kink, A is mirror-symmetric
+        and the folded preconditioner leaves a true residual of roundoff
+        (1e-2 on this mesh, whose uniform knots miss 1/2, when the element
+        straddled the kink)."""
+        cfg = RunConfig.from_json(CONFIG_DIR / "desk_radiation_k300.json", n=40, m=30, theta=math.pi / 20)
+        result = run(cfg, write_outputs=False)
+        assert 0.5 in result.discretization.space.kv_xi.knots
+        assert result.discretization.space.n == cfg.n + 3
+        assert result.solve_report.true_residual <= 1e-10
+
+    def test_run_matches_direct_solve_of_the_full_system(self, desk_fold):
+        """GMRES on the full free system, preconditioned by the fold, lands on
+        the full system's direct solution: 2.2e-14 and 2.8e-14 measured."""
+        from igarad.solver import direct_solve
+
+        _, result, _, _, A, b = desk_fold
+        disc = result.discretization
+        x = direct_solve(A, b, tree=disc.partition.tree)
+        assert result.solve_report.outer_iterations == 1
+        rel = np.linalg.norm(result.field.coefficients[disc.partition.free] - x) / np.linalg.norm(x)
+        assert rel <= 1e-12
 
 
 class TestStudies:
@@ -535,7 +618,7 @@ class TestOutputs:
         assert report["outputs"] == {}
 
     def test_report_lu_fill(self, tmp_path):
-        from igarad.assembly import assemble, build_system
+        from igarad.assembly import assemble, fold_gather
         from igarad.solver import frontal_storage
 
         cfg = smoke_config(beta_factor=1.0 / 3.0, outdir=str(tmp_path))
@@ -545,11 +628,13 @@ class TestOutputs:
         assert lu_nnz > 0
         # complex128 blocks plus their small index arrays
         assert 16 * lu_nnz < report["derived"]["factor_bytes"] < 17 * lu_nnz
-        # the preconditioner's factor is the size the tree's symbolic pass counts from A
+        # the preconditioner's factor is the size the half grid's tree's symbolic
+        # pass counts from the folded pattern, over the mirror-even unknowns
         disc = result.discretization
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        A, _ = build_system(matrices, disc.partition, cfg.wavenumber, cfg.amplitude)
-        assert frontal_storage(A, disc.partition.tree) == (lu_nnz, report["derived"]["factor_bytes"])
+        folded = fold_gather(matrices, disc.space, disc.partition, disc.fold).block(matrices.mass)
+        assert frontal_storage(folded, disc.fold.tree) == (lu_nnz, report["derived"]["factor_bytes"])
+        assert folded.shape[0] == report["derived"]["factor_unknowns"] == disc.fold.n_unknowns
         solve = report["solve"]
         assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
         assert solve["cycle_residuals"][-1] == solve["preconditioned_residual"]
@@ -739,6 +824,15 @@ class TestCli:
         proc = self._run("run", "--config", str(bad))
         assert proc.returncode == 2, proc.stderr
         assert "bad configuration" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_mesh_over_desk_scale_exit_code(self, tmp_path):
+        """A mesh the discretize stage rejects is a bad configuration, found
+        before any assembly."""
+        proc = self._run("run", "--n", "500", "--m", "400", "--outdir", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "bad configuration" in proc.stderr and "full_scale" in proc.stderr
+        assert "[assemble]" not in proc.stdout
         assert "Traceback" not in proc.stderr
 
     def test_run_invalid_value_exit_code(self, tmp_path):

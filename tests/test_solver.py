@@ -169,6 +169,8 @@ class TestCslp:
         M = sp.identity(11, format="csr", dtype=complex)
         with pytest.raises(ValueError):
             build_cslp(A, M, 1.0)
+        with pytest.raises(ValueError, match="the fold maps 11 unknowns, A has 10"):
+            build_cslp(A, None, 0.0, fold=sp.identity(11, format="csr"))
 
     def test_mass_needed_only_with_a_shift(self, rng):
         A, b = random_complex_system(rng, n=30)

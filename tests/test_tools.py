@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,29 @@ def test_ordering_ladder_smoke(tmp_path):
     ranges = [(p[block][key], *span) for block, spans in p["range"].items() for key, span in spans.items()]
     assert len(ranges) == 2 * len(report["timings"]) + 1 + 2 * can_split()
     assert all(low <= median <= high for median, low, high in ranges)
+
+
+def test_ordering_ladder_merges_into_out(tmp_path):
+    """An existing ``--out`` keeps every row but the ``ldl`` rows of the
+    sizes measured: the committed rows, the SuperLU ones among them, come
+    through byte-identical, and a stale ``ldl`` row of a measured size is
+    replaced where it stood."""
+    committed = json.loads((ROOT / "BENCH_ordering.json").read_text())["points"]
+    assert {"mmd", "nd"} <= {p["ordering"] for p in committed}
+    stale = {"n": 40, "m": 30, "ordering": "ldl", "stale": True}
+    out = tmp_path / "ladder.json"
+    out.write_text(json.dumps({"environment": {}, "points": [stale, *committed]}, indent=2) + "\n")
+    proc = subprocess.run(
+        [sys.executable, str(LADDER), "--sizes", "40x30", "--out", str(out)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text()
+    first, *rest = json.loads(text)["points"]
+    assert (first["n"], first["m"], first["ordering"]) == (40, 30, "ldl") and "stale" not in first
+    assert first["git_commit"] == json.loads(text)["environment"]["git_commit"]
+    assert rest == committed
+    for row in committed:  # each row as json.dump lays out an item of "points"
+        assert textwrap.indent(json.dumps(row, indent=2), "    ") in text
 
 
 @pytest.mark.parametrize(

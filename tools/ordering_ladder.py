@@ -3,7 +3,7 @@ nested-dissection tree, along a ladder of meshes.
 
 Usage, from the root of a checkout::
 
-    python3 tools/ordering_ladder.py                      # writes BENCH_ordering.json
+    python3 tools/ordering_ladder.py --repeat 3           # re-takes BENCH_ordering.json's ldl rows
     python3 tools/ordering_ladder.py --sizes 40x30 120x90 --repeat 3 --out ladder.json
 
 Each point is the desk physics (``configs/desk_radiation_k300.json``) scaled
@@ -15,9 +15,12 @@ A point is ``pipeline.run(config, write_outputs=False)`` with
 (``RunResult.report()``: the blocks of ``report.json``, among them the
 factor's ``lu_nnz`` and ``factor_bytes``, the child processes' peaks, the
 GMRES solve and each stage's time and peak resident set) plus ``n``, ``m``
-and ``"ordering": "ldl"``, the key of the committed LDL^T rows; the
-SuperLU rows of ``BENCH_ordering.json`` (``mmd``, ``nd``) were taken by an
-earlier version of this script and carry their own ``git_commit``.  With
+and ``"ordering": "ldl"``, the key of the committed LDL^T rows, and the
+``git_commit`` it was measured at.  An existing ``--out`` is merged into:
+the ``ldl`` rows of the measured sizes are replaced (a new size is added
+in ``n x m`` order) and every other row is kept as it was, among them the
+SuperLU rows of ``BENCH_ordering.json`` (``mmd``, ``nd``), which an
+earlier version of this script took.  With
 ``--repeat N`` each point runs in N fresh processes: the stage times and
 peaks, the children's peaks and the solve's wall time are their medians,
 with ``[min, max]`` in the record's ``range`` block; the rest repeats
@@ -72,9 +75,9 @@ def measure(n: int, m: int) -> dict:
         sys.exit(f"error: {exc}")
 
 
-def point(n: int, m: int, repeat: int) -> dict:
-    """One point, measured in ``repeat`` fresh processes; exits with the
-    process's error if one fails."""
+def point(n: int, m: int, repeat: int, commit: str) -> dict:
+    """One point, measured in ``repeat`` fresh processes at ``commit``;
+    exits with the process's error if one fails."""
     runs = []
     for _ in range(repeat):
         cmd = [sys.executable, __file__, "--point", str(n), str(m)]
@@ -82,7 +85,8 @@ def point(n: int, m: int, repeat: int) -> dict:
         if out.returncode:
             sys.exit(out.stderr.rstrip() or f"point {n}x{m} failed with exit code {out.returncode}")
         runs.append(json.loads(out.stdout.splitlines()[-1]))
-    record = {"n": n, "m": m, "ordering": "ldl", "repeat": repeat, **runs[0], "range": {}}
+    record = {"n": n, "m": m, "ordering": "ldl", "repeat": repeat, "git_commit": commit,
+              **runs[0], "range": {}}
     varying = {"timings": list(record["timings"]), "peak_rss_mib": list(record["peak_rss_mib"]),
                "derived": ("child_peak_rss_mib", "assemble_child_peak_rss_mib"), "solve": ("wall_time_s",)}
     for block, keys in varying.items():
@@ -122,10 +126,18 @@ def main(argv=None) -> int:
     if args.point:
         print(json.dumps(measure(*args.point)))
         return 0
+    old = []  # the rows to merge into, read before any point runs
+    if os.path.exists(args.out):
+        try:
+            with open(args.out) as fh:
+                old = json.load(fh)["points"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            sys.exit(f"error: cannot merge into {args.out}: {exc!r}")
+    env = environment()
 
     points = []
     for n, m in args.sizes:
-        p = point(n, m, args.repeat)
+        p = point(n, m, args.repeat, env["git_commit"])
         points.append(p)
         derived, solve, timings = p["derived"], p["solve"], p["timings"]
         print(
@@ -136,11 +148,19 @@ def main(argv=None) -> int:
             f"peak RSS {max(p['peak_rss_mib'].values()):7.1f} MiB of {args.repeat}",
             flush=True,
         )
-    record = {"environment": environment(), "points": points}
     with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
+        json.dump({"environment": env, "points": merge(old, points)}, fh, indent=2)
         fh.write("\n")
     return 0
+
+
+def merge(old: list[dict], new: list[dict]) -> list[dict]:
+    """``old`` with its ``ldl`` rows of ``new``'s sizes replaced in place and
+    ``new``'s other rows added, in ``n x m`` order; no other row changes."""
+    fresh = {(p["n"], p["m"]): p for p in new}
+    points = [fresh.pop((p["n"], p["m"])) if p.get("ordering") == "ldl" and (p["n"], p["m"]) in fresh else p
+              for p in old]
+    return sorted(points + list(fresh.values()), key=lambda p: (p["n"], p["m"]))
 
 
 if __name__ == "__main__":
