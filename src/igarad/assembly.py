@@ -18,16 +18,23 @@ the 1D eta coupling band, and then over xi, by one dense product per
 matrix.  Every pair the slab produces is a distinct entry of S and M, so
 each is summed into CSR ``data`` by one plain scatter per slab.  The
 pattern is the Kronecker product of the knot vectors' 1D coupling bands
-over the full ``N x N`` index set, and :func:`build_system` gathers the
-free/Dirichlet blocks entry by entry from it (:class:`Gather`).  The free
-dofs are numbered in the elimination order of the grid's nested
-dissection (:func:`classify_dofs`), so the restricted system comes out
-ready to factor, and the partition carries the dissection's tree
-(:class:`DissectionTree`) for the studies' direct solves.  A run's field is
-even under the mirror x -> -x, so its preconditioner is factored on the
-even unknowns (:class:`MirrorFold`, numbered by the tree of the left half
-of the grid): :func:`fold_gather` sums each folded entry of ``T^T S T``
-and ``T^T M T`` from the same pattern.
+over the full ``N x N`` index set.  Where the problem is mirror-symmetric
+under x -> -x (:func:`_mirror_asymmetry`), only the slabs that hold the
+left xi functions are summed, and each right row of S and M is copied from
+its mirror (Bossavit, CMAME 56, 1986), so S and M are mirror-symmetric bit
+for bit.
+
+A run numbers its free dofs in grid order (:func:`classify_dofs`), so
+:func:`build_system` takes A's rows past the few that reach a Dirichlet dof
+as contiguous slices of the pattern and gathers only those few entry by
+entry (:class:`Gather`).  The studies factor A itself and number the free
+dofs in the elimination order of the grid's nested dissection
+(:meth:`DofPartition.dissected`), whose tree (:class:`DissectionTree`) the
+partition carries.  A run's field is even under the mirror, so its
+preconditioner is factored on the even unknowns (:class:`MirrorFold`,
+numbered by the tree of the left half of the grid): :func:`fold_gather`
+sums each folded entry of ``T^T S T`` and ``T^T M T`` from the same
+pattern.
 
 A slab writes only the rows of its ``order`` xi functions, so slabs far
 apart write disjoint entries, and the slabs run on two cores (the
@@ -215,20 +222,19 @@ class DofPartition:
     Dirichlet dofs are the bottom-row (eta index 0) basis functions whose
     support meets the transducer aperture on the bottom edge; every other
     basis function vanishes identically on that segment.  ``dirichlet`` is
-    sorted.  ``tree`` is the grid's :func:`nested_dissection` without the
-    Dirichlet dofs, in the restricted system's numbering; its ``order``,
-    ``free``, numbers the free dofs in elimination order: the restricted
-    system's row and column ``i`` belong to dof ``free[i]``.
+    sorted.  ``free`` numbers the free dofs: the restricted system's row
+    and column ``i`` belong to dof ``free[i]``.  Without a ``tree`` they are
+    in grid order (sorted), as a run numbers them; with one
+    (:meth:`dissected`), ``free`` is ``tree.order``, the elimination order
+    of the grid's :func:`nested_dissection` without the Dirichlet dofs, in
+    the restricted system's numbering, which the studies factor A on.
     """
 
     dirichlet: np.ndarray
     xi_left: float
     xi_right: float
-    tree: DissectionTree
-
-    @property
-    def free(self) -> np.ndarray:
-        return self.tree.order
+    free: np.ndarray
+    tree: DissectionTree | None = None
 
     @property
     def n_free(self) -> int:
@@ -238,11 +244,19 @@ class DofPartition:
     def n_dirichlet(self) -> int:
         return self.dirichlet.size
 
+    def dissected(self, space: TensorProductSpace) -> "DofPartition":
+        """The same split with the free dofs numbered by the nested
+        dissection of ``space``'s grid, carrying its tree."""
+        is_free = np.ones(space.size, dtype=bool)
+        is_free[self.dirichlet] = False
+        tree = nested_dissection(space.n, space.m, space.kv_xi.order, space.kv_eta.order).restrict(is_free)
+        return replace(self, free=tree.order, tree=tree)
+
 
 def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     """Locate the Dirichlet dofs from the aperture preimage
-    (:attr:`DomainConfig.aperture_preimage`) and number the rest in
-    nested-dissection order."""
+    (:attr:`DomainConfig.aperture_preimage`) and number the rest in grid
+    order."""
     xi_left, xi_right = cfg.aperture_preimage
     kv = space.kv_xi
     # B_i is not identically null on the aperture iff its open support
@@ -255,8 +269,7 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     dirichlet = i_all[on_aperture].astype(np.int64)  # flat q = 0*n + i
     is_free = np.ones(space.size, dtype=bool)
     is_free[dirichlet] = False
-    tree = nested_dissection(space.n, space.m, kv.order, space.kv_eta.order).restrict(is_free)
-    return DofPartition(dirichlet=dirichlet, xi_left=xi_left, xi_right=xi_right, tree=tree)
+    return DofPartition(dirichlet=dirichlet, xi_left=xi_left, xi_right=xi_right, free=np.flatnonzero(is_free))
 
 
 _ND_LEAF = 32  # blocks this small keep the natural order; 64 fills 3 % more at 27,936 dofs
@@ -336,27 +349,45 @@ class MirrorFold:
         return sp.csr_matrix((np.ones(n), self.unknown, np.arange(n + 1)), shape=(n, self.n_unknowns))
 
 
-def mirror_fold(space: TensorProductSpace, partition: DofPartition, geometry: CoonsSurface) -> MirrorFold:
-    """The :class:`MirrorFold` of ``space``'s free dofs.
-
-    Raises ``ValueError`` unless the problem is mirror-symmetric: the
-    space's xi knots (``t + t[::-1] = 1``), and the geometry's xi knots,
-    control net and weights, reflected in xi and in x, to ``_MIRROR_TOL``
-    relative to 1 and to the net's extent, and the Dirichlet set exactly.
-    """
+def _mirror_asymmetry(space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule | None = None):
+    """Why the problem on ``space`` and ``geometry`` is not mirror-symmetric
+    under x -> -x (xi -> 1 - xi), or ``None`` where it is: the space's xi
+    knots (``t + t[::-1] = 1``) and coupling band, ``quad``'s xi nodes and
+    weights, and the geometry's xi knots, control net and weights,
+    reflected in xi and in x, to ``_MIRROR_TOL`` relative to 1 and to the
+    net's extent."""
 
     def symmetric(knots):
         return np.max(np.abs(knots + knots[::-1] - 1.0)) <= _MIRROR_TOL
 
-    n, m = space.n, space.m
     if not symmetric(space.kv_xi.knots):
-        raise ValueError("the xi knots are not mirror-symmetric")
+        return "the xi knots are not mirror-symmetric"
+    width = _band(space.kv_xi)[1]
+    if not np.array_equal(width, width[::-1]):
+        return "the xi coupling band is not mirror-symmetric"
+    if quad is not None:
+        nodes, weights = quad.xi.nodes.ravel(), quad.xi.weights.ravel()
+        if not symmetric(nodes) or np.max(np.abs(weights - weights[::-1])) > _MIRROR_TOL * np.max(weights):
+            return "the xi quadrature is not mirror-symmetric"
     ctrl, w = geometry.ctrl, geometry.weights
     mirrored = np.stack([-ctrl[::-1, :, 0], ctrl[::-1, :, 1]], axis=-1)
     if (not symmetric(geometry.kv_xi.knots)
             or np.max(np.abs(mirrored - ctrl)) > _MIRROR_TOL * np.max(np.abs(ctrl))
             or np.max(np.abs(w[::-1] - w)) > _MIRROR_TOL * np.max(w)):
-        raise ValueError("the patch is not mirror-symmetric in x")
+        return "the patch is not mirror-symmetric in x"
+    return None
+
+
+def mirror_fold(space: TensorProductSpace, partition: DofPartition, geometry: CoonsSurface) -> MirrorFold:
+    """The :class:`MirrorFold` of ``space``'s free dofs.
+
+    Raises ``ValueError`` unless the problem is mirror-symmetric
+    (:func:`_mirror_asymmetry`) and the Dirichlet set is, exactly.
+    """
+    n, m = space.n, space.m
+    asymmetry = _mirror_asymmetry(space, geometry)
+    if asymmetry is not None:
+        raise ValueError(asymmetry)
 
     def mirror(q):
         return q + n - 1 - 2 * (q % n)
@@ -439,15 +470,59 @@ def _halves(first: np.ndarray, order: int) -> tuple[int, int]:
     return h, int(np.searchsorted(first, first[h - 1] + order)) if h > 0 else first.size
 
 
+def _mirror_slots(len_x: np.ndarray, eta_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(dst, src)``: the entries a mirror-symmetric S or M copies, as
+    offsets in the part of the pattern that holds one eta row's ``n`` grid
+    rows, when that eta row couples ``eta_len`` eta rows.
+
+    Grid row ``i`` holds ``eta_len * len_x[i]`` entries, eta slot outer.  Its
+    mirror, row ``n - 1 - i``, has the same band width ``w``; an entry at
+    offset ``o`` in the row has its mirror at ``w - 1 + o - 2 (o % w)`` in
+    the mirror row (same eta slot, xi slot reversed).  ``dst`` is every
+    entry of a right row (``2 i > n - 1``) and, on the middle row of an odd
+    ``n``, every entry in a right column; ``src`` is its mirror.
+    """
+    n = len_x.size
+    start = eta_len * (np.cumsum(len_x) - len_x)
+    rows = np.arange(n // 2, n)  # the right rows, after the middle one of an odd n
+    lens = eta_len * len_x[rows]
+    offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    width = np.repeat(len_x[rows], lens)
+    dst = np.repeat(start[rows], lens) + offset
+    src = np.repeat(start[n - 1 - rows], lens) + width - 1 + offset - 2 * (offset % width)
+    copy = np.repeat(2 * rows > n - 1, lens) | (2 * (offset % width) > width - 1)
+    return dst[copy], src[copy]
+
+
+def _mirror_rows(data: tuple[np.ndarray, ...], indptr: np.ndarray, len_x: np.ndarray, len_e: np.ndarray) -> None:
+    """Copy each right-row entry of every array in ``data``, values on the
+    tensor pattern :func:`_tensor_pattern` builds, from its mirror entry
+    (:func:`_mirror_slots`), one eta row at a time."""
+    n = len_x.size
+    slots = {}
+    for j, eta_len in enumerate(len_e.tolist()):
+        if eta_len not in slots:
+            slots[eta_len] = _mirror_slots(len_x, eta_len)
+        dst, src = slots[eta_len]
+        for values in data:
+            row = values[indptr[j * n] : indptr[(j + 1) * n]]
+            row[dst] = row[src]
+
+
 def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule) -> SystemMatrices:
     """Assemble stiffness, mass and Robin boundary-mass matrices.
 
-    Aborts with :class:`NonPositiveJacobianError` if the geometry Jacobian
-    determinant is nonpositive at any quadrature point: the error of the
-    first slab of xi nodes where it is, as a one-process assembly raises
-    it.  The slabs run on two cores where they can (see the module
-    docstring); ``child_peak_rss_mib`` of the result is the child process's
-    peak resident set, ``None`` where every slab ran in this process.
+    Where the problem is mirror-symmetric (:func:`_mirror_asymmetry`), only
+    the slabs ``e`` whose xi functions start at ``fx[e] <= (n - 1) // 2``
+    are summed, which completes every left row, and the right rows are
+    copied from their mirrors; otherwise every slab is summed.  Aborts with
+    :class:`NonPositiveJacobianError` if the geometry Jacobian determinant
+    is nonpositive at any quadrature point: the error of the first slab of
+    xi nodes where it is, as a one-process assembly of every slab raises it
+    (on a symmetric patch that slab is a left one).  The slabs run on two
+    cores where they can (see the module docstring); ``child_peak_rss_mib``
+    of the result is the child process's peak resident set, ``None`` where
+    every slab ran in this process.
     """
     kvx, kve = space.kv_xi, space.kv_eta
     n = space.n
@@ -510,21 +585,25 @@ def assemble(space: TensorProductSpace, geometry: CoonsSurface, quad: Quadrature
             s_data[pos] += s_vals.ravel()
             m_data[pos] += m_vals.ravel()
 
-    h, g = _halves(fx, k1)
+    mirrored = _mirror_asymmetry(space, geometry, quad) is None
+    summed = int(np.searchsorted(fx, (n - 1) // 2, side="right")) if mirrored else E1
+    h, g = _halves(fx[:summed], k1)
     child_peak = None
-    if g < E1:
+    if g < summed:
         try:
-            child_peak = in_two_processes(lambda: slabs(range(h)), lambda: slabs(range(g, E1)),
+            child_peak = in_two_processes(lambda: slabs(range(h)), lambda: slabs(range(g, summed)),
                                           f"assembly: the child process assembling xi slabs 0 to {h - 1}")
         except NonPositiveJacobianError:
-            slabs(range(E1))  # raises the first failing slab's error, as one process does
+            slabs(range(summed))  # raises the first failing slab's error, as one process does
             raise
     if child_peak is None:
-        slabs(range(E1))
+        slabs(range(summed))
     else:
         log.info("assembly: xi slabs 0 to %d of %d assembled in a child process, its peak RSS %.0f MiB",
-                 h - 1, E1, child_peak)
+                 h - 1, summed, child_peak)
         slabs(range(h, g))
+    if mirrored:
+        _mirror_rows((s_data, m_data), indptr, len_x, len_e)
 
     stiffness = sp.csr_matrix((s_data, indices, indptr), shape=(N, N))
     mass = sp.csr_matrix((m_data, indices.copy(), indptr.copy()), shape=(N, N))
@@ -618,18 +697,24 @@ def edge_load(
 @dataclass(frozen=True)
 class Gather:
     """A block ``pattern[rows][:, cols]`` of the pattern S and M share: its
-    CSR ``indptr`` and ``indices`` (sorted), and the positions ``pos`` of its
-    entries in the pattern's ``data``."""
+    CSR ``indptr`` and ``indices`` (sorted), and where its entries sit in the
+    pattern's ``data``.  The first ``pos.size`` are at the positions ``pos``;
+    the rest, rows the block holds as they are in the pattern, are the slice
+    ``data[start:]`` (empty where every row is gathered)."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
     shape: tuple[int, int]
+    start: int
 
     def block(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
         """The block of ``matrix`` (S or M, stored on the gathered pattern),
         sharing this gather's index arrays."""
-        return sp.csr_matrix((matrix.data[self.pos], self.indices, self.indptr), shape=self.shape)
+        data = np.empty(self.indices.size, dtype=matrix.dtype)
+        np.take(matrix.data, self.pos, out=data[: self.pos.size])
+        data[self.pos.size :] = matrix.data[self.start :]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> Gather:
@@ -655,14 +740,34 @@ def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> Gathe
     block = sp.csr_matrix((pos, indices, indptr), shape=(rows.size, cols.size))
     block.has_sorted_indices = False
     block.sort_indices()
-    return Gather(block.indptr, block.indices, block.data, block.shape)
+    return Gather(block.indptr, block.indices, block.data, block.shape, pattern.nnz)
 
 
 def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
     """The free-free block of the pattern S and M share.  Gathered once, it
     gives both :func:`build_system`'s ``A`` and the free mass block
-    (``gather.block(matrices.mass)``), on the same index arrays."""
-    return _gather(matrices.stiffness, partition.free, partition.free)
+    (``gather.block(matrices.mass)``), on the same index arrays.
+
+    In grid order (a partition with no tree) every row past the last one
+    with a column at or before the last Dirichlet dof (the first
+    ``order_eta`` eta rows hold them) is free and reaches only free dofs
+    that follow every Dirichlet dof: the block holds those rows as the
+    pattern does, each dof ``n_dirichlet`` places earlier, so only the rows
+    before them are gathered."""
+    S, free = matrices.stiffness, partition.free
+    if partition.tree is not None:
+        return _gather(S, free, free)
+    reach = np.flatnonzero(S.indices[S.indptr[:-1]] <= partition.dirichlet[-1])  # a row's first column is its least
+    tail = int(reach[-1]) + 1
+    head = _gather(S, free[: tail - partition.n_dirichlet], free)
+    start, nnz = int(S.indptr[tail]), head.indices.size
+    indptr = np.empty(free.size + 1, dtype=head.indptr.dtype)
+    indptr[: head.indptr.size] = head.indptr
+    np.subtract(S.indptr[tail + 1 :], start - nnz, out=indptr[head.indptr.size :])
+    indices = np.empty(nnz + S.nnz - start, dtype=head.indices.dtype)
+    indices[:nnz] = head.indices
+    np.subtract(S.indices[start:], partition.n_dirichlet, out=indices[nnz:])
+    return Gather(indptr, indices, head.pos, (free.size, free.size), start)
 
 
 @dataclass(frozen=True)
@@ -700,10 +805,20 @@ class FoldGather:
     def within(self, gather: Gather) -> "FoldGather":
         """The same fold of the block ``gather`` gathers (the free-free
         block of :func:`free_gather`, ``A`` of :func:`build_system`): the
-        positions in the block's ``data``.  Every entry it folds is in it."""
-        inverse = np.full(gather.pos.max() + 1, -1, dtype=gather.pos.dtype)
-        inverse[gather.pos] = np.arange(gather.pos.size, dtype=gather.pos.dtype)
-        return replace(self, pos=inverse[self.pos], extra_pos=inverse[self.extra_pos])
+        positions in the block's ``data``.  Every entry it folds is in it.
+        A position in the block's sliced rows moves by one constant shift;
+        only the gathered ones are looked up."""
+        head = gather.pos.size
+        inverse = np.full(gather.start, -1, dtype=gather.pos.dtype)
+        inverse[gather.pos] = np.arange(head, dtype=gather.pos.dtype)
+
+        def moved(pos):
+            out = pos - (gather.start - head)
+            at = pos < gather.start
+            out[at] = inverse[pos[at]]
+            return out
+
+        return replace(self, pos=moved(self.pos), extra_pos=moved(self.extra_pos))
 
 
 def fold_gather(matrices: SystemMatrices, space: TensorProductSpace, partition: DofPartition,
@@ -719,9 +834,7 @@ def fold_gather(matrices: SystemMatrices, space: TensorProductSpace, partition: 
     """
     pattern, n = matrices.stiffness, space.n
     index_type = pattern.indices.dtype
-    width = _band(space.kv_xi)[1].astype(index_type)
-    if not np.array_equal(width, width[::-1]):
-        raise ValueError("the xi coupling band is not mirror-symmetric")
+    width = _band(space.kv_xi)[1].astype(index_type)  # mirror-symmetric: mirror_fold checked it
     rows = fold.tree.order
     lens = np.diff(pattern.indptr)[rows]
     heads = np.cumsum(lens, dtype=index_type) - lens
@@ -771,24 +884,33 @@ def fold_gather(matrices: SystemMatrices, space: TensorProductSpace, partition: 
 
 def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:
     """Positions in ``pattern.data`` of the entries of ``sub``, whose pattern
-    is a subset of ``pattern``'s (sorted indices, no duplicates)."""
-    pos = np.empty(sub.nnz, dtype=np.int64)
-    for r in np.flatnonzero(np.diff(sub.indptr)):  # few rows: the Robin mass lives on the boundary
-        lo, hi = pattern.indptr[r], pattern.indptr[r + 1]
-        at = slice(sub.indptr[r], sub.indptr[r + 1])
-        pos[at] = lo + np.searchsorted(pattern.indices[lo:hi], sub.indices[at])
-    return pos
+    is a subset of ``pattern``'s (sorted indices, no duplicates).  Only the
+    rows ``sub`` holds entries in are searched: the Robin mass lives on the
+    boundary."""
+    lens = np.diff(sub.indptr)
+    rows = np.flatnonzero(lens)
+    row_lens = np.diff(pattern.indptr)[rows]
+    pos = np.repeat(pattern.indptr[rows] - (np.cumsum(row_lens) - row_lens), row_lens)
+    pos += np.arange(pos.size)
+    # (row, column) as one key, ascending along those rows' entries
+    keys = np.repeat(rows, row_lens) * pattern.shape[1] + pattern.indices[pos]
+    wanted = np.repeat(np.arange(sub.shape[0]), lens) * pattern.shape[1] + sub.indices
+    return pos[np.searchsorted(keys, wanted)]
 
 
 def _restricted(matrices: SystemMatrices, k: float, gather: Gather, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     """``(S - k^2 M + i k E)[rows][:, cols]`` from the ``gather`` of that block
-    of the shared pattern of S and M, with no full-size complex matrix."""
+    of the shared pattern of S and M, with no full-size complex matrix; the
+    real part is formed in place in the block's complex data, with no
+    block-sized real temporary."""
     S, M, E = matrices.stiffness, matrices.mass, matrices.robin_mass
-    real = M.data[gather.pos]
-    real *= -(k**2)
-    real += S.data[gather.pos]
-    block = sp.csr_matrix((real.astype(complex), gather.indices, gather.indptr), shape=gather.shape)
-    del real
+    data = np.zeros(gather.indices.size, dtype=complex)
+    real, head = data.real, gather.pos.size
+    np.multiply(M.data[gather.pos], -(k**2), out=real[:head])
+    real[:head] += S.data[gather.pos]
+    np.multiply(M.data[gather.start :], -(k**2), out=real[head:])
+    real[head:] += S.data[gather.start :]
+    block = sp.csr_matrix((data, gather.indices, gather.indptr), shape=gather.shape)
     if k != 0.0:
         robin = E[rows][:, cols]  # E lives on a few boundary rows
         block.data.imag[_positions(block, robin)] = k * robin.data
@@ -808,14 +930,16 @@ def build_system(
     ``A`` is the free-free block of ``S - k^2 M + i k E``; the Dirichlet
     coupling moves to the right-hand side with the sign that makes the
     reconstructed field attain the prescribed boundary values, and any
-    boundary load is added on top.  Both blocks are gathered entry by entry
-    from the pattern S and M share (E's is a subset of it), the coupling
-    only from the free rows that reach a Dirichlet dof, so they equal
-    the scipy expression ``(S - k**2 * M + 1j * k * E)[free][:, free]``,
-    with sorted indices, bit for bit.  A's rows and columns follow
-    ``partition.free``, the elimination order; ``gather``, the
-    :func:`free_gather` of ``matrices``, saves gathering A's structure again
-    when the caller holds it.  Returns ``(A, b)``.
+    boundary load is added on top.  Both blocks are taken from the pattern S
+    and M share (E's is a subset of it), the coupling only from the free
+    rows that reach a Dirichlet dof, so they equal the scipy expression
+    ``(S - k**2 * M + 1j * k * E)[free][:, free]``, with sorted indices, bit
+    for bit.  A's rows and columns follow ``partition.free``: in a run's
+    grid order all but A's first few rows are contiguous slices of the
+    pattern (:func:`free_gather`), in the studies' elimination order every
+    entry is gathered.  ``gather``, the :func:`free_gather` of ``matrices``,
+    saves building A's structure again when the caller holds it.  Returns
+    ``(A, b)``.
     """
     if partition.n_dirichlet == 0:
         raise ValueError("no Dirichlet dofs: the radiation problem needs a source")

@@ -127,7 +127,8 @@ def solve_manufactured(
 ) -> np.ndarray:
     """Full coefficient vector of the discrete solution for ``wave``, by a
     direct solve on the nested-dissection tree the free dofs are numbered
-    by (:func:`igarad.assembly.classify_dofs`)."""
+    by (:meth:`igarad.assembly.DofPartition.dissected`; SuperLU where the
+    partition has none)."""
     from .solver import direct_solve
 
     load, values = manufactured_data(space, geometry, quad, partition, wave)

@@ -157,9 +157,11 @@ class RunConfig:
 
 @dataclass
 class Discretization:
-    """Geometry, spaces and dof split shared by solves on one config; a
-    run's (:func:`discretize`) also has the mirror ``fold`` its
-    preconditioner is factored on."""
+    """Geometry, spaces and dof split shared by solves on one config.  The
+    free dofs are in grid order (:func:`igarad.assembly.classify_dofs`); a
+    study renumbers them by the grid's nested dissection, and a run's
+    (:func:`discretize`) has the mirror ``fold`` its preconditioner is
+    factored on."""
 
     domain: DomainConfig
     geometry: CoonsSurface
@@ -503,6 +505,8 @@ def _write_report(result: RunResult) -> str:
 def _manufactured_level(domain: DomainConfig, geometry: CoonsSurface, order: int, n: int, wave):
     """One study mesh (``n x n/2``, aperture-aligned) and its discrete solution for ``wave``."""
     disc = build_discretization(domain, geometry, order, order, n, max(order, n // 2))
+    # the direct solve factors A on the grid's nested dissection: number the free dofs by it
+    disc = replace(disc, partition=disc.partition.dissected(disc.space))
     matrices = assemble(disc.space, geometry, disc.quadrature)
     space, quad = disc.space, disc.quadrature
     return disc, mms.solve_manufactured(space, geometry, quad, disc.partition, matrices, wave)

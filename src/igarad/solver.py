@@ -386,8 +386,9 @@ class CslpPreconditioner:
     """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by a
     factor of P (:func:`_factor`); only the factor is kept.
 
-    With the nested-dissection ``tree`` that numbers A and M (the grid's
-    :attr:`igarad.assembly.DofPartition.tree`), P is factored by
+    With the nested-dissection ``tree`` that numbers A and M (a run's
+    :attr:`igarad.assembly.MirrorFold.tree` of the folded blocks, or a
+    dissected :attr:`igarad.assembly.DofPartition.tree`), P is factored by
     :class:`FrontalLdlt`, which reads only each node's rows of A and M,
     so M must be stored on A's pattern and P be complex symmetric.
     Without one, P is formed and factored by SuperLU under minimum degree
@@ -438,7 +439,7 @@ def direct_solve(A, b, *, tree=None) -> np.ndarray:
     ``x += F^-1 (b - A x)`` (Li & Demmel, ACM TOMS 29, 2003).
 
     A is factored by :func:`_factor`: on the nested-dissection ``tree`` that
-    numbers it (the grid's :attr:`igarad.assembly.DofPartition.tree`) as a
+    numbers it (a study's :attr:`igarad.assembly.DofPartition.tree`) as a
     :class:`FrontalLdlt`, else by SuperLU under minimum degree, which here
     serves only the tests' oracle (``solve-mm`` factors through
     :func:`build_cslp` and lets GMRES check the result).  Both pivot

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forking import blas_at_two_threads, blas_threads, can_split, count_forks  # noqa: F401  a fixture
+from igarad import assembly
 from igarad.assembly import (
     NonPositiveJacobianError,
     QuadratureRule,
@@ -361,6 +362,12 @@ class TestAssembleTwoProcesses:
 
     SPACE = make_space(4, 60, 45)
 
+    @pytest.fixture(autouse=True)
+    def every_slab(self, monkeypatch):
+        """Every slab is summed, as on a problem that is not mirror-symmetric
+        (the mirrored split is :class:`TestMirroredAssembly`'s)."""
+        monkeypatch.setattr(assembly, "_mirror_asymmetry", lambda *args: "every slab, for the test")
+
     def test_agrees_with_one_process(self, monkeypatch, caplog):
         """Same pattern; the values differ only on the entries the seam
         slabs share with the halves, whose rows and columns belong to
@@ -435,6 +442,113 @@ class TestAssembleTwoProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert blas_threads() == threads
+
+
+def every_slab_assembly(monkeypatch, space, geometry):
+    """``assemble`` as on a problem that is not mirror-symmetric: every slab summed."""
+    with monkeypatch.context() as asymmetric:
+        asymmetric.setattr(assembly, "_mirror_asymmetry", lambda *args: "every slab, for the test")
+        return assemble(space, geometry, QuadratureRule(space))
+
+
+def mirror_of(space):
+    """Each flat dof's mirror under xi -> 1 - xi."""
+    q = np.arange(space.size)
+    return q + space.n - 1 - 2 * (q % space.n)
+
+
+class TestMirroredAssembly:
+    """On a mirror-symmetric problem only the slabs of the left xi functions
+    are summed and the right rows are copied from their mirrors."""
+
+    @pytest.fixture(scope="class", params=[(40, 4, 42), (41, 4, 43), (40, 20, 43)],
+                    ids=["even_n", "odd_n", "theta_pi20"])
+    def desk_mesh(self, request):
+        """Desk physics on an ``n x 30`` mesh: 42 or 43 xi functions at theta =
+        pi/4, and 43 at theta = pi/20, whose patch has a knot at xi = 1/2."""
+        from igarad.pipeline import RunConfig, discretize
+
+        n, theta_div, functions = request.param
+        disc = discretize(RunConfig.from_json(CONFIGS / "desk_radiation_k300.json", n=n, m=30,
+                                              theta=math.pi / theta_div))
+        assert disc.space.n == functions
+        assert theta_div == 4 or 0.5 in disc.space.kv_xi.knots
+        return disc
+
+    def test_within_roundoff_of_every_slab(self, monkeypatch, desk_mesh):
+        """The same pattern; S and M within 1e-12 of the largest entry of the
+        all-slab assembly (2e-14 and 5e-15 measured)."""
+        disc = desk_mesh
+        assert assembly._mirror_asymmetry(disc.space, disc.geometry, disc.quadrature) is None
+        mirrored = assemble(disc.space, disc.geometry, disc.quadrature)
+        every = every_slab_assembly(monkeypatch, disc.space, disc.geometry)
+        for a, b in ((mirrored.stiffness, every.stiffness), (mirrored.mass, every.mass)):
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            assert np.max(np.abs(a.data - b.data)) <= 1e-12 * np.max(np.abs(b.data))
+        assert (mirrored.robin_mass != every.robin_mass).nnz == 0
+
+    def test_exactly_mirror_symmetric(self, desk_mesh):
+        """``X[p, q] == X[Rp, Rq]`` bit for bit for S and M, the middle
+        column of an odd ``n`` included."""
+        disc = desk_mesh
+        mats = assemble(disc.space, disc.geometry, disc.quadrature)
+        R = mirror_of(disc.space)
+        for X in (mats.stiffness, mats.mass):
+            mirrored = X[R][:, R].tocsr()
+            mirrored.sort_indices()
+            assert np.array_equal(mirrored.indptr, X.indptr) and np.array_equal(mirrored.indices, X.indices)
+            assert np.array_equal(mirrored.data, X.data)
+
+    def test_two_processes_agree_with_one(self, monkeypatch, desk_mesh):
+        """The left slabs split in two halves agree with one process to
+        roundoff, on the rows the seam slabs share with the halves."""
+        disc = desk_mesh
+        one = one_process_assembly(monkeypatch, disc.space, disc.geometry)
+        two = assemble(disc.space, disc.geometry, disc.quadrature)
+        for a, b in ((one.stiffness, two.stiffness), (one.mass, two.mass)):
+            assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(a.data).max()
+
+    def test_moved_control_point_sums_every_slab(self, monkeypatch):
+        """One control point moved by 1e-6: the patch is not symmetric, every
+        slab is summed and the result is the all-slab assembly, bit for bit."""
+        space = make_space(4, 20, 12)
+        ctrl = SEMICIRCLE.ctrl.copy()
+        ctrl[1, 2, 0] += 1e-6
+        moved = CoonsSurface(ctrl, SEMICIRCLE.weights, SEMICIRCLE.kv_xi, SEMICIRCLE.kv_eta)
+        quad = QuadratureRule(space)
+        assert assembly._mirror_asymmetry(space, SEMICIRCLE, quad) is None
+        assert assembly._mirror_asymmetry(space, moved, quad) == "the patch is not mirror-symmetric in x"
+        calls = []
+        jacobian_grid = CoonsSurface.jacobian_grid
+        monkeypatch.setattr(CoonsSurface, "jacobian_grid", lambda *a, **k: calls.append(0) or jacobian_grid(*a, **k))
+        mats = one_process_assembly(monkeypatch, space, moved)
+        assert len(calls) == quad.xi.nodes.shape[0] + 3  # every slab and the three Robin edges
+        with monkeypatch.context() as asymmetric:
+            asymmetric.setattr(assembly, "_mirror_asymmetry", lambda *args: "every slab, for the test")
+            every = one_process_assembly(monkeypatch, space, moved)
+        for a, b in ((mats.stiffness, every.stiffness), (mats.mass, every.mass)):
+            assert np.array_equal(a.data, b.data)
+        R = mirror_of(space)
+        assert (mats.stiffness[R][:, R] != mats.stiffness).nnz > 0
+
+    def test_nonpositive_jacobian_raises_what_every_slab_raises(self, monkeypatch):
+        """A mirror-symmetric bowtie, det = 2 - 4 eta: the mirrored assembly
+        raises the all-slab assembly's error, the same slab and point."""
+        bowtie = coons_patch(
+            make_line((-1, 0), (1, 0)),
+            make_line((1, 1), (-1, 1)),
+            make_line((-1, 0), (1, 1)),
+            make_line((1, 0), (-1, 1)),
+        )
+        space = make_space(3, 30, 12)
+        assert assembly._mirror_asymmetry(space, bowtie, QuadratureRule(space)) is None
+        with pytest.raises(NonPositiveJacobianError) as mirrored:
+            assemble(space, bowtie, QuadratureRule(space))
+        with pytest.raises(NonPositiveJacobianError) as every:
+            every_slab_assembly(monkeypatch, space, bowtie)
+        got, expected = mirrored.value, every.value
+        assert (got.xi, got.eta, got.det, str(got)) == (expected.xi, expected.eta, expected.det, str(expected))
+        assert got.det <= 0.0 and got.eta > 0.5
 
 
 @st.composite
@@ -649,15 +763,14 @@ class TestBuildSystem:
         assert np.max(np.abs(vals - amplitude)) <= 1e-10
 
     def test_empty_dirichlet_rejected(self, sys_setup):
-        from igarad.assembly import DissectionTree, DofPartition
+        from igarad.assembly import DofPartition
 
         _, _, space, _, mats = sys_setup
-        one_node = DissectionTree(np.arange(space.size, dtype=np.int64), np.array([0, space.size]), np.array([-1]))
         empty = DofPartition(
             dirichlet=np.array([], dtype=np.int64),
             xi_left=0.4,
             xi_right=0.6,
-            tree=one_node,
+            free=np.arange(space.size),
         )
         with pytest.raises(ValueError, match="Dirichlet"):
             build_system(mats, empty, 10.0, 1.0)
@@ -720,7 +833,7 @@ class TestNestedDissection:
 
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(order, n, m)
-        part = classify_dofs(space, cfg)
+        part = classify_dofs(space, cfg).dissected(space)
         grid_order = nested_dissection(space.n, space.m, order, order).order
         assert np.array_equal(np.sort(grid_order), np.arange(space.size))
         assert np.array_equal(part.free, grid_order[~np.isin(grid_order, part.dirichlet)])
@@ -732,7 +845,7 @@ class TestNestedDissection:
         range that ends with its root's own dofs."""
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(order, n, m)
-        part = classify_dofs(space, cfg)
+        part = classify_dofs(space, cfg).dissected(space)
         tree = part.tree
         assert np.array_equal(tree.order, part.free)
         nodes = tree.parent.size
@@ -757,7 +870,7 @@ class TestNestedDissection:
         entry of A couples a dof of the first half with one of the second."""
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(4, 40, 20)
-        part = classify_dofs(space, cfg)
+        part = classify_dofs(space, cfg).dissected(space)
         mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
         A, _ = build_system(mats, part, 10.0, 1.0)
         # the first cut is across xi (the longer side): 3 lines in the middle

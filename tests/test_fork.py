@@ -44,7 +44,7 @@ def test_failed_fork_runs_in_one_process(monkeypatch, caplog, blas_at_two_thread
         assert blas_threads() == threads
 
         k = 30.0
-        partition = classify_dofs(space, cfg)
+        partition = classify_dofs(space, cfg).dissected(space)
         gather = free_gather(mats, partition)
         A, b = build_system(mats, partition, k, 1.0, gather=gather)
         P = A - 1j / (3 * k) * gather.block(mats.mass)

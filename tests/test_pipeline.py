@@ -284,7 +284,7 @@ class TestMirrorFold:
         full P's: within 1e-12 of the full tree's factor of P refined once.
         (That factor alone is off by up to 2.5e-9 on the odd mesh: its
         static pivoting, not the fold; the fold is within 1e-13.)"""
-        from igarad.assembly import fold_gather
+        from igarad.assembly import build_system, fold_gather, free_gather
         from igarad.solver import FrontalLdlt, build_cslp
 
         cfg, result, matrices, gather, A, _ = desk_fold
@@ -293,12 +293,19 @@ class TestMirrorFold:
         folded = fold_gather(matrices, disc.space, disc.partition, fold)
         precond = build_cslp(folded.within(gather).block(A), folded.block(matrices.mass), beta,
                              tree=fold.tree, fold=fold.matrix)
-        M = gather.block(matrices.mass)
-        full = FrontalLdlt(A, M, beta, disc.partition.tree, "full P")
+        # the full P in the grid's nested-dissection order: a run's free dof order[i] is its i-th dof
+        dissected = disc.partition.dissected(disc.space)
+        order = np.searchsorted(disc.partition.free, dissected.free)
+        full_gather = free_gather(matrices, dissected)
+        A_nd, _ = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude, gather=full_gather)
+        M_nd = full_gather.block(matrices.mass)
+        full = FrontalLdlt(A_nd, M_nd, beta, dissected.tree, "full P")
         rng = np.random.default_rng(7)
         v = fold.matrix @ (rng.standard_normal(fold.n_unknowns) + 1j * rng.standard_normal(fold.n_unknowns))
-        ref = full.solve(v)
-        ref += full.solve(v - (A - 1j * beta * M) @ ref)
+        ref_nd = full.solve(v[order])
+        ref_nd += full.solve(v[order] - (A_nd - 1j * beta * M_nd) @ ref_nd)
+        ref = np.empty_like(v)
+        ref[order] = ref_nd
         assert np.linalg.norm(precond.solve(v) - ref) <= 1e-12 * np.linalg.norm(ref)
         assert precond.lu_nnz < 0.5 * full.nnz
 
@@ -325,14 +332,76 @@ class TestMirrorFold:
     def test_run_matches_direct_solve_of_the_full_system(self, desk_fold):
         """GMRES on the full free system, preconditioned by the fold, lands on
         the full system's direct solution: 2.2e-14 and 2.8e-14 measured."""
+        from igarad.assembly import build_system
         from igarad.solver import direct_solve
 
-        _, result, _, _, A, b = desk_fold
+        cfg, result, matrices, _, _, _ = desk_fold
         disc = result.discretization
-        x = direct_solve(A, b, tree=disc.partition.tree)
+        dissected = disc.partition.dissected(disc.space)
+        A, b = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude)
+        x = direct_solve(A, b, tree=dissected.tree)
         assert result.solve_report.outer_iterations == 1
-        rel = np.linalg.norm(result.field.coefficients[disc.partition.free] - x) / np.linalg.norm(x)
+        rel = np.linalg.norm(result.field.coefficients[dissected.free] - x) / np.linalg.norm(x)
         assert rel <= 1e-12
+
+
+class TestRunSystem:
+    """A run numbers its free dofs in grid order: A is taken from the pattern
+    by slices past its first rows, and no tree of the full grid is built."""
+
+    def test_free_dofs_in_grid_order_without_a_full_grid_tree(self, monkeypatch):
+        from igarad import assembly
+
+        grids = []
+        nested_dissection = assembly.nested_dissection
+        monkeypatch.setattr(assembly, "nested_dissection",
+                            lambda n, m, *orders: grids.append((n, m)) or nested_dissection(n, m, *orders))
+        disc = discretize(RunConfig.from_json(CONFIG_DIR / "desk_radiation_k300.json", n=41, m=30))
+        part = disc.partition
+        assert part.tree is None and np.all(np.diff(part.free) > 0)
+        assert np.array_equal(np.union1d(part.free, part.dirichlet), np.arange(disc.space.size))
+        assert grids == [((disc.space.n + 1) // 2, disc.space.m)]  # the fold's half grid alone
+
+    def test_system_is_the_scipy_expression(self, desk_fold):
+        """``(A, b)`` bit for bit: A's ``indptr``, ``indices`` and ``data``
+        and the Dirichlet coupling of b."""
+        cfg, result, matrices, _, A, b = desk_fold
+        part, k = result.discretization.partition, cfg.wavenumber
+        full = (matrices.stiffness - k**2 * matrices.mass + 1j * k * matrices.robin_mass).tocsr()
+        ref = full[part.free][:, part.free].tocsr()
+        ref.sort_indices()
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+        assert np.array_equal(b, -full[part.free][:, part.dirichlet] @ np.full(part.n_dirichlet, cfg.amplitude))
+
+    def test_folded_system_is_the_product(self, desk_fold):
+        """The fold of A through its positions in A's data is ``T^T A T``."""
+        from igarad.assembly import fold_gather
+
+        _, result, matrices, gather, A, _ = desk_fold
+        disc = result.discretization
+        folded = fold_gather(matrices, disc.space, disc.partition, disc.fold).within(gather).block(A)
+        T = disc.fold.matrix
+        ref = (T.T @ A @ T).tocsr()
+        ref.sort_indices()
+        assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
+        assert np.max(np.abs(folded.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+
+    def test_study_partition_is_dissected(self):
+        """A study's free dofs follow the grid's nested dissection, and its
+        partition carries the tree the direct solve factors A on."""
+        from igarad.assembly import nested_dissection
+        from igarad.geometry import DomainConfig, make_semicircle_patch
+        from igarad.mms import PlaneWave
+        from igarad.pipeline import _manufactured_level
+
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        disc, _ = _manufactured_level(cfg, make_semicircle_patch(cfg), 4, 20, PlaneWave(10.0))
+        part, space = disc.partition, disc.space
+        grid_order = nested_dissection(space.n, space.m, 4, 4).order
+        assert np.array_equal(part.free, grid_order[~np.isin(grid_order, part.dirichlet)])
+        assert np.array_equal(part.tree.order, part.free)
 
 
 class TestStudies:
@@ -354,7 +423,7 @@ class TestStudies:
         kvx = make_uniform_open_knots(4, row.n).with_breakpoints([xi_l, xi_r])
         kve = make_uniform_open_knots(4, max(4, row.n // 2))
         space = TensorProductSpace(kvx, kve)
-        part = classify_dofs(space, cfg)
+        part = classify_dofs(space, cfg).dissected(space)
         quad = QuadratureRule(space)
         mats = assemble(space, geometry, quad)
         wave = PlaneWave(20.0, (0.0, 1.0))

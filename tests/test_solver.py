@@ -382,11 +382,12 @@ def desk_system():
 
     config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
     disc = discretize(config)
+    partition = disc.partition.dissected(disc.space)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
     k = config.wavenumber
-    gather = free_gather(mats, disc.partition)
-    A, b = build_system(mats, disc.partition, k, config.amplitude, gather=gather)
-    return A, b, gather.block(mats.mass), config.beta_factor / k, disc.partition.tree
+    gather = free_gather(mats, partition)
+    A, b = build_system(mats, partition, k, config.amplitude, gather=gather)
+    return A, b, gather.block(mats.mass), config.beta_factor / k, partition.tree
 
 
 def natural_splu(matrix):
@@ -469,7 +470,7 @@ def grid_system(space, cfg, k):
     from igarad.assembly import QuadratureRule, assemble, build_system, classify_dofs, free_gather
     from igarad.geometry import make_semicircle_patch
 
-    part = classify_dofs(space, cfg)
+    part = classify_dofs(space, cfg).dissected(space)
     mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
     gather = free_gather(mats, part)
     A, b = build_system(mats, part, k, 1.0, gather=gather)
@@ -519,9 +520,10 @@ def desk_physics_system(n, m, k):
     base = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
     config = replace(base, n=n, m=m, frequency=k * base.sound_speed / (2 * math.pi))
     disc = discretize(config)
+    partition = disc.partition.dissected(disc.space)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
-    A, b = build_system(mats, disc.partition, config.wavenumber, config.amplitude)
-    return A, b, disc.partition.tree
+    A, b = build_system(mats, partition, config.wavenumber, config.amplitude)
+    return A, b, partition.tree
 
 
 def aperture_leaves_system():

@@ -141,7 +141,8 @@ def main(argv=None) -> int:
         points.append(p)
         derived, solve, timings = p["derived"], p["solve"], p["timings"]
         print(
-            f"{derived['dofs']:8d} dofs: assemble {timings['assemble']:5.2f} s, stored {derived['lu_nnz']:>11,d} "
+            f"{derived['dofs']:8d} dofs: assemble {timings['assemble']:5.2f} s, system {timings['system']:5.2f} s, "
+            f"stored {derived['lu_nnz']:>11,d} "
             f"({derived['factor_bytes'] / 2**20:7.1f} MiB), factor {timings['factor']:6.2f} s "
             f"({'-'.join(f'{t:.2f}' for t in p['range']['timings']['factor'])}), "
             f"GMRES {solve['outer_iterations']} cycles (true {solve['true_residual']:.1e}), "
