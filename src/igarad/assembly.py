@@ -32,9 +32,9 @@ dofs in the elimination order of the grid's nested dissection
 (:meth:`DofPartition.dissected`), whose tree (:class:`DissectionTree`) the
 partition carries.  A run's field is even under the mirror, so its
 preconditioner is factored on the even unknowns (:class:`MirrorFold`,
-numbered by the tree of the left half of the grid): :func:`fold_gather`
-sums each folded entry of ``T^T S T`` and ``T^T M T`` from the same
-pattern.
+numbered by the tree of the left half of the grid): :func:`fold_system`
+sums each row of ``T^T A T`` and ``T^T M T`` from the unknown's own row of
+the same pattern.
 
 A slab writes only the rows of its ``order`` xi functions, so slabs far
 apart write disjoint entries, and the slabs run on two cores (the
@@ -717,19 +717,23 @@ class Gather:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> Gather:
+def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, number: np.ndarray | None = None) -> Gather:
     """Structure of ``pattern[rows][:, cols]`` for index sets in any order.
+    With ``number``, pattern column ``cols[i]`` is the block's column
+    ``number[i]`` instead of ``i``; columns that share a number stay apart,
+    side by side in their row.
 
     The nnz-sized temporaries stay in ``pattern``'s index dtype.
     """
     index_type = pattern.indices.dtype
+    width = cols.size if number is None else int(number.max()) + 1
     lens = np.diff(pattern.indptr)[rows]  # no row of S is empty
     heads = np.cumsum(lens, dtype=index_type) - lens
     # every entry of the selected rows, row after row
     pos = np.repeat(pattern.indptr[rows] - heads, lens)
     pos += np.arange(pos.size, dtype=index_type)
     col_index = np.full(pattern.shape[1], -1, dtype=index_type)
-    col_index[cols] = np.arange(cols.size, dtype=index_type)
+    col_index[cols] = np.arange(cols.size, dtype=index_type) if number is None else number
     indices = col_index[pattern.indices[pos]]
     keep = indices >= 0
     pos = pos[keep]
@@ -737,16 +741,16 @@ def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> Gathe
     indptr = np.zeros(rows.size + 1, dtype=index_type)
     np.cumsum(np.add.reduceat(keep, heads, dtype=index_type), out=indptr[1:])
     # the positions ride along as data while each row's columns are sorted
-    block = sp.csr_matrix((pos, indices, indptr), shape=(rows.size, cols.size))
+    block = sp.csr_matrix((pos, indices, indptr), shape=(rows.size, width))
     block.has_sorted_indices = False
     block.sort_indices()
     return Gather(block.indptr, block.indices, block.data, block.shape, pattern.nnz)
 
 
 def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
-    """The free-free block of the pattern S and M share.  Gathered once, it
-    gives both :func:`build_system`'s ``A`` and the free mass block
-    (``gather.block(matrices.mass)``), on the same index arrays.
+    """The free-free block of the pattern S and M share: :func:`build_system`
+    forms ``A`` on it, and ``gather.block(matrices.mass)`` is the free mass
+    block on A's pattern.
 
     In grid order (a partition with no tree) every row past the last one
     with a column at or before the last Dirichlet dof (the first
@@ -770,116 +774,56 @@ def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
     return Gather(indptr, indices, head.pos, (free.size, free.size), start)
 
 
-@dataclass(frozen=True)
-class FoldGather:
-    """The folded block ``T^T X T`` of a matrix ``X`` on the pattern S and M
-    share, for the map ``T`` of a :class:`MirrorFold`: its CSR ``indptr``
-    and ``indices`` (sorted) and the positions of the entries of X that
-    sum into each folded entry.
+def fold_system(matrices: SystemMatrices, partition: DofPartition, fold: MirrorFold,
+                wavenumber: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``(T^T A T, T^T M T)`` for the map ``T`` of ``fold`` and the ``A`` of
+    :func:`build_system` at ``wavenumber``, on one pattern with sorted
+    indices.
 
-    Mirroring maps the entries of X that land on one folded entry onto each
-    other, so they are one or two mirror pairs.  Entry ``e`` sums the pair
-    ``pos[:, e]``, halved where the pair is one entry that is its own mirror
-    (``once``, on the middle column of an odd ``n``), and the pairs
-    ``extra_pos`` into the entries ``extra`` that take a second one.
+    S and M are mirror-symmetric bit for bit (:func:`assemble`), so folded
+    row ``u`` is the unknown's own grid row ``fold.tree.order[u]``: its
+    entries in free columns, summed by their column's unknown (one or two
+    per folded entry) and scaled by the unknown's count of free dofs, T's
+    column sum (2, or 1 on the middle column of an odd ``n``).  The real
+    part of A is formed from the folded S and M as :func:`build_system`
+    forms A's, and ``i k T^T E T`` is added at its positions: E is
+    mirror-symmetric only to roundoff.
     """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    pos: np.ndarray
-    once: np.ndarray
-    extra: np.ndarray
-    extra_pos: np.ndarray
-    shape: tuple[int, int]
-
-    def block(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        """The folded block of ``matrix`` (stored on the gathered pattern),
-        sharing this gather's index arrays."""
-        x = matrix.data
-        data = x[self.pos[0]]
-        data += x[self.pos[1]]
-        data[self.once] *= 0.5  # x + x halved: exact
-        data[self.extra] += x[self.extra_pos[0]] + x[self.extra_pos[1]]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    def within(self, gather: Gather) -> "FoldGather":
-        """The same fold of the block ``gather`` gathers (the free-free
-        block of :func:`free_gather`, ``A`` of :func:`build_system`): the
-        positions in the block's ``data``.  Every entry it folds is in it.
-        A position in the block's sliced rows moves by one constant shift;
-        only the gathered ones are looked up."""
-        head = gather.pos.size
-        inverse = np.full(gather.start, -1, dtype=gather.pos.dtype)
-        inverse[gather.pos] = np.arange(head, dtype=gather.pos.dtype)
-
-        def moved(pos):
-            out = pos - (gather.start - head)
-            at = pos < gather.start
-            out[at] = inverse[pos[at]]
-            return out
-
-        return replace(self, pos=moved(self.pos), extra_pos=moved(self.extra_pos))
-
-
-def fold_gather(matrices: SystemMatrices, space: TensorProductSpace, partition: DofPartition,
-                fold: MirrorFold) -> FoldGather:
-    """The :class:`FoldGather` of the pattern S and M share.
-
-    Each mirror pair of entries is found from one member, an entry of the
-    unknowns' left rows: every entry of a row off the middle column, and
-    on the middle row the entries in the left columns.  Those are sorted
-    into folded rows once; their mirrors come from the tensor pattern's
-    layout (:func:`_tensor_pattern`): the mirrored row, the same eta slot,
-    the xi slot reversed.
-    """
-    pattern, n = matrices.stiffness, space.n
-    index_type = pattern.indices.dtype
-    width = _band(space.kv_xi)[1].astype(index_type)  # mirror-symmetric: mirror_fold checked it
-    rows = fold.tree.order
-    lens = np.diff(pattern.indptr)[rows]
-    heads = np.cumsum(lens, dtype=index_type) - lens
-    offset = np.arange(heads[-1] + lens[-1], dtype=index_type) - np.repeat(heads, lens)
-    pos = np.repeat(pattern.indptr[rows], lens) + offset
-    # an entry's mirror: the mirrored row, the same eta slot, the xi slot reversed
-    i = rows % n
-    mirror = offset % np.repeat(width[i], lens)
-    mirror *= -2
-    mirror += np.repeat(pattern.indptr[rows + n - 1 - 2 * i] + width[i] - 1, lens)
-    mirror += offset
-    del offset
-    unknown = np.full(space.size, -1, dtype=index_type)
-    unknown[partition.free] = fold.unknown
-    cols = unknown[pattern.indices[pos]]
-    keep = cols >= 0
-    middle = np.flatnonzero(np.repeat(2 * i == n - 1, lens))  # on it, only the left columns' entries
-    keep[middle] &= 2 * (pattern.indices[pos[middle]] % n) <= n - 1
-    indptr = np.zeros(rows.size + 1, dtype=index_type)
-    np.cumsum(np.add.reduceat(keep, heads, dtype=index_type), out=indptr[1:])
-    pos, mirror, cols = pos[keep], mirror[keep], cols[keep]
-    del keep
-    # each member's index rides along as data while each folded row's columns are sorted
-    block = sp.csr_matrix((np.arange(pos.size, dtype=index_type), cols, indptr), shape=(rows.size,) * 2)
-    del cols
-    block.has_sorted_indices = False
-    block.sort_indices()
-    first = np.ones(block.nnz, dtype=bool)  # the first member found of each folded entry
-    first[1:] = block.indices[1:] != block.indices[:-1]
-    first[indptr[:-1]] = True
-    entry = np.cumsum(first, dtype=index_type)  # 1 + the folded entry of each member
-    folded_ptr = np.zeros_like(indptr)
-    folded_ptr[1:] = entry[indptr[1:] - 1]
-
-    def members(at):  # (2, k): the members at the mask ``at`` and their mirrors
-        at = block.data[at]
-        out = np.empty((2, at.size), dtype=index_type)
-        np.take(pos, at, out=out[0])
-        np.take(mirror, at, out=out[1])
-        return out
-
-    pairs = members(first)
+    S, M, E = matrices.stiffness, matrices.mass, matrices.robin_mass
+    k = float(wavenumber)
+    # the unknowns' rows, each column numbered by its unknown, sorted by it in each row
+    gather = _gather(S, fold.tree.order, partition.free, fold.unknown)
+    first = np.ones(gather.indices.size, dtype=bool)  # the first member of each folded entry
+    first[1:] = gather.indices[1:] != gather.indices[:-1]
+    first[gather.indptr[:-1]] = True
+    entry = np.cumsum(first, dtype=gather.indices.dtype)  # 1 + the folded entry of each member
+    indptr = np.zeros_like(gather.indptr)
+    indptr[1:] = entry[gather.indptr[1:] - 1]
+    indices, pos = gather.indices[first], gather.pos[first]
     second = ~first
-    return FoldGather(folded_ptr, block.indices[first], pairs, np.flatnonzero(pairs[0] == pairs[1]),
-                      entry[second] - 1, members(second), block.shape)
+    extra, extra_pos = entry[second] - 1, gather.pos[second]  # the entries that sum a second member
+    del gather, first, second, entry
+    single = np.bincount(fold.unknown, minlength=fold.n_unknowns) == 1  # the middle column's unknowns
+    once = np.flatnonzero(np.repeat(single, np.diff(indptr)))
+
+    def folded(x):
+        data = x[pos]
+        data[extra] += x[extra_pos]
+        data *= 2.0
+        data[once] *= 0.5  # (x * 2) * 0.5 == x
+        return data
+
+    shape = (fold.n_unknowns,) * 2
+    mass = folded(M.data)
+    data = np.zeros(mass.size, dtype=complex)
+    np.multiply(mass, -(k**2), out=data.real)
+    data.real += folded(S.data)
+    A = sp.csr_matrix((data, indices, indptr), shape=shape)
+    if k != 0.0:
+        T = fold.matrix
+        robin = (T.T @ E[partition.free][:, partition.free] @ T).tocsr()
+        A.data.imag[_positions(A, robin)] = k * robin.data
+    return A, sp.csr_matrix((mass, indices, indptr), shape=shape)
 
 
 def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:
@@ -923,7 +867,6 @@ def build_system(
     wavenumber: float,
     dirichlet_values,
     load: np.ndarray | None = None,
-    gather: Gather | None = None,
 ):
     """Form the restricted complex system ``A alpha0 = b``.
 
@@ -937,9 +880,7 @@ def build_system(
     for bit.  A's rows and columns follow ``partition.free``: in a run's
     grid order all but A's first few rows are contiguous slices of the
     pattern (:func:`free_gather`), in the studies' elimination order every
-    entry is gathered.  ``gather``, the :func:`free_gather` of ``matrices``,
-    saves building A's structure again when the caller holds it.  Returns
-    ``(A, b)``.
+    entry is gathered.  Returns ``(A, b)``.
     """
     if partition.n_dirichlet == 0:
         raise ValueError("no Dirichlet dofs: the radiation problem needs a source")
@@ -960,9 +901,7 @@ def build_system(
     b[rows] = -_restricted(matrices, k, _gather(S, free[rows], diri), free[rows], diri) @ values
     if load is not None:
         b = b + np.asarray(load, dtype=complex)[free]
-    if gather is None:
-        gather = free_gather(matrices, partition)
-    return _restricted(matrices, k, gather, free, free), b
+    return _restricted(matrices, k, free_gather(matrices, partition), free, free), b
 
 
 def expand_solution(partition: DofPartition, free_values: np.ndarray, dirichlet_values) -> np.ndarray:

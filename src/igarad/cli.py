@@ -135,9 +135,9 @@ def _cmd_quality_map(args) -> int:
 def _cmd_mms(args) -> int:
     from .pipeline import convergence_study, observed_order
 
-    if not 2 <= args.order <= args.base_n or args.levels < 2 or not math.isfinite(args.wavenumber):
+    if not 2 <= args.order <= args.base_n or args.levels < 2 or not 0 < args.wavenumber < math.inf:
         # the observed order is a slope, which needs two levels
-        return _bad_config("need 2 <= --order <= --base-n, --levels >= 2 and a finite --wavenumber")
+        return _bad_config("need 2 <= --order <= --base-n, --levels >= 2 and a finite --wavenumber > 0")
     try:
         table = _table_file(args.out)
     except OSError as exc:

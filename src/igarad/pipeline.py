@@ -29,14 +29,13 @@ from .assembly import (
     build_system,
     classify_dofs,
     expand_solution,
-    fold_gather,
-    free_gather,
+    fold_system,
     mirror_fold,
 )
 from .bspline import TensorProductSpace, design, make_uniform_open_knots
 from .bspline import basis_matrix  # noqa: F401  bench/layers.py traces this name
 from .geometry import CoonsSurface, DomainConfig, make_semicircle_patch
-from .solver import SolveReport, build_cslp, gmres, save_matrix_market
+from .solver import SolveReport, build_cslp, gmres, save_matrix_market, save_vector
 from .solver import direct_solve  # noqa: F401  bench/layers.py traces this name
 
 FULL_SCALE_DOFS = 150_000
@@ -358,15 +357,11 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     beta = config.beta_factor / k
 
     def _system():
-        # one gather of the free block for A, and one of the folded blocks
-        # T^T A T and, if shifted, T^T M T, which the preconditioner factors
-        gather = free_gather(matrices, disc.partition)
-        A, b = build_system(matrices, disc.partition, k, config.amplitude, gather=gather)
-        folded = fold_gather(matrices, disc.space, disc.partition, disc.fold)
-        mass = folded.block(matrices.mass) if beta > 0 else None
-        folded = folded.within(gather)  # positions in A's data; the gather is not needed past here
-        del gather
-        return A, b, folded.block(A), mass
+        # the full free system GMRES solves, and the folded blocks T^T A T and,
+        # if shifted, T^T M T, which the preconditioner factors
+        folded_A, mass = fold_system(matrices, disc.partition, disc.fold, k)
+        A, b = build_system(matrices, disc.partition, k, config.amplitude)
+        return A, b, folded_A, mass if beta > 0 else None
 
     A, b, folded_A, mass = stage("system", _system)
     assemble_child_peak = matrices.child_peak_rss_mib
@@ -385,7 +380,7 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     sol = stage("postprocess", _post)
     dev = dirichlet_deviation(sol, disc.domain, config.amplitude)
 
-    outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A)) if write_outputs else {}
+    outputs = stage("write", lambda: _write_outputs(config, sol, matrices, A, b)) if write_outputs else {}
     result = RunResult(config, disc, sol, solve_report, timings, peak_rss_mib, outputs, dev, A.nnz,
                        precond.lu_nnz, precond.factor_bytes, precond.child_peak_rss_mib, assemble_child_peak)
     if write_outputs:
@@ -469,8 +464,9 @@ def write_vtk(path, sol: SolutionField, grid_res: int) -> None:
             _write_table(fh, table[:, col], "%.17g\n")
 
 
-def _write_outputs(config, sol, matrices, system) -> dict:
-    """Field, profiles, optional VTK and Matrix Market files; returns their paths."""
+def _write_outputs(config, sol, matrices, system, rhs) -> dict:
+    """Field, profiles, optional VTK and Matrix Market files (S, M, E, the
+    system ``A`` and its right-hand side ``b``); returns their paths."""
     outputs = {}
 
     def path(name, filename):
@@ -490,6 +486,7 @@ def _write_outputs(config, sol, matrices, system) -> dict:
             ("system", system),
         ):
             save_matrix_market(path(name, f"{name}.mtx"), mat)
+        save_vector(path("rhs", "rhs.mtx"), rhs)
     return outputs
 
 

@@ -282,6 +282,7 @@ class FrontalLdlt:
     pivot block, so pivoting is static across fronts.  A node that owns
     none of the unknowns (a block of Dirichlet dofs) passes its children's
     blocks on unchanged.  ``M`` must be stored on A's pattern (as
+    :func:`igarad.assembly.fold_system` returns the folded A and M, and
     :meth:`igarad.assembly.Gather.block` gathers the mass block), else
     ``ValueError``; with ``beta = 0`` the factor is one of A, and ``M`` may
     be ``None``.

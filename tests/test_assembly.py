@@ -26,7 +26,7 @@ from igarad.assembly import (
     classify_dofs,
     edge_load,
     expand_solution,
-    fold_gather,
+    fold_system,
     free_gather,
     mirror_fold,
 )
@@ -806,22 +806,17 @@ class TestBuildSystemGather:
         assert np.array_equal(b, ref_b)
 
     def test_free_mass_block_on_the_system_pattern(self, sys_setup):
-        from igarad.assembly import free_gather
-
         cfg, _, space, _, mats = sys_setup
         part = classify_dofs(space, cfg)
-        gather = free_gather(mats, part)
-        A, b = build_system(mats, part, 40.0, 1.0, gather=gather)
-        block = gather.block(mats.mass)
-        # one gather for A and the mass block: A as build_system gathers it alone
-        A_alone, b_alone = build_system(mats, part, 40.0, 1.0)
-        assert np.array_equal(A.data, A_alone.data) and np.array_equal(b, b_alone)
+        A, _ = build_system(mats, part, 40.0, 1.0)
+        block = free_gather(mats, part).block(mats.mass)
         ref = mats.mass[part.free][:, part.free]
         ref.sort_indices()  # an unsorted index set leaves the rows unsorted
         assert np.array_equal(block.indptr, ref.indptr)
         assert np.array_equal(block.indices, ref.indices)
         assert np.array_equal(block.data, ref.data)
-        assert np.shares_memory(block.indices, A.indices)
+        # the gather build_system takes A from: the mass block is on A's pattern
+        assert np.array_equal(block.indptr, A.indptr) and np.array_equal(block.indices, A.indices)
 
 
 class TestNestedDissection:
@@ -916,23 +911,23 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("order, n, m", [(3, 20, 12), (4, 21, 12)], ids=["even", "odd"])
     def test_folded_blocks_are_the_products(self, order, n, m):
-        """The gathered folds of S, M and A are ``T^T X T`` as sparse
+        """The folds of S (A at k = 0), M and A are ``T^T X T`` as sparse
         products form them, to roundoff, on one pattern with sorted indices."""
         _, geometry, space, part, fold = mirror_setup(order, n, m)
         mats = assemble(space, geometry, QuadratureRule(space))
+        A, _ = build_system(mats, part, 10.0, 1.0)
+        folded_A, folded_M = fold_system(mats, part, fold, 10.0)
+        folded_S, _ = fold_system(mats, part, fold, 0.0)
         gather = free_gather(mats, part)
-        A, _ = build_system(mats, part, 10.0, 1.0, gather=gather)
-        folded = fold_gather(mats, space, part, fold)
         T = fold.matrix
-        blocks = [(folded.block(mats.stiffness), gather.block(mats.stiffness)),
-                  (folded.block(mats.mass), gather.block(mats.mass)), (folded.within(gather).block(A), A)]
+        blocks = [(folded_M, gather.block(mats.mass)), (folded_S, gather.block(mats.stiffness)), (folded_A, A)]
         for block, full in blocks:
             ref = (T.T @ full @ T).tocsr()
             ref.sort_indices()
             assert block.has_sorted_indices
             assert np.array_equal(block.indptr, ref.indptr) and np.array_equal(block.indices, ref.indices)
             assert np.max(np.abs(block.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
-            assert np.shares_memory(block.indices, blocks[0][0].indices)
+        assert np.shares_memory(folded_A.indices, folded_M.indices)
 
     def test_asymmetric_knots_rejected(self):
         cfg, geometry, space, part, _ = mirror_setup(4, 20, 12)

@@ -45,10 +45,10 @@ def test_failed_fork_runs_in_one_process(monkeypatch, caplog, blas_at_two_thread
 
         k = 30.0
         partition = classify_dofs(space, cfg).dissected(space)
-        gather = free_gather(mats, partition)
-        A, b = build_system(mats, partition, k, 1.0, gather=gather)
-        P = A - 1j / (3 * k) * gather.block(mats.mass)
-        precond = build_cslp(A, gather.block(mats.mass), 1 / (3 * k), tree=partition.tree)
+        A, b = build_system(mats, partition, k, 1.0)
+        M = free_gather(mats, partition).block(mats.mass)
+        P = A - 1j / (3 * k) * M
+        precond = build_cslp(A, M, 1 / (3 * k), tree=partition.tree)
         assert precond.child_peak_rss_mib is None
         assert np.linalg.norm(P @ precond.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
         assert blas_threads() == threads

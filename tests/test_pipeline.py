@@ -258,16 +258,15 @@ def desk_fold(request):
     """A desk-physics run on a small mesh whose space has an even (42) or an
     odd (43, a middle column) number of xi functions, with the full free
     system it solved."""
-    from igarad.assembly import assemble, build_system, free_gather
+    from igarad.assembly import assemble, build_system
 
     n, m = request.param
     cfg = RunConfig.from_json(CONFIG_DIR / "desk_radiation_k300.json", n=n, m=m)
     result = run(cfg, write_outputs=False)
     disc = result.discretization
     matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-    gather = free_gather(matrices, disc.partition)
-    A, b = build_system(matrices, disc.partition, cfg.wavenumber, cfg.amplitude, gather=gather)
-    return cfg, result, matrices, gather, A, b
+    A, b = build_system(matrices, disc.partition, cfg.wavenumber, cfg.amplitude)
+    return cfg, result, matrices, A, b
 
 
 class TestMirrorFold:
@@ -284,21 +283,19 @@ class TestMirrorFold:
         full P's: within 1e-12 of the full tree's factor of P refined once.
         (That factor alone is off by up to 2.5e-9 on the odd mesh: its
         static pivoting, not the fold; the fold is within 1e-13.)"""
-        from igarad.assembly import build_system, fold_gather, free_gather
+        from igarad.assembly import build_system, fold_system, free_gather
         from igarad.solver import FrontalLdlt, build_cslp
 
-        cfg, result, matrices, gather, A, _ = desk_fold
+        cfg, result, matrices, *_ = desk_fold
         disc, fold = result.discretization, result.discretization.fold
         beta = cfg.beta_factor / cfg.wavenumber
-        folded = fold_gather(matrices, disc.space, disc.partition, fold)
-        precond = build_cslp(folded.within(gather).block(A), folded.block(matrices.mass), beta,
+        precond = build_cslp(*fold_system(matrices, disc.partition, fold, cfg.wavenumber), beta,
                              tree=fold.tree, fold=fold.matrix)
         # the full P in the grid's nested-dissection order: a run's free dof order[i] is its i-th dof
         dissected = disc.partition.dissected(disc.space)
         order = np.searchsorted(disc.partition.free, dissected.free)
-        full_gather = free_gather(matrices, dissected)
-        A_nd, _ = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude, gather=full_gather)
-        M_nd = full_gather.block(matrices.mass)
+        A_nd, _ = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude)
+        M_nd = free_gather(matrices, dissected).block(matrices.mass)
         full = FrontalLdlt(A_nd, M_nd, beta, dissected.tree, "full P")
         rng = np.random.default_rng(7)
         v = fold.matrix @ (rng.standard_normal(fold.n_unknowns) + 1j * rng.standard_normal(fold.n_unknowns))
@@ -335,7 +332,7 @@ class TestMirrorFold:
         from igarad.assembly import build_system
         from igarad.solver import direct_solve
 
-        cfg, result, matrices, _, _, _ = desk_fold
+        cfg, result, matrices, _, _ = desk_fold
         disc = result.discretization
         dissected = disc.partition.dissected(disc.space)
         A, b = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude)
@@ -365,7 +362,7 @@ class TestRunSystem:
     def test_system_is_the_scipy_expression(self, desk_fold):
         """``(A, b)`` bit for bit: A's ``indptr``, ``indices`` and ``data``
         and the Dirichlet coupling of b."""
-        cfg, result, matrices, _, A, b = desk_fold
+        cfg, result, matrices, A, b = desk_fold
         part, k = result.discretization.partition, cfg.wavenumber
         full = (matrices.stiffness - k**2 * matrices.mass + 1j * k * matrices.robin_mass).tocsr()
         ref = full[part.free][:, part.free].tocsr()
@@ -376,17 +373,21 @@ class TestRunSystem:
         assert np.array_equal(b, -full[part.free][:, part.dirichlet] @ np.full(part.n_dirichlet, cfg.amplitude))
 
     def test_folded_system_is_the_product(self, desk_fold):
-        """The fold of A through its positions in A's data is ``T^T A T``."""
-        from igarad.assembly import fold_gather
+        """The folded A and M, summed from the unknowns' own rows of S, M and
+        from ``T^T E T``, are ``T^T A T`` and ``T^T M T`` of the run's full
+        free system, on one pattern."""
+        from igarad.assembly import fold_system, free_gather
 
-        _, result, matrices, gather, A, _ = desk_fold
+        cfg, result, matrices, A, _ = desk_fold
         disc = result.discretization
-        folded = fold_gather(matrices, disc.space, disc.partition, disc.fold).within(gather).block(A)
+        folded_A, folded_M = fold_system(matrices, disc.partition, disc.fold, cfg.wavenumber)
         T = disc.fold.matrix
-        ref = (T.T @ A @ T).tocsr()
-        ref.sort_indices()
-        assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
-        assert np.max(np.abs(folded.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+        for folded, full in ((folded_A, A), (folded_M, free_gather(matrices, disc.partition).block(matrices.mass))):
+            ref = (T.T @ full @ T).tocsr()
+            ref.sort_indices()
+            assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
+            assert np.max(np.abs(folded.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+        assert np.shares_memory(folded_A.indices, folded_M.indices)
 
     def test_study_partition_is_dissected(self):
         """A study's free dofs follow the grid's nested dissection, and its
@@ -627,7 +628,7 @@ class TestOutputs:
 
     def test_all_artifacts_written(self, outputs):
         _, result, outdir = outputs
-        for key in ("field", "axis_profile", "bottom_profile", "report", "vtk", "system"):
+        for key in ("field", "axis_profile", "bottom_profile", "report", "vtk", "system", "rhs"):
             assert key in result.outputs
             assert (outdir / str(result.outputs[key]).split("/")[-1]).exists()
 
@@ -687,7 +688,7 @@ class TestOutputs:
         assert report["outputs"] == {}
 
     def test_report_lu_fill(self, tmp_path):
-        from igarad.assembly import assemble, fold_gather
+        from igarad.assembly import assemble, fold_system
         from igarad.solver import frontal_storage
 
         cfg = smoke_config(beta_factor=1.0 / 3.0, outdir=str(tmp_path))
@@ -701,7 +702,7 @@ class TestOutputs:
         # pass counts from the folded pattern, over the mirror-even unknowns
         disc = result.discretization
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        folded = fold_gather(matrices, disc.space, disc.partition, disc.fold).block(matrices.mass)
+        _, folded = fold_system(matrices, disc.partition, disc.fold, cfg.wavenumber)
         assert frontal_storage(folded, disc.fold.tree) == (lu_nnz, report["derived"]["factor_bytes"])
         assert folded.shape[0] == report["derived"]["factor_unknowns"] == disc.fold.n_unknowns
         solve = report["solve"]
@@ -818,12 +819,22 @@ class TestOutputs:
         np.savetxt(theirs, table, delimiter=",", fmt="%.17g")
         assert ours.getvalue() == theirs.getvalue()
 
-    def test_matrix_market_dump_solvable(self, outputs):
-        from igarad.solver import direct_solve, load_matrix_market
+    def test_matrix_market_dump_solvable(self, outputs, tmp_path):
+        """``solve-mm`` solves the dumped system and right-hand side for the
+        run's free coefficients."""
+        from igarad.solver import load_matrix_market, load_vector
 
         _, result, outdir = outputs
-        A = load_matrix_market(outdir / "system.mtx")
-        assert A.shape[0] == result.discretization.partition.n_free
+        free = result.discretization.partition.free
+        assert load_matrix_market(outdir / "system.mtx").shape == (free.size, free.size)
+        out = tmp_path / "x.mtx"
+        proc = subprocess.run(
+            [sys.executable, "-m", "igarad.cli", "solve-mm", str(outdir / "system.mtx"), str(outdir / "rhs.mtx"),
+             "--out", str(out)], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ref = result.field.coefficients[free]
+        assert np.linalg.norm(load_vector(out) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestCli:
@@ -950,26 +961,21 @@ class TestCli:
     def test_solve_mm_solves_a_dumped_run_system(self, tmp_path):
         """With no flags solve-mm factors the dumped A itself, and GMRES
         confirms the factor's solution in one cycle."""
-        from igarad.assembly import assemble, build_system
-        from igarad.solver import load_vector, save_vector
+        from igarad.solver import load_vector
 
         config = RunConfig.from_json(
             Path(__file__).resolve().parents[1] / "configs" / "desk_smoke.json",
             dump_matrices=True, outdir=str(tmp_path),
         )
         result = run(config)
-        disc = result.discretization
-        matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        _, b = build_system(matrices, disc.partition, config.wavenumber, config.amplitude)
-        save_vector(tmp_path / "b.mtx", b)
         out, rep = tmp_path / "x.mtx", tmp_path / "rep.json"
         proc = self._run(
-            "solve-mm", str(tmp_path / "system.mtx"), str(tmp_path / "b.mtx"),
+            "solve-mm", str(tmp_path / "system.mtx"), str(tmp_path / "rhs.mtx"),
             "--out", str(out), "--report", str(rep),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(rep.read_text())["outer_iterations"] == 1
-        expected = result.field.coefficients[disc.partition.free]
+        expected = result.field.coefficients[result.discretization.partition.free]
         assert np.linalg.norm(load_vector(out) - expected) / np.linalg.norm(expected) <= 1e-8
 
     @pytest.mark.parametrize(
@@ -1191,6 +1197,8 @@ class TestCli:
             ("mms-converge", "--order", "1"),
             ("mms-converge", "--base-n", "3"),
             ("mms-converge", "--wavenumber", "nan"),
+            ("mms-converge", "--wavenumber", "0"),
+            ("mms-converge", "--wavenumber", "-5"),
             ("pollution", "--orders", "1"),
             ("pollution", "--wavenumbers", "20,abc"),
             ("pollution", "--wavenumbers", ""),

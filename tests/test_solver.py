@@ -385,9 +385,8 @@ def desk_system():
     partition = disc.partition.dissected(disc.space)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
     k = config.wavenumber
-    gather = free_gather(mats, partition)
-    A, b = build_system(mats, partition, k, config.amplitude, gather=gather)
-    return A, b, gather.block(mats.mass), config.beta_factor / k, partition.tree
+    A, b = build_system(mats, partition, k, config.amplitude)
+    return A, b, free_gather(mats, partition).block(mats.mass), config.beta_factor / k, partition.tree
 
 
 def natural_splu(matrix):
@@ -472,9 +471,8 @@ def grid_system(space, cfg, k):
 
     part = classify_dofs(space, cfg).dissected(space)
     mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
-    gather = free_gather(mats, part)
-    A, b = build_system(mats, part, k, 1.0, gather=gather)
-    return A, b, gather.block(mats.mass), part.tree
+    A, b = build_system(mats, part, k, 1.0)
+    return A, b, free_gather(mats, part).block(mats.mass), part.tree
 
 
 def relative_residual(P, x, b):
