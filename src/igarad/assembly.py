@@ -33,8 +33,8 @@ dofs in the elimination order of the grid's nested dissection
 partition carries.  A run's field is even under the mirror, so its
 preconditioner is factored on the even unknowns (:class:`MirrorFold`,
 numbered by the tree of the left half of the grid): :func:`fold_system`
-sums each row of ``T^T A T`` and ``T^T M T`` from the unknown's own row of
-the same pattern.
+sums each row of ``T^T P T``, for the shifted ``P = A - i beta M`` it
+factors, from the unknown's own row of the pattern.
 
 A slab writes only the rows of its ``order`` xi functions, so slabs far
 apart write disjoint entries, and the slabs run on two cores (the
@@ -708,14 +708,6 @@ class Gather:
     shape: tuple[int, int]
     start: int
 
-    def block(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        """The block of ``matrix`` (S or M, stored on the gathered pattern),
-        sharing this gather's index arrays."""
-        data = np.empty(self.indices.size, dtype=matrix.dtype)
-        np.take(matrix.data, self.pos, out=data[: self.pos.size])
-        data[self.pos.size :] = matrix.data[self.start :]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
 
 def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, number: np.ndarray | None = None) -> Gather:
     """Structure of ``pattern[rows][:, cols]`` for index sets in any order.
@@ -749,8 +741,7 @@ def _gather(pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, number: 
 
 def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
     """The free-free block of the pattern S and M share: :func:`build_system`
-    forms ``A`` on it, and ``gather.block(matrices.mass)`` is the free mass
-    block on A's pattern.
+    forms ``A`` on it.
 
     In grid order (a partition with no tree) every row past the last one
     with a column at or before the last Dirichlet dof (the first
@@ -775,19 +766,20 @@ def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
 
 
 def fold_system(matrices: SystemMatrices, partition: DofPartition, fold: MirrorFold,
-                wavenumber: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``(T^T A T, T^T M T)`` for the map ``T`` of ``fold`` and the ``A`` of
-    :func:`build_system` at ``wavenumber``, on one pattern with sorted
-    indices.
+                wavenumber: float, beta: float) -> sp.csr_matrix:
+    """``T^T P T`` for the map ``T`` of ``fold``, the ``A`` of
+    :func:`build_system` at ``wavenumber`` and the shifted Laplacian
+    ``P = A - i beta M`` on the free dofs, with sorted indices.
 
     S and M are mirror-symmetric bit for bit (:func:`assemble`), so folded
     row ``u`` is the unknown's own grid row ``fold.tree.order[u]``: its
     entries in free columns, summed by their column's unknown (one or two
     per folded entry) and scaled by the unknown's count of free dofs, T's
     column sum (2, or 1 on the middle column of an odd ``n``).  The real
-    part of A is formed from the folded S and M as :func:`build_system`
-    forms A's, and ``i k T^T E T`` is added at its positions: E is
-    mirror-symmetric only to roundoff.
+    part, ``S_f - k^2 M_f``, is formed from the folded S and M as
+    :func:`build_system` forms A's; the imaginary part is ``-beta M_f``,
+    and ``k T^T E T`` is added at its positions: E is mirror-symmetric only
+    to roundoff.  The folded M is a temporary.
     """
     S, M, E = matrices.stiffness, matrices.mass, matrices.robin_mass
     k = float(wavenumber)
@@ -813,17 +805,18 @@ def fold_system(matrices: SystemMatrices, partition: DofPartition, fold: MirrorF
         data[once] *= 0.5  # (x * 2) * 0.5 == x
         return data
 
-    shape = (fold.n_unknowns,) * 2
     mass = folded(M.data)
     data = np.zeros(mass.size, dtype=complex)
     np.multiply(mass, -(k**2), out=data.real)
     data.real += folded(S.data)
-    A = sp.csr_matrix((data, indices, indptr), shape=shape)
+    mass *= beta
+    data.imag -= mass
+    P = sp.csr_matrix((data, indices, indptr), shape=(fold.n_unknowns,) * 2)
     if k != 0.0:
         T = fold.matrix
         robin = (T.T @ E[partition.free][:, partition.free] @ T).tocsr()
-        A.data.imag[_positions(A, robin)] = k * robin.data
-    return A, sp.csr_matrix((mass, indices, indptr), shape=shape)
+        P.data.imag[_positions(P, robin)] += k * robin.data
+    return P
 
 
 def _positions(pattern: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:

@@ -8,7 +8,9 @@ Subcommands:
 * ``mms-converge`` manufactured-solution refinement study
 * ``pollution``    fixed dofs-per-wavelength wavenumber sweep
 * ``solve-mm``     GMRES on Matrix Market files, preconditioned by a factor of
-                   ``A - i beta M`` (of A itself without ``--mass``)
+                   ``A - i beta M``, formed here (of A itself without
+                   ``--mass``); ``--mass`` is the mass block on A's unknowns,
+                   so a run's all-dof ``mass.mtx`` has the wrong shape (exit 2)
 
 Exit codes: 0 success, 2 configuration/usage error, 3 pipeline failure,
 4 solver non-convergence or a singular factorization, 5 I/O failure.
@@ -212,10 +214,11 @@ def _cmd_solve_mm(args) -> int:
     if A.shape != (b.size, b.size):
         return _bad_config(f"a {A.shape[0]} x {A.shape[1]} matrix with a right-hand side of length "
                            f"{b.size}; the matrix must be square, of the right-hand side's length")
+    if M is not None and M.shape != A.shape:
+        return _bad_config(f"a {M.shape[0]} x {M.shape[1]} mass matrix for a {A.shape[0]} x {A.shape[1]} "
+                           "matrix; --mass takes the mass block on the matrix's unknowns")
     try:
-        precond = build_cslp(A, M, args.beta)  # A itself without --mass
-    except ValueError as exc:  # M's shape
-        return _bad_config(exc)
+        precond = build_cslp(A - 1j * args.beta * M if args.beta else A, args.beta)
     except RuntimeError as exc:  # "singular shifted-Laplacian factorization: ..."
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
     s = sub.add_parser("solve-mm", help="solve a Matrix Market system")
     s.add_argument("matrix", help="system matrix (.mtx)")
     s.add_argument("rhs", help="right-hand side vector (.mtx)")
-    s.add_argument("--mass", help="free-dof mass block on the matrix's pattern, for the shift")
+    s.add_argument("--mass", help="mass block on the matrix's unknowns (a run's free dofs), for the shift")
     s.add_argument("--beta", type=float, default=0.0, help="shift of the factored P = A - i beta M")
     s.add_argument("--out", help="write the solution vector (.mtx)")
     s.add_argument("--report", help="write a JSON solve report")

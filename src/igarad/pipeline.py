@@ -357,20 +357,20 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     beta = config.beta_factor / k
 
     def _system():
-        # the full free system GMRES solves, and the folded blocks T^T A T and,
-        # if shifted, T^T M T, which the preconditioner factors
-        folded_A, mass = fold_system(matrices, disc.partition, disc.fold, k)
+        # the folded T^T P T the preconditioner factors, then the full free
+        # system GMRES solves
+        folded = fold_system(matrices, disc.partition, disc.fold, k, beta)
         A, b = build_system(matrices, disc.partition, k, config.amplitude)
-        return A, b, folded_A, mass if beta > 0 else None
+        return A, b, folded
 
-    A, b, folded_A, mass = stage("system", _system)
+    A, b, folded = stage("system", _system)
     assemble_child_peak = matrices.child_peak_rss_mib
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
     fold = disc.fold
-    precond = stage("factor", lambda: build_cslp(folded_A, mass, beta, tree=fold.tree, fold=fold.matrix))
-    folded_A = mass = None
+    precond = stage("factor", lambda: build_cslp(folded, beta, tree=fold.tree, fold=fold.matrix))
+    folded = None
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
 
     def _post():

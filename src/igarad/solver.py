@@ -202,14 +202,14 @@ def _storage(structure) -> tuple[list[int], int]:
     return sizes, 16 * sum(sizes) + sum(up.nbytes for _, _, up in structure)
 
 
-def frontal_storage(A, tree) -> tuple[int, int]:
-    """``(nnz, nbytes)`` of the :class:`FrontalLdlt` of ``A`` on ``tree``,
-    from A's pattern alone, without factoring."""
-    sizes, nbytes = _storage(_fronts(as_csr(A), tree)[0])
+def frontal_storage(P, tree) -> tuple[int, int]:
+    """``(nnz, nbytes)`` of the :class:`FrontalLdlt` of ``P`` on ``tree``,
+    from P's pattern alone, without factoring."""
+    sizes, nbytes = _storage(_fronts(as_csr(P), tree)[0])
     return sum(sizes), nbytes
 
 
-def _factor_fronts(A, M, beta, what, fronts, target, pending, order) -> None:
+def _factor_fronts(P, what, fronts, target, pending, order) -> None:
     """Factor the :class:`FrontalLdlt` ``fronts`` numbered in ``order``, in
     that order, writing each front's ``W`` and ``X`` in place.  ``pending``
     maps a front to the updates of the fronts below it, ``(up, N)``; each
@@ -219,12 +219,11 @@ def _factor_fronts(A, M, beta, what, fronts, target, pending, order) -> None:
         k = e - s
         front = np.concatenate([np.arange(s, e), up])
         F = np.zeros((k, front.size), dtype=complex)  # the fully-summed rows [F11 F12]
-        lo, hi = A.indptr[s], A.indptr[e]
-        cols = A.indices[lo:hi]
-        rows = np.repeat(np.arange(k), np.diff(A.indptr[s : e + 1]))
+        lo, hi = P.indptr[s], P.indptr[e]
+        cols = P.indices[lo:hi]
+        rows = np.repeat(np.arange(k), np.diff(P.indptr[s : e + 1]))
         keep = cols >= s  # the rest is the symmetric half of a descendant's rows
-        vals = A.data[lo:hi] - (1j * beta) * M.data[lo:hi] if beta else A.data[lo:hi]  # P's rows
-        F[rows[keep], np.searchsorted(front, cols[keep])] = vals[keep]
+        F[rows[keep], np.searchsorted(front, cols[keep])] = P.data[lo:hi][keep]
         uppers = _subtract_rows(F, front, e, pending.pop(f, []))
         try:
             W[...] = np.linalg.inv(F[:, :k])
@@ -260,32 +259,27 @@ def _root_split(target) -> int:
 
 
 class FrontalLdlt:
-    """Block LDL^T of the complex symmetric ``P = A - i beta M``, front by
-    front over a nested-dissection tree (multifrontal: Duff & Reid, ACM
-    TOMS 9, 1983).
+    """Block LDL^T of a complex symmetric ``P`` (a shifted Laplacian
+    ``A - i beta M``, or A itself), front by front over a nested-dissection
+    tree (multifrontal: Duff & Reid, ACM TOMS 9, 1983).
 
-    ``tree`` (a :class:`igarad.assembly.DissectionTree` in the matrices'
-    numbering) gives, per node in postorder, the range ``offsets[p]`` to
+    ``tree`` (a :class:`igarad.assembly.DissectionTree` in P's numbering)
+    gives, per node in postorder, the range ``offsets[p]`` to
     ``offsets[p + 1]`` of its own unknowns and its ``parent``.  The front of
     a node is its own unknowns plus ``up``, the ancestor unknowns its rows
     of P or its children's update matrices reach (:func:`_fronts`); every
     subtree is a contiguous range, so ``up`` lies past the node's own
     range.  Only the front's fully-summed rows ``F = [F11 F12]`` are formed
     (``k x (k + u)`` for ``k`` own and ``u`` ancestor unknowns), from the
-    node's rows of A and M right of its first unknown (entries left of it
-    belong to descendants' fronts, and P is never formed whole), less the
-    rows of the children's blocks that fall on the node's own unknowns.
-    ``W = inv(F11)``, symmetrized, and ``X = F12^T W`` are kept; the node
-    passes up ``N = X F12`` plus the rest of its children's blocks, the
-    negated Schur complement on ``up`` (its ``F22`` is never formed: those
-    entries of P are an ancestor's rows).  ``inv`` pivots only inside the
-    pivot block, so pivoting is static across fronts.  A node that owns
-    none of the unknowns (a block of Dirichlet dofs) passes its children's
-    blocks on unchanged.  ``M`` must be stored on A's pattern (as
-    :func:`igarad.assembly.fold_system` returns the folded A and M, and
-    :meth:`igarad.assembly.Gather.block` gathers the mass block), else
-    ``ValueError``; with ``beta = 0`` the factor is one of A, and ``M`` may
-    be ``None``.
+    node's rows of P right of its first unknown (entries left of it belong
+    to descendants' fronts), less the rows of the children's blocks that
+    fall on the node's own unknowns.  ``W = inv(F11)``, symmetrized, and
+    ``X = F12^T W`` are kept; the node passes up ``N = X F12`` plus the
+    rest of its children's blocks, the negated Schur complement on ``up``
+    (its ``F22`` is never formed: those entries of P are an ancestor's
+    rows).  ``inv`` pivots only inside the pivot block, so pivoting is
+    static across fronts.  A node that owns none of the unknowns (a block
+    of Dirichlet dofs) passes its children's blocks on unchanged.
 
     Only numpy's ``inv`` and ``@`` are used: scipy's BLAS and LAPACK run on
     a thread pool of their own, and switching between the two pools on
@@ -314,27 +308,23 @@ class FrontalLdlt:
     the order a two-thread one does.
     """
 
-    def __init__(self, A, M, beta: float, tree, what: str):
-        A = as_csr(A)
-        if beta:
-            M = sp.csr_matrix(M)
-            if not (np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)):
-                raise ValueError("M must be stored on A's pattern")
-        structure, target = _fronts(A, tree)
+    def __init__(self, P, tree, what: str):
+        P = as_csr(P)
+        structure, target = _fronts(P, tree)
         # every block in one allocation: the factor does not interleave with
         # the fronts' temporaries, and its memory goes back as a whole; it is
         # a shared mapping, so a forked child writes its blocks in place
         sizes, self.nbytes = _storage(structure)
         self.nnz = sum(sizes)
         log.info("%s: %d unknowns, %d stored entries, %d bytes (%.2f GiB)",
-                 what, A.shape[0], self.nnz, self.nbytes, self.nbytes / 2**30)
+                 what, P.shape[0], self.nnz, self.nbytes, self.nbytes / 2**30)
         store = np.frombuffer(mmap.mmap(-1, max(16 * self.nnz, 1)), dtype=complex, count=self.nnz)
         self.fronts = []  # (start, stop, up, W, X) per front, in postorder
         for (s, e, up), at in zip(structure, np.cumsum([0, *sizes[:-1]])):
             k = e - s
             W = store[at : at + k * k].reshape(k, k)
             self.fronts.append((s, e, up, W, store[at + k * k : at + k * (k + up.size)].reshape(up.size, k)))
-        factor = functools.partial(_factor_fronts, A, M, beta, what, self.fronts, target)
+        factor = functools.partial(_factor_fronts, P, what, self.fronts, target)
         split, pending = _root_split(target), {}
         self.child_peak_rss_mib = None
         if split:
@@ -372,54 +362,48 @@ class FrontalLdlt:
         return c
 
 
-def _factor(A, M, beta: float, tree, what: str):
-    """Factor of ``P = A - i beta M`` (``M`` unread when ``beta = 0``):
-    :class:`FrontalLdlt` on the nested-dissection ``tree`` that numbers A,
-    or, without one, :class:`_SuperLU` of P formed whole.  Either answers
-    ``solve``, ``nnz``, ``nbytes`` and ``child_peak_rss_mib``; ``what``
-    names it if singular."""
+def _factor(P, tree, what: str):
+    """Factor of ``P``: :class:`FrontalLdlt` on the nested-dissection
+    ``tree`` that numbers P, or, without one, :class:`_SuperLU`.  Either
+    answers ``solve``, ``nnz``, ``nbytes`` and ``child_peak_rss_mib``;
+    ``what`` names it if singular."""
     if tree is None:
-        return _SuperLU(A - 1j * beta * M if beta else A, what)
-    return FrontalLdlt(A, M, beta, tree, what)
+        return _SuperLU(P, what)
+    return FrontalLdlt(P, tree, what)
 
 
 class CslpPreconditioner:
-    """Shifted-Laplacian preconditioner ``P = A - i beta M``, applied by a
-    factor of P (:func:`_factor`); only the factor is kept.
+    """Shifted-Laplacian preconditioner, applied by a factor (:func:`_factor`)
+    of the caller's ``P = A - i beta M``; only the factor is kept, and
+    ``beta`` is recorded for the solve's report.  ``beta = 0`` (P is A)
+    makes the preconditioner an exact solve of A.
 
-    With the nested-dissection ``tree`` that numbers A and M (a run's
-    :attr:`igarad.assembly.MirrorFold.tree` of the folded blocks, or a
-    dissected :attr:`igarad.assembly.DofPartition.tree`), P is factored by
-    :class:`FrontalLdlt`, which reads only each node's rows of A and M,
-    so M must be stored on A's pattern and P be complex symmetric.
-    Without one, P is formed and factored by SuperLU under minimum degree
-    (threshold partial pivoting).  ``factor`` is the factor, ``lu_nnz`` its
-    stored entries (the fronts' blocks, or SuperLU's L and U),
-    ``factor_bytes`` their bytes and ``child_peak_rss_mib`` the peak
-    resident set of the tree factor's child process (``None`` without
-    one).  ``beta = 0`` makes the preconditioner an
-    exact solve of A, and ``M`` may then be ``None``.
+    With the nested-dissection ``tree`` that numbers P (a run's
+    :attr:`igarad.assembly.MirrorFold.tree` of the folded P, or a dissected
+    :attr:`igarad.assembly.DofPartition.tree`), P is factored by
+    :class:`FrontalLdlt`, so it must be complex symmetric.  Without one, P
+    is factored by SuperLU under minimum degree (threshold partial
+    pivoting).  ``factor`` is the factor, ``lu_nnz`` its stored entries
+    (the fronts' blocks, or SuperLU's L and U), ``factor_bytes`` their
+    bytes and ``child_peak_rss_mib`` the peak resident set of the tree
+    factor's child process (``None`` without one).
 
     With ``fold``, a sparse 0/1 matrix ``T`` with one 1 per row (a run's
-    :attr:`igarad.assembly.MirrorFold.matrix`), A and M are the folded
-    blocks ``T^T A T`` and ``T^T M T`` and :meth:`solve` applies
+    :attr:`igarad.assembly.MirrorFold.matrix`), P is the folded ``T^T P T``
+    (:func:`igarad.assembly.fold_system`) and :meth:`solve` applies
     ``T (T^T P T)^-1 T^T``: on a vector in the range of ``T`` (a
     mirror-even one) that is ``P^-1`` of the unfolded P, whose action keeps
     that range.
     """
 
-    def __init__(self, A, M, beta: float, tree=None, fold=None):
+    def __init__(self, P, beta: float, tree=None, fold=None):
         if not 0 <= beta < np.inf:
             raise ValueError("shift beta must be nonnegative and finite")
-        if M is None and beta:
-            raise ValueError("a shift beta > 0 needs the mass matrix M")
-        if M is not None and A.shape != M.shape:
-            raise ValueError("A and M must have the same shape")
-        if fold is not None and fold.shape[1] != A.shape[0]:
-            raise ValueError(f"the fold maps {fold.shape[1]} unknowns, A has {A.shape[0]}")
+        if fold is not None and fold.shape[1] != P.shape[0]:
+            raise ValueError(f"the fold maps {fold.shape[1]} unknowns, P has {P.shape[0]}")
         self.beta = float(beta)
         self.fold = fold
-        self.factor = _factor(A, M, self.beta, tree, "shifted-Laplacian factorization")
+        self.factor = _factor(P, tree, "shifted-Laplacian factorization")
         self.lu_nnz = self.factor.nnz
         self.factor_bytes = self.factor.nbytes
         self.child_peak_rss_mib = self.factor.child_peak_rss_mib
@@ -430,9 +414,9 @@ class CslpPreconditioner:
         return self.fold @ self.factor.solve(self.fold.T @ v)
 
 
-def build_cslp(A, M, beta: float, tree=None, fold=None) -> CslpPreconditioner:
+def build_cslp(P, beta: float, tree=None, fold=None) -> CslpPreconditioner:
     """Factorized shifted-Laplacian preconditioner (see :class:`CslpPreconditioner`)."""
-    return CslpPreconditioner(A, M, beta, tree, fold)
+    return CslpPreconditioner(P, beta, tree, fold)
 
 
 def direct_solve(A, b, *, tree=None) -> np.ndarray:
@@ -450,7 +434,7 @@ def direct_solve(A, b, *, tree=None) -> np.ndarray:
     with SuperLU 2.2e-12 on the desk run's A, refined 8.6e-16.
     """
     A = as_csr(A)
-    factor = _factor(A, None, 0.0, tree, "matrix in direct solve")
+    factor = _factor(A, tree, "matrix in direct solve")
     x = factor.solve(b)
     x += factor.solve(b - A @ x)
     return x

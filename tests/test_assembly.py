@@ -27,7 +27,6 @@ from igarad.assembly import (
     edge_load,
     expand_solution,
     fold_system,
-    free_gather,
     mirror_fold,
 )
 from igarad.bspline import KnotVector, TensorProductSpace, basis_matrix, make_uniform_open_knots
@@ -805,19 +804,6 @@ class TestBuildSystemGather:
         assert np.array_equal(A.data, ref.data)
         assert np.array_equal(b, ref_b)
 
-    def test_free_mass_block_on_the_system_pattern(self, sys_setup):
-        cfg, _, space, _, mats = sys_setup
-        part = classify_dofs(space, cfg)
-        A, _ = build_system(mats, part, 40.0, 1.0)
-        block = free_gather(mats, part).block(mats.mass)
-        ref = mats.mass[part.free][:, part.free]
-        ref.sort_indices()  # an unsorted index set leaves the rows unsorted
-        assert np.array_equal(block.indptr, ref.indptr)
-        assert np.array_equal(block.indices, ref.indices)
-        assert np.array_equal(block.data, ref.data)
-        # the gather build_system takes A from: the mass block is on A's pattern
-        assert np.array_equal(block.indptr, A.indptr) and np.array_equal(block.indices, A.indices)
-
 
 class TestNestedDissection:
     @pytest.mark.parametrize("order, n, m", [(2, 9, 7), (4, 40, 23), (6, 31, 40)])
@@ -911,23 +897,24 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("order, n, m", [(3, 20, 12), (4, 21, 12)], ids=["even", "odd"])
     def test_folded_blocks_are_the_products(self, order, n, m):
-        """The folds of S (A at k = 0), M and A are ``T^T X T`` as sparse
-        products form them, to roundoff, on one pattern with sorted indices."""
+        """The folded P is ``T^T (A - i beta M) T`` as sparse products form
+        it, with sorted indices: its real and imaginary parts each to
+        roundoff, at k = 10 and at k = 0, where it is ``T^T (S - i M) T``."""
         _, geometry, space, part, fold = mirror_setup(order, n, m)
         mats = assemble(space, geometry, QuadratureRule(space))
-        A, _ = build_system(mats, part, 10.0, 1.0)
-        folded_A, folded_M = fold_system(mats, part, fold, 10.0)
-        folded_S, _ = fold_system(mats, part, fold, 0.0)
-        gather = free_gather(mats, part)
+        mass = mats.mass[part.free][:, part.free]
+        mass.sort_indices()  # an unsorted index set leaves the rows unsorted
         T = fold.matrix
-        blocks = [(folded_M, gather.block(mats.mass)), (folded_S, gather.block(mats.stiffness)), (folded_A, A)]
-        for block, full in blocks:
-            ref = (T.T @ full @ T).tocsr()
+        for k, beta in ((10.0, 1.0 / 30.0), (0.0, 1.0)):
+            A, _ = build_system(mats, part, k, 1.0)
+            folded = fold_system(mats, part, fold, k, beta)
+            ref = (T.T @ (A - 1j * beta * mass) @ T).tocsr()
             ref.sort_indices()
-            assert block.has_sorted_indices
-            assert np.array_equal(block.indptr, ref.indptr) and np.array_equal(block.indices, ref.indices)
-            assert np.max(np.abs(block.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
-        assert np.shares_memory(folded_A.indices, folded_M.indices)
+            assert folded.has_sorted_indices
+            assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
+            for component in (np.real, np.imag):
+                error = np.max(np.abs(component(folded.data - ref.data)))
+                assert error <= 1e-14 * np.max(np.abs(component(ref.data)))
 
     def test_asymmetric_knots_rejected(self):
         cfg, geometry, space, part, _ = mirror_setup(4, 20, 12)

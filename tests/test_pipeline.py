@@ -283,24 +283,26 @@ class TestMirrorFold:
         full P's: within 1e-12 of the full tree's factor of P refined once.
         (That factor alone is off by up to 2.5e-9 on the odd mesh: its
         static pivoting, not the fold; the fold is within 1e-13.)"""
-        from igarad.assembly import build_system, fold_system, free_gather
+        from igarad.assembly import build_system, fold_system
         from igarad.solver import FrontalLdlt, build_cslp
 
         cfg, result, matrices, *_ = desk_fold
         disc, fold = result.discretization, result.discretization.fold
         beta = cfg.beta_factor / cfg.wavenumber
-        precond = build_cslp(*fold_system(matrices, disc.partition, fold, cfg.wavenumber), beta,
+        precond = build_cslp(fold_system(matrices, disc.partition, fold, cfg.wavenumber, beta), beta,
                              tree=fold.tree, fold=fold.matrix)
         # the full P in the grid's nested-dissection order: a run's free dof order[i] is its i-th dof
         dissected = disc.partition.dissected(disc.space)
         order = np.searchsorted(disc.partition.free, dissected.free)
         A_nd, _ = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude)
-        M_nd = free_gather(matrices, dissected).block(matrices.mass)
-        full = FrontalLdlt(A_nd, M_nd, beta, dissected.tree, "full P")
+        M_nd = matrices.mass[dissected.free][:, dissected.free]
+        M_nd.sort_indices()
+        P_nd = A_nd - 1j * beta * M_nd
+        full = FrontalLdlt(P_nd, dissected.tree, "full P")
         rng = np.random.default_rng(7)
         v = fold.matrix @ (rng.standard_normal(fold.n_unknowns) + 1j * rng.standard_normal(fold.n_unknowns))
         ref_nd = full.solve(v[order])
-        ref_nd += full.solve(v[order] - (A_nd - 1j * beta * M_nd) @ ref_nd)
+        ref_nd += full.solve(v[order] - P_nd @ ref_nd)
         ref = np.empty_like(v)
         ref[order] = ref_nd
         assert np.linalg.norm(precond.solve(v) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -373,21 +375,23 @@ class TestRunSystem:
         assert np.array_equal(b, -full[part.free][:, part.dirichlet] @ np.full(part.n_dirichlet, cfg.amplitude))
 
     def test_folded_system_is_the_product(self, desk_fold):
-        """The folded A and M, summed from the unknowns' own rows of S, M and
-        from ``T^T E T``, are ``T^T A T`` and ``T^T M T`` of the run's full
-        free system, on one pattern."""
-        from igarad.assembly import fold_system, free_gather
+        """The folded P, summed from the unknowns' own rows of S, M and from
+        ``T^T E T``, is ``T^T (A - i beta M) T`` of the run's full free
+        system, with sorted indices."""
+        from igarad.assembly import fold_system
 
         cfg, result, matrices, A, _ = desk_fold
-        disc = result.discretization
-        folded_A, folded_M = fold_system(matrices, disc.partition, disc.fold, cfg.wavenumber)
-        T = disc.fold.matrix
-        for folded, full in ((folded_A, A), (folded_M, free_gather(matrices, disc.partition).block(matrices.mass))):
-            ref = (T.T @ full @ T).tocsr()
-            ref.sort_indices()
-            assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
-            assert np.max(np.abs(folded.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
-        assert np.shares_memory(folded_A.indices, folded_M.indices)
+        part = result.discretization.partition
+        beta = cfg.beta_factor / cfg.wavenumber
+        folded = fold_system(matrices, part, result.discretization.fold, cfg.wavenumber, beta)
+        mass = matrices.mass[part.free][:, part.free]
+        mass.sort_indices()
+        T = result.discretization.fold.matrix
+        ref = (T.T @ (A - 1j * beta * mass) @ T).tocsr()
+        ref.sort_indices()
+        assert folded.has_sorted_indices
+        assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
+        assert np.max(np.abs(folded.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
 
     def test_study_partition_is_dissected(self):
         """A study's free dofs follow the grid's nested dissection, and its
@@ -702,7 +706,7 @@ class TestOutputs:
         # pass counts from the folded pattern, over the mirror-even unknowns
         disc = result.discretization
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        _, folded = fold_system(matrices, disc.partition, disc.fold, cfg.wavenumber)
+        folded = fold_system(matrices, disc.partition, disc.fold, cfg.wavenumber, cfg.beta_factor / cfg.wavenumber)
         assert frontal_storage(folded, disc.fold.tree) == (lu_nnz, report["derived"]["factor_bytes"])
         assert folded.shape[0] == report["derived"]["factor_unknowns"] == disc.fold.n_unknowns
         solve = report["solve"]
