@@ -13,7 +13,6 @@ from .bspline import (
     TensorProductSpace,
     elevate_order,
     eval_basis,
-    find_span,
     insert_knots,
     make_uniform_open_knots,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TensorProductSpace",
     "elevate_order",
     "eval_basis",
-    "find_span",
     "insert_knots",
     "make_uniform_open_knots",
     "CoonsSurface",

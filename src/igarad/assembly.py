@@ -24,17 +24,15 @@ left xi functions are summed, and each right row of S and M is copied from
 its mirror (Bossavit, CMAME 56, 1986), so S and M are mirror-symmetric bit
 for bit.
 
-A run numbers its free dofs in grid order (:func:`classify_dofs`), so
-:func:`build_system` takes A's rows past the few that reach a Dirichlet dof
-as contiguous slices of the pattern and gathers only those few entry by
-entry (:class:`Gather`).  The studies factor A itself and number the free
-dofs in the elimination order of the grid's nested dissection
-(:meth:`DofPartition.dissected`), whose tree (:class:`DissectionTree`) the
-partition carries.  A run's field is even under the mirror, so its
-preconditioner is factored on the even unknowns (:class:`MirrorFold`,
-numbered by the tree of the left half of the grid): :func:`fold_system`
-sums each row of ``T^T P T``, for the shifted ``P = A - i beta M`` it
-factors, from the unknown's own row of the pattern.
+Runs and studies number the free dofs in grid order (:func:`classify_dofs`),
+so :func:`build_system` takes A's rows past the few that reach a Dirichlet
+dof as contiguous slices of the pattern and gathers only those few entry
+by entry (:class:`Gather`).  The problems are mirror-symmetric, so A has a
+block on the mirror-even and one on the mirror-odd unknowns
+(:class:`MirrorFold`, numbered by the :class:`DissectionTree` of the
+grid's left half) and none between: :func:`fold_system` sums each row of
+``T^T P T``, ``P = A - i beta M``, from the unknown's own row of the
+pattern.  A run factors P's even block, a study both blocks of A.
 
 A slab writes only the rows of its ``order`` xi functions, so slabs far
 apart write disjoint entries, and the slabs run on two cores (the
@@ -53,7 +51,7 @@ from __future__ import annotations
 import logging
 import mmap
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -222,19 +220,14 @@ class DofPartition:
     Dirichlet dofs are the bottom-row (eta index 0) basis functions whose
     support meets the transducer aperture on the bottom edge; every other
     basis function vanishes identically on that segment.  ``dirichlet`` is
-    sorted.  ``free`` numbers the free dofs: the restricted system's row
-    and column ``i`` belong to dof ``free[i]``.  Without a ``tree`` they are
-    in grid order (sorted), as a run numbers them; with one
-    (:meth:`dissected`), ``free`` is ``tree.order``, the elimination order
-    of the grid's :func:`nested_dissection` without the Dirichlet dofs, in
-    the restricted system's numbering, which the studies factor A on.
+    sorted.  ``free`` numbers the free dofs in grid order (sorted): the
+    restricted system's row and column ``i`` belong to dof ``free[i]``.
     """
 
     dirichlet: np.ndarray
     xi_left: float
     xi_right: float
     free: np.ndarray
-    tree: DissectionTree | None = None
 
     @property
     def n_free(self) -> int:
@@ -243,14 +236,6 @@ class DofPartition:
     @property
     def n_dirichlet(self) -> int:
         return self.dirichlet.size
-
-    def dissected(self, space: TensorProductSpace) -> "DofPartition":
-        """The same split with the free dofs numbered by the nested
-        dissection of ``space``'s grid, carrying its tree."""
-        is_free = np.ones(space.size, dtype=bool)
-        is_free[self.dirichlet] = False
-        tree = nested_dissection(space.n, space.m, space.kv_xi.order, space.kv_eta.order).restrict(is_free)
-        return replace(self, free=tree.order, tree=tree)
 
 
 def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
@@ -323,20 +308,23 @@ _MIRROR_TOL = 1e-10  # relative: 2.2e-16 on the shipped xi knots, 1.4e-14 on the
 
 @dataclass(frozen=True)
 class MirrorFold:
-    """The 0/1 map ``T`` from the even unknowns of a mirror-symmetric problem
-    to its free dofs.
+    """The map ``T`` from the mirror-even or the mirror-odd unknowns of a
+    mirror-symmetric problem to its free dofs.
 
     Mirroring ``x -> -x`` maps xi column ``i`` to ``n - 1 - i``.  Unknown
     ``u`` stands for the free dof ``tree.order[u]`` (a flat grid index) in
-    the left ``ceil(n / 2)`` columns and its mirror; on the middle column
-    of an odd ``n`` the two are one dof.  ``tree`` is the
+    the left ``ceil(n / 2)`` columns, where T is 1, and its mirror, where T
+    is 1 (even) or -1 (odd); on the middle column of an odd ``n`` the two
+    are one dof, with an even unknown and no odd one.  ``tree`` is the
     :func:`nested_dissection` of the left columns without the Dirichlet
-    dofs, so it numbers the unknowns; ``unknown`` maps each free dof, in
-    the restricted system's numbering, to its unknown.
+    dofs (and without the middle column, odd), so it numbers the unknowns;
+    ``unknown`` maps each free dof, in the restricted system's numbering,
+    to its unknown (-1 for none) and ``sign`` is T's entry there.
     """
 
     tree: DissectionTree
     unknown: np.ndarray
+    sign: np.ndarray
 
     @property
     def n_unknowns(self) -> int:
@@ -344,9 +332,10 @@ class MirrorFold:
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        """``T``: row ``i`` has a 1 in the column of free dof ``i``'s unknown."""
-        n = self.unknown.size
-        return sp.csr_matrix((np.ones(n), self.unknown, np.arange(n + 1)), shape=(n, self.n_unknowns))
+        """``T``: row ``i`` has ``sign[i]`` in the column of free dof ``i``'s unknown, if any."""
+        has = self.unknown >= 0
+        indptr = np.concatenate([[0], np.cumsum(has)])
+        return sp.csr_matrix((self.sign[has], self.unknown[has], indptr), shape=(has.size, self.n_unknowns), dtype=float)
 
 
 def _mirror_asymmetry(space: TensorProductSpace, geometry: CoonsSurface, quad: QuadratureRule | None = None):
@@ -378,8 +367,9 @@ def _mirror_asymmetry(space: TensorProductSpace, geometry: CoonsSurface, quad: Q
     return None
 
 
-def mirror_fold(space: TensorProductSpace, partition: DofPartition, geometry: CoonsSurface) -> MirrorFold:
-    """The :class:`MirrorFold` of ``space``'s free dofs.
+def mirror_fold(space: TensorProductSpace, partition: DofPartition,
+                geometry: CoonsSurface) -> tuple[MirrorFold, MirrorFold]:
+    """The even and the odd :class:`MirrorFold` of ``space``'s free dofs.
 
     Raises ``ValueError`` unless the problem is mirror-symmetric
     (:func:`_mirror_asymmetry`) and the Dirichlet set is, exactly.
@@ -394,15 +384,19 @@ def mirror_fold(space: TensorProductSpace, partition: DofPartition, geometry: Co
 
     if not np.array_equal(np.sort(mirror(partition.dirichlet)), np.sort(partition.dirichlet)):
         raise ValueError("the Dirichlet set is not mirror-symmetric")
-    h = (n + 1) // 2
+    h, free, dof = (n + 1) // 2, partition.free, np.arange(space.size)
     half = nested_dissection(h, m, space.kv_xi.order, space.kv_eta.order)
-    is_free = np.ones(space.size, dtype=bool)
-    is_free[partition.dirichlet] = False
-    tree = DissectionTree(half.order // h * n + half.order % h, half.offsets, half.parent).restrict(is_free)
-    number = np.empty(space.size, dtype=np.int64)
-    number[tree.order] = np.arange(tree.order.size)
-    free = partition.free
-    return MirrorFold(tree, number[np.where(2 * (free % n) <= n - 1, free, mirror(free))])
+    tree = DissectionTree(half.order // h * n + half.order % h, half.offsets, half.parent).restrict(np.isin(dof, free))
+    left = np.where(2 * (free % n) <= n - 1, free, mirror(free))  # each free dof's dof in the left columns
+
+    def fold(unknowns, mirror_sign):
+        number = np.full(space.size, -1, dtype=np.int64)
+        number[unknowns.order] = np.arange(unknowns.order.size)
+        unknown = number[left]
+        sign = np.where(left == free, 1, mirror_sign) * (unknown >= 0)
+        return MirrorFold(unknowns, unknown, sign.astype(np.int8))
+
+    return fold(tree, 1), fold(tree.restrict(2 * (dof % n) != n - 1), -1)
 
 
 @dataclass(frozen=True)
@@ -743,15 +737,12 @@ def free_gather(matrices: SystemMatrices, partition: DofPartition) -> Gather:
     """The free-free block of the pattern S and M share: :func:`build_system`
     forms ``A`` on it.
 
-    In grid order (a partition with no tree) every row past the last one
-    with a column at or before the last Dirichlet dof (the first
-    ``order_eta`` eta rows hold them) is free and reaches only free dofs
-    that follow every Dirichlet dof: the block holds those rows as the
-    pattern does, each dof ``n_dirichlet`` places earlier, so only the rows
-    before them are gathered."""
+    In grid order every row past the last one with a column at or before
+    the last Dirichlet dof (the first ``order_eta`` eta rows hold them) is
+    free and reaches only free dofs that follow every Dirichlet dof: the
+    block holds those rows as the pattern does, each dof ``n_dirichlet``
+    places earlier, so only the rows before them are gathered."""
     S, free = matrices.stiffness, partition.free
-    if partition.tree is not None:
-        return _gather(S, free, free)
     reach = np.flatnonzero(S.indices[S.indptr[:-1]] <= partition.dirichlet[-1])  # a row's first column is its least
     tail = int(reach[-1]) + 1
     head = _gather(S, free[: tail - partition.n_dirichlet], free)
@@ -773,13 +764,14 @@ def fold_system(matrices: SystemMatrices, partition: DofPartition, fold: MirrorF
 
     S and M are mirror-symmetric bit for bit (:func:`assemble`), so folded
     row ``u`` is the unknown's own grid row ``fold.tree.order[u]``: its
-    entries in free columns, summed by their column's unknown (one or two
-    per folded entry) and scaled by the unknown's count of free dofs, T's
-    column sum (2, or 1 on the middle column of an odd ``n``).  The real
-    part, ``S_f - k^2 M_f``, is formed from the folded S and M as
-    :func:`build_system` forms A's; the imaginary part is ``-beta M_f``,
-    and ``k T^T E T`` is added at its positions: E is mirror-symmetric only
-    to roundoff.  The folded M is a temporary.
+    entries in the columns of free dofs with an unknown, each weighted by
+    T's entry there and summed by that unknown (at its left dof, where T is
+    1, and at its mirror where the row reaches it), and scaled by the
+    unknown's count of free dofs (2, or 1 on the middle column of an odd
+    ``n``).  The real part, ``S_f - k^2 M_f``, is formed from the folded S
+    and M as :func:`build_system` forms A's; the imaginary part is ``-beta
+    M_f``, and ``k T^T E T`` is added at its positions: E is
+    mirror-symmetric only to roundoff.  The folded M is a temporary.
     """
     S, M, E = matrices.stiffness, matrices.mass, matrices.robin_mass
     k = float(wavenumber)
@@ -795,12 +787,15 @@ def fold_system(matrices: SystemMatrices, partition: DofPartition, fold: MirrorF
     second = ~first
     extra, extra_pos = entry[second] - 1, gather.pos[second]  # the entries that sum a second member
     del gather, first, second, entry
-    single = np.bincount(fold.unknown, minlength=fold.n_unknowns) == 1  # the middle column's unknowns
+    # the sort leaves an entry's two members in either order: the left dof's is the earlier
+    pos[extra], extra_pos = np.minimum(pos[extra], extra_pos), np.maximum(pos[extra], extra_pos)
+    mirror_sign = fold.sign[np.searchsorted(partition.free, S.indices[extra_pos])]
+    single = np.bincount(fold.unknown + 1, minlength=fold.n_unknowns + 1)[1:] == 1  # the even middle column's
     once = np.flatnonzero(np.repeat(single, np.diff(indptr)))
 
     def folded(x):
         data = x[pos]
-        data[extra] += x[extra_pos]
+        data[extra] += mirror_sign * x[extra_pos]
         data *= 2.0
         data[once] *= 0.5  # (x * 2) * 0.5 == x
         return data
@@ -870,10 +865,9 @@ def build_system(
     and M share (E's is a subset of it), the coupling only from the free
     rows that reach a Dirichlet dof, so they equal the scipy expression
     ``(S - k**2 * M + 1j * k * E)[free][:, free]``, with sorted indices, bit
-    for bit.  A's rows and columns follow ``partition.free``: in a run's
-    grid order all but A's first few rows are contiguous slices of the
-    pattern (:func:`free_gather`), in the studies' elimination order every
-    entry is gathered.  Returns ``(A, b)``.
+    for bit.  A's rows and columns follow ``partition.free``, in grid
+    order, so all but A's first few rows are contiguous slices of the
+    pattern (:func:`free_gather`).  Returns ``(A, b)``.
     """
     if partition.n_dirichlet == 0:
         raise ValueError("no Dirichlet dofs: the radiation problem needs a source")

@@ -8,9 +8,10 @@ Subcommands:
 * ``mms-converge`` manufactured-solution refinement study
 * ``pollution``    fixed dofs-per-wavelength wavenumber sweep
 * ``solve-mm``     GMRES on Matrix Market files, preconditioned by a factor of
-                   ``A - i beta M``, formed here (of A itself without
-                   ``--mass``); ``--mass`` is the mass block on A's unknowns,
-                   so a run's all-dof ``mass.mtx`` has the wrong shape (exit 2)
+                   ``A - i beta M`` formed here (A itself without ``--beta``);
+                   ``--mass`` and ``--beta > 0`` come together (exit 2), and
+                   ``--mass`` is the mass block on A's unknowns: a run's
+                   all-dof ``mass.mtx`` has the wrong shape (exit 2)
 
 Exit codes: 0 success, 2 configuration/usage error, 3 pipeline failure,
 4 solver non-convergence or a singular factorization, 5 I/O failure.
@@ -200,8 +201,8 @@ def _cmd_solve_mm(args) -> int:
     try:
         if not 0 <= args.beta < math.inf:
             raise ValueError("--beta must be nonnegative and finite")
-        if args.beta and not args.mass:
-            raise ValueError("--beta > 0 needs --mass")
+        if bool(args.beta) != bool(args.mass):  # not a shift without M, nor an M left unused
+            raise ValueError("--beta > 0 needs --mass, and --mass needs --beta > 0")
     except ValueError as exc:
         return _bad_config(exc)
     try:
@@ -218,7 +219,7 @@ def _cmd_solve_mm(args) -> int:
         return _bad_config(f"a {M.shape[0]} x {M.shape[1]} mass matrix for a {A.shape[0]} x {A.shape[1]} "
                            "matrix; --mass takes the mass block on the matrix's unknowns")
     try:
-        precond = build_cslp(A - 1j * args.beta * M if args.beta else A, args.beta)
+        precond = build_cslp(A if M is None else A - 1j * args.beta * M, args.beta)
     except RuntimeError as exc:  # "singular shifted-Laplacian factorization: ..."
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
     s = sub.add_parser("solve-mm", help="solve a Matrix Market system")
     s.add_argument("matrix", help="system matrix (.mtx)")
     s.add_argument("rhs", help="right-hand side vector (.mtx)")
-    s.add_argument("--mass", help="mass block on the matrix's unknowns (a run's free dofs), for the shift")
+    s.add_argument("--mass", help="mass block on the matrix's unknowns (a run's free dofs), for --beta > 0")
     s.add_argument("--beta", type=float, default=0.0, help="shift of the factored P = A - i beta M")
     s.add_argument("--out", help="write the solution vector (.mtx)")
     s.add_argument("--report", help="write a JSON solve report")

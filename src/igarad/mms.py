@@ -22,6 +22,8 @@ from .assembly import (
     build_system,
     edge_load,
     expand_solution,
+    fold_system,
+    mirror_fold,
 )
 from .bspline import TensorProductSpace
 from .bspline import basis_matrix, eval_basis  # noqa: F401  bench/layers.py traces these names
@@ -125,15 +127,19 @@ def solve_manufactured(
     matrices: SystemMatrices,
     wave: PlaneWave,
 ) -> np.ndarray:
-    """Full coefficient vector of the discrete solution for ``wave``, by a
-    direct solve on the nested-dissection tree the free dofs are numbered
-    by (:meth:`igarad.assembly.DofPartition.dissected`; SuperLU where the
-    partition has none)."""
-    from .solver import direct_solve
+    """Full coefficient vector of the discrete solution for ``wave``.  The
+    problem (not the wave) is mirror-symmetric, so A's even and odd blocks
+    (:func:`igarad.assembly.mirror_fold`, ``ValueError`` if not) are
+    factored on their half grid's tree one after the other, and the direct
+    solve applies ``sum T F^-1 T^T`` (:class:`igarad.solver.FoldedSolve`)."""
+    from .solver import FoldedSolve, FrontalLdlt, direct_solve
 
     load, values = manufactured_data(space, geometry, quad, partition, wave)
     A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
-    x = direct_solve(A, b, tree=partition.tree)
+    blocks = [(fold.matrix, FrontalLdlt(fold_system(matrices, partition, fold, wave.wavenumber, 0.0), fold.tree,
+                                        f"{parity} block of A"))
+              for fold, parity in zip(mirror_fold(space, partition, geometry), ("even", "odd"))]
+    x = direct_solve(A, b, factor=FoldedSolve(blocks))
     return expand_solution(partition, x, values)
 
 

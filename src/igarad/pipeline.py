@@ -158,9 +158,8 @@ class RunConfig:
 class Discretization:
     """Geometry, spaces and dof split shared by solves on one config.  The
     free dofs are in grid order (:func:`igarad.assembly.classify_dofs`); a
-    study renumbers them by the grid's nested dissection, and a run's
-    (:func:`discretize`) has the mirror ``fold`` its preconditioner is
-    factored on."""
+    run's (:func:`discretize`) has the even mirror ``fold`` its
+    preconditioner is factored on, and a study's solve folds its own."""
 
     domain: DomainConfig
     geometry: CoonsSurface
@@ -196,13 +195,13 @@ def build_discretization(
 
 
 def discretize(config: RunConfig) -> Discretization:
-    """A run's :func:`build_discretization` with its mirror fold
+    """A run's :func:`build_discretization` with its even mirror fold
     (:func:`igarad.assembly.mirror_fold`); ``ValueError`` if the problem is
     not mirror-symmetric."""
     domain = config.domain()
     geometry = make_semicircle_patch(domain)
     disc = build_discretization(domain, geometry, config.order_xi, config.order_eta, config.n, config.m)
-    return replace(disc, fold=mirror_fold(disc.space, disc.partition, geometry))
+    return replace(disc, fold=mirror_fold(disc.space, disc.partition, geometry)[0])
 
 
 class SolutionField:
@@ -502,11 +501,8 @@ def _write_report(result: RunResult) -> str:
 def _manufactured_level(domain: DomainConfig, geometry: CoonsSurface, order: int, n: int, wave):
     """One study mesh (``n x n/2``, aperture-aligned) and its discrete solution for ``wave``."""
     disc = build_discretization(domain, geometry, order, order, n, max(order, n // 2))
-    # the direct solve factors A on the grid's nested dissection: number the free dofs by it
-    disc = replace(disc, partition=disc.partition.dissected(disc.space))
     matrices = assemble(disc.space, geometry, disc.quadrature)
-    space, quad = disc.space, disc.quadrature
-    return disc, mms.solve_manufactured(space, geometry, quad, disc.partition, matrices, wave)
+    return disc, mms.solve_manufactured(disc.space, geometry, disc.quadrature, disc.partition, matrices, wave)
 
 
 @dataclass
@@ -559,11 +555,11 @@ def convergence_study(
     return rows
 
 
-def observed_order(rows: list[ConvergenceRow], last: int = 3, which: str = "l2") -> float:
-    """Least-squares slope of log(error) vs log(h) over the last levels."""
+def observed_order(rows: list[ConvergenceRow], last: int = 3) -> float:
+    """Least-squares slope of log(L2 error) vs log(h) over the last levels."""
     sel = rows[-last:]
     hs = np.log([r.mesh_size for r in sel])
-    es = np.log([r.l2_error if which == "l2" else r.h1_error for r in sel])
+    es = np.log([r.l2_error for r in sel])
     return float(np.polyfit(hs, es, 1)[0])
 
 

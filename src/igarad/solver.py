@@ -1,8 +1,8 @@
 """Sparse complex linear algebra: left-preconditioned restarted GMRES, the
 shifted-Laplacian preconditioner and sparse direct solves.
 
-Matrices are scipy CSR with sorted, deduplicated indices; a system from
-the grid arrives with its unknowns in elimination order, with the
+Matrices are scipy CSR with sorted, deduplicated indices; a block folded
+from the grid arrives with its unknowns in elimination order, with the
 nested-dissection tree of that order, so it is factored as it is, with no
 permuted copy, as a block LDL^T on the tree (:class:`FrontalLdlt`).  That
 factor takes the two subtrees under the tree's root at once, one in a
@@ -11,17 +11,17 @@ forked child process, with numpy's OpenBLAS at one thread in both
 run or the root has one subtree.  Solves are serial.  SuperLU, under
 minimum degree, factors only matrices that come without a tree
 (``solve-mm``'s and the tests' oracle); :func:`_factor` picks between the
-two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Direct
-solves take one step of iterative refinement on either.  SuperLU
-(``scipy.sparse.linalg``) and the Matrix Market readers and writers
-(``scipy.io``) are imported where they are called: they load scipy's own
-BLAS and LAPACK, which no grid run or study needs, so such a process maps
-numpy's OpenBLAS alone.  GMRES reports ``converged`` only when the
-explicit preconditioned residual ``|P^-1 (b - A x)| / |P^-1 b|``,
-recomputed at the end of each restart cycle, meets ``tol``; the
-unpreconditioned ("true") residual is reported alongside as a guard.
-Solver objects hold factorizations and are not safe to share across
-threads; distinct instances are independent.
+two, and both answer the same ``solve``, ``nnz`` and ``nbytes``.  Runs and
+studies solve through :class:`FoldedSolve`, direct solves refine once with
+any factor.  SuperLU (``scipy.sparse.linalg``) and the Matrix Market
+readers and writers (``scipy.io``) are imported where they are called:
+they load scipy's own BLAS and LAPACK, which no grid run or study needs,
+so such a process maps numpy's OpenBLAS alone.  GMRES reports
+``converged`` only when the explicit preconditioned residual
+``|P^-1 (b - A x)| / |P^-1 b|``, recomputed at the end of each restart
+cycle, meets ``tol``; the unpreconditioned ("true") residual is reported
+alongside as a guard.  Solver objects hold factorizations and are not
+safe to share across threads; distinct instances are independent.
 """
 
 from __future__ import annotations
@@ -372,28 +372,35 @@ def _factor(P, tree, what: str):
     return FrontalLdlt(P, tree, what)
 
 
+class FoldedSolve:
+    """``sum_p T_p F_p^-1 T_p^T`` over ``blocks``, pairs of a map ``T_p``
+    (:attr:`igarad.assembly.MirrorFold.matrix`) and a factor ``F_p`` of
+    ``T_p^T P T_p`` (:func:`igarad.assembly.fold_system`).  With the even
+    and the odd map of a mirror-symmetric P it is ``P^-1``, since no block
+    of P joins the two (Bossavit, CMAME 56, 1986); with the even map alone,
+    on an even vector, whose image P keeps even."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def solve(self, v) -> np.ndarray:
+        return functools.reduce(np.add, (T @ factor.solve(T.T @ v) for T, factor in self.blocks))
+
+
 class CslpPreconditioner:
     """Shifted-Laplacian preconditioner, applied by a factor (:func:`_factor`)
     of the caller's ``P = A - i beta M``; only the factor is kept, and
-    ``beta`` is recorded for the solve's report.  ``beta = 0`` (P is A)
-    makes the preconditioner an exact solve of A.
+    ``beta`` is recorded for the solve's report (``beta = 0``: P is A).
 
     With the nested-dissection ``tree`` that numbers P (a run's
-    :attr:`igarad.assembly.MirrorFold.tree` of the folded P, or a dissected
-    :attr:`igarad.assembly.DofPartition.tree`), P is factored by
-    :class:`FrontalLdlt`, so it must be complex symmetric.  Without one, P
-    is factored by SuperLU under minimum degree (threshold partial
-    pivoting).  ``factor`` is the factor, ``lu_nnz`` its stored entries
-    (the fronts' blocks, or SuperLU's L and U), ``factor_bytes`` their
-    bytes and ``child_peak_rss_mib`` the peak resident set of the tree
-    factor's child process (``None`` without one).
-
-    With ``fold``, a sparse 0/1 matrix ``T`` with one 1 per row (a run's
-    :attr:`igarad.assembly.MirrorFold.matrix`), P is the folded ``T^T P T``
-    (:func:`igarad.assembly.fold_system`) and :meth:`solve` applies
-    ``T (T^T P T)^-1 T^T``: on a vector in the range of ``T`` (a
-    mirror-even one) that is ``P^-1`` of the unfolded P, whose action keeps
-    that range.
+    :attr:`igarad.assembly.MirrorFold.tree`), P is factored by
+    :class:`FrontalLdlt`, so it must be complex symmetric; without one, by
+    SuperLU.  ``lu_nnz`` is the factor's stored entries, ``factor_bytes``
+    their bytes and ``child_peak_rss_mib`` the peak resident set of the tree
+    factor's child process (``None`` without one).  With ``fold``, a run's
+    even map ``T`` (:attr:`igarad.assembly.MirrorFold.matrix`), P is the
+    folded ``T^T P T`` and :meth:`solve` applies ``T (T^T P T)^-1 T^T``
+    (:class:`FoldedSolve`).
     """
 
     def __init__(self, P, beta: float, tree=None, fold=None):
@@ -402,16 +409,12 @@ class CslpPreconditioner:
         if fold is not None and fold.shape[1] != P.shape[0]:
             raise ValueError(f"the fold maps {fold.shape[1]} unknowns, P has {P.shape[0]}")
         self.beta = float(beta)
-        self.fold = fold
-        self.factor = _factor(P, tree, "shifted-Laplacian factorization")
-        self.lu_nnz = self.factor.nnz
-        self.factor_bytes = self.factor.nbytes
-        self.child_peak_rss_mib = self.factor.child_peak_rss_mib
+        factor = _factor(P, tree, "shifted-Laplacian factorization")
+        self.lu_nnz, self.factor_bytes, self.child_peak_rss_mib = factor.nnz, factor.nbytes, factor.child_peak_rss_mib
+        self.factor = factor if fold is None else FoldedSolve([(fold, factor)])
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        if self.fold is None:
-            return self.factor.solve(v)
-        return self.fold @ self.factor.solve(self.fold.T @ v)
+        return self.factor.solve(v)
 
 
 def build_cslp(P, beta: float, tree=None, fold=None) -> CslpPreconditioner:
@@ -419,22 +422,21 @@ def build_cslp(P, beta: float, tree=None, fold=None) -> CslpPreconditioner:
     return CslpPreconditioner(P, beta, tree, fold)
 
 
-def direct_solve(A, b, *, tree=None) -> np.ndarray:
+def direct_solve(A, b, *, factor=None) -> np.ndarray:
     """Solve ``A x = b`` directly, with one step of iterative refinement,
     ``x += F^-1 (b - A x)`` (Li & Demmel, ACM TOMS 29, 2003).
 
-    A is factored by :func:`_factor`: on the nested-dissection ``tree`` that
-    numbers it (a study's :attr:`igarad.assembly.DofPartition.tree`) as a
-    :class:`FrontalLdlt`, else by SuperLU under minimum degree, which here
-    serves only the tests' oracle (``solve-mm`` factors through
-    :func:`build_cslp` and lets GMRES check the result).  Both pivot
-    statically across blocks, and where a pivot block is ill-conditioned
-    the factor alone leaves a relative residual far above roundoff: on the
-    tree 7.3e-9 on 60 x 45 desk physics at k = 277.5, refined 3.8e-15;
-    with SuperLU 2.2e-12 on the desk run's A, refined 8.6e-16.
+    ``factor.solve`` applies ``F^-1``: in a study the :class:`FoldedSolve`
+    of A's even and odd blocks' tree factors; without one, SuperLU's, the
+    tests' oracle.  Both pivot statically across blocks, so where a pivot
+    block is ill-conditioned the factor alone leaves a residual far above
+    roundoff: with the full grid's tree factor 7.3e-9 on 60 x 45 desk
+    physics at k = 277.5, refined 3.8e-15; with SuperLU 2.2e-12 on the desk
+    run's A, refined 8.6e-16.
     """
     A = as_csr(A)
-    factor = _factor(A, tree, "matrix in direct solve")
+    if factor is None:
+        factor = _SuperLU(A, "matrix in direct solve")
     x = factor.solve(b)
     x += factor.solve(b - A @ x)
     return x

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dissection import full_tree, renumbered
 from forking import blas_at_two_threads, blas_threads, can_split, count_forks  # noqa: F401  a fixture
 from igarad import assembly
 from igarad.assembly import (
@@ -814,21 +815,23 @@ class TestNestedDissection:
 
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(order, n, m)
-        part = classify_dofs(space, cfg).dissected(space)
+        part = classify_dofs(space, cfg)
+        tree, perm = full_tree(space, part)
         grid_order = nested_dissection(space.n, space.m, order, order).order
         assert np.array_equal(np.sort(grid_order), np.arange(space.size))
-        assert np.array_equal(part.free, grid_order[~np.isin(grid_order, part.dirichlet)])
+        assert np.array_equal(tree.order, grid_order[~np.isin(grid_order, part.dirichlet)])
+        assert np.array_equal(part.free[perm], tree.order)
 
     @pytest.mark.parametrize("order, n, m", [(2, 9, 7), (4, 40, 23), (6, 31, 40)])
     def test_tree_postorder_is_the_free_numbering(self, order, n, m):
-        """The free dofs' tree: its postorder is ``partition.free``, every
-        node hangs below a later one, and every subtree owns one contiguous
-        range that ends with its root's own dofs."""
+        """The free dofs' tree: its postorder numbers every free dof once,
+        every node hangs below a later one, and every subtree owns one
+        contiguous range that ends with its root's own dofs."""
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(order, n, m)
-        part = classify_dofs(space, cfg).dissected(space)
-        tree = part.tree
-        assert np.array_equal(tree.order, part.free)
+        part = classify_dofs(space, cfg)
+        tree, _ = full_tree(space, part)
+        assert np.array_equal(np.sort(tree.order), part.free)
         nodes = tree.parent.size
         assert tree.offsets[0] == 0 and tree.offsets[-1] == part.n_free
         assert np.all(np.diff(tree.offsets) >= 0)
@@ -851,11 +854,12 @@ class TestNestedDissection:
         entry of A couples a dof of the first half with one of the second."""
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         space = make_space(4, 40, 20)
-        part = classify_dofs(space, cfg).dissected(space)
+        part = classify_dofs(space, cfg)
+        tree, perm = full_tree(space, part)
         mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
-        A, _ = build_system(mats, part, 10.0, 1.0)
+        A = renumbered(build_system(mats, part, 10.0, 1.0)[0], perm)
         # the first cut is across xi (the longer side): 3 lines in the middle
-        i = part.free % space.n  # xi index of each row of A
+        i = tree.order % space.n  # xi index of each row of A
         a = (space.n - 3) // 2
         left, right = np.flatnonzero(i < a), np.flatnonzero(i >= a + 3)
         assert abs(A[left][:, right]).sum() == 0.0
@@ -866,7 +870,7 @@ class TestNestedDissection:
 
 def mirror_setup(order, n, m):
     """An aperture-aligned ``n x m`` space (``n + 2`` xi functions) on the
-    semicircle, its partition and its mirror fold."""
+    semicircle, its partition and its even and odd mirror folds."""
     cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
     geometry = make_semicircle_patch(cfg)
     kv_xi = make_uniform_open_knots(order, n).with_breakpoints(cfg.aperture_preimage)
@@ -880,8 +884,10 @@ class TestMirrorFold:
     def test_map_pairs_each_free_dof_with_its_mirror(self, order, n, m):
         """T maps each unknown to a free dof in the left columns and to its
         mirror, one dof on the middle column of an odd ``n``; the tree
-        numbers the unknowns."""
-        _, _, space, part, fold = mirror_setup(order, n, m)
+        numbers the unknowns.  The odd map is 1 on the left dof and -1 on
+        its mirror, and leaves out the middle column, with the same tree
+        less that column."""
+        _, _, space, part, (fold, odd) = mirror_setup(order, n, m)
         assert space.n % 2 == n % 2
         T = fold.matrix.toarray()
         assert np.array_equal(T.sum(axis=1), np.ones(part.n_free))  # one unknown per free dof
@@ -895,26 +901,55 @@ class TestMirrorFold:
         assert np.array_equal(T.sum(axis=0), np.where(middle, 1, 2))
         assert fold.n_unknowns == fold.tree.order.size == (part.n_free + middle.sum()) // 2
 
+        assert np.array_equal(odd.tree.order, fold.tree.order[~middle])
+        assert np.array_equal(odd.tree.parent, fold.tree.parent)
+        T_odd = odd.matrix.toarray()
+        on_middle = 2 * (part.free % space.n) == space.n - 1
+        assert np.array_equal(np.abs(T_odd).sum(axis=1), np.where(on_middle, 0, 1))
+        assert np.array_equal(T_odd.sum(axis=1), np.where(on_middle, 0, np.where(left, 1, -1)))
+        assert np.array_equal(T_odd, T[:, ~middle] * np.where(left, 1, -1)[:, None] * ~on_middle[:, None])
+
     @pytest.mark.parametrize("order, n, m", [(3, 20, 12), (4, 21, 12)], ids=["even", "odd"])
     def test_folded_blocks_are_the_products(self, order, n, m):
         """The folded P is ``T^T (A - i beta M) T`` as sparse products form
-        it, with sorted indices: its real and imaginary parts each to
-        roundoff, at k = 10 and at k = 0, where it is ``T^T (S - i M) T``."""
-        _, geometry, space, part, fold = mirror_setup(order, n, m)
+        it, with sorted indices, for the even and the odd map: its real and
+        imaginary parts each to roundoff, at k = 10 and at k = 0, where it
+        is ``T^T (S - i M) T``.  The two maps' unknowns number every free
+        dof once, and no block of A joins them but roundoff (E is
+        mirror-symmetric only to it)."""
+        _, geometry, space, part, folds = mirror_setup(order, n, m)
         mats = assemble(space, geometry, QuadratureRule(space))
         mass = mats.mass[part.free][:, part.free]
         mass.sort_indices()  # an unsorted index set leaves the rows unsorted
-        T = fold.matrix
+        assert folds[0].n_unknowns + folds[1].n_unknowns == part.n_free
         for k, beta in ((10.0, 1.0 / 30.0), (0.0, 1.0)):
             A, _ = build_system(mats, part, k, 1.0)
-            folded = fold_system(mats, part, fold, k, beta)
-            ref = (T.T @ (A - 1j * beta * mass) @ T).tocsr()
-            ref.sort_indices()
-            assert folded.has_sorted_indices
-            assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
-            for component in (np.real, np.imag):
-                error = np.max(np.abs(component(folded.data - ref.data)))
-                assert error <= 1e-14 * np.max(np.abs(component(ref.data)))
+            assert abs(folds[0].matrix.T @ A @ folds[1].matrix).max() <= 1e-15 * abs(A).max()
+            for fold in folds:
+                T = fold.matrix
+                folded = fold_system(mats, part, fold, k, beta)
+                ref = (T.T @ (A - 1j * beta * mass) @ T).tocsr()
+                ref.sort_indices()
+                assert folded.has_sorted_indices
+                assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
+                for component in (np.real, np.imag):
+                    error = np.max(np.abs(component(folded.data - ref.data)))
+                    assert error <= 1e-14 * np.max(np.abs(component(ref.data)))
+
+    @pytest.mark.parametrize("a, r, n", [(0.3, 1.0, 23), (0.3 * 0.35, 0.35, 143)], ids=["convergence", "pollution"])
+    def test_aperture_end_one_ulp_from_a_knot(self, a, r, n):
+        """The studies' domains with 20 k uniform cubic elements: one
+        aperture end equals a uniform knot, the other misses its knot by one
+        ulp.  That knot moves onto the end, so no span is shorter than
+        1e-10 (not 5.6e-17) and the problem stays mirror-symmetric."""
+        from igarad.pipeline import build_discretization
+
+        cfg = DomainConfig(a=a, r=r, theta=math.pi / 4)
+        geometry = make_semicircle_patch(cfg)
+        disc = build_discretization(cfg, geometry, 4, 4, n, n // 2)
+        assert np.min(np.diff(disc.space.kv_xi.breakpoints)) > 1e-10
+        assert disc.space.n == n
+        mirror_fold(disc.space, disc.partition, geometry)
 
     def test_asymmetric_knots_rejected(self):
         cfg, geometry, space, part, _ = mirror_setup(4, 20, 12)

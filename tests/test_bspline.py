@@ -13,7 +13,6 @@ from igarad.bspline import (
     elevate_order,
     eval_basis,
     evaluate_spline,
-    find_span,
     insert_knots,
     make_uniform_open_knots,
     tabulate,
@@ -96,16 +95,31 @@ class TestKnotVectorValidation:
         assert kv.num_basis == 5
 
 
+class TestWithBreakpoints:
+    def test_inserts_new_and_skips_present_values(self):
+        kv = make_uniform_open_knots(3, 6)  # interior knots 1/4, 1/2, 3/4
+        out = kv.with_breakpoints([0.3, 0.5, 0.0, 1.0])
+        assert np.array_equal(out.knots, [0, 0, 0, 0.25, 0.3, 0.5, 0.75, 1, 1, 1])
+        assert kv.with_breakpoints([0.5]) == kv
+
+    def test_knot_within_snap_distance_moves_onto_the_value(self):
+        kv = make_uniform_open_knots(3, 6)
+        for v in (0.5 + 1e-11, 0.5 - 1e-11, np.nextafter(0.5, 1.0)):
+            out = kv.with_breakpoints([v])
+            assert out.num_basis == kv.num_basis and v in out.knots and 0.5 not in out.knots
+        assert kv.with_breakpoints([0.5 + 1e-9]).num_basis == kv.num_basis + 1
+
+
 class TestFindSpan:
     def test_mid_span_cubic(self):
         kv = make_uniform_open_knots(4, 6)  # breakpoints 0, 1/3, 2/3, 1
-        s = find_span(kv, 0.5)
+        s = kv.find_span(0.5)
         assert kv.knots[s] <= 0.5 < kv.knots[s + 1]
         assert kv.knots[s] == pytest.approx(1 / 3)
 
     def test_right_end_is_last_nonempty_span(self):
         kv = make_uniform_open_knots(4, 9)
-        s = find_span(kv, 1.0)
+        s = kv.find_span(1.0)
         assert s == kv.num_basis - 1
         assert kv.knots[s] < kv.knots[s + 1]
 
@@ -113,7 +127,7 @@ class TestFindSpan:
         kv = KnotVector(3, [0, 0, 0, 0.2, 0.5, 0.5, 0.8, 1, 1, 1])
         rng = np.random.default_rng(7)
         for t in rng.uniform(0, 1, 200):
-            s = find_span(kv, t)
+            s = kv.find_span(t)
             brute = max(
                 i for i in range(len(kv.knots) - 1) if kv.knots[i] <= t and kv.knots[i] < kv.knots[i + 1]
             )
@@ -123,9 +137,9 @@ class TestFindSpan:
     def test_domain_error(self):
         kv = make_uniform_open_knots(3, 5)
         with pytest.raises(ValueError):
-            find_span(kv, -0.1)
+            kv.find_span(-0.1)
         with pytest.raises(ValueError):
-            find_span(kv, 1.0001)
+            kv.find_span(1.0001)
 
 
 @st.composite

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from dissection import full_tree, renumbered
 from forking import blas_at_two_threads, blas_threads, can_split  # noqa: F401  a fixture
 from igarad._fork import in_two_processes
 from igarad.assembly import QuadratureRule, assemble, build_system, classify_dofs
@@ -44,12 +45,12 @@ def test_failed_fork_runs_in_one_process(monkeypatch, caplog, blas_at_two_thread
         assert blas_threads() == threads
 
         k = 30.0
-        partition = classify_dofs(space, cfg).dissected(space)
+        partition = classify_dofs(space, cfg)
+        tree, perm = full_tree(space, partition)
         A, b = build_system(mats, partition, k, 1.0)
-        M = mats.mass[partition.free][:, partition.free]
-        M.sort_indices()
-        P = A - 1j / (3 * k) * M
-        precond = build_cslp(P, 1 / (3 * k), tree=partition.tree)
+        P = renumbered(A - 1j / (3 * k) * mats.mass[partition.free][:, partition.free], perm)
+        b = b[perm]
+        precond = build_cslp(P, 1 / (3 * k), tree=tree)
         assert precond.child_peak_rss_mib is None
         assert np.linalg.norm(P @ precond.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
         assert blas_threads() == threads

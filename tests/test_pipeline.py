@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dissection import full_tree, renumbered
 from forking import can_split
 from igarad.bspline import TensorProductSpace, make_uniform_open_knots
 from igarad.pipeline import (
@@ -283,22 +284,18 @@ class TestMirrorFold:
         full P's: within 1e-12 of the full tree's factor of P refined once.
         (That factor alone is off by up to 2.5e-9 on the odd mesh: its
         static pivoting, not the fold; the fold is within 1e-13.)"""
-        from igarad.assembly import build_system, fold_system
+        from igarad.assembly import fold_system
         from igarad.solver import FrontalLdlt, build_cslp
 
-        cfg, result, matrices, *_ = desk_fold
+        cfg, result, matrices, A, _ = desk_fold
         disc, fold = result.discretization, result.discretization.fold
         beta = cfg.beta_factor / cfg.wavenumber
         precond = build_cslp(fold_system(matrices, disc.partition, fold, cfg.wavenumber, beta), beta,
                              tree=fold.tree, fold=fold.matrix)
         # the full P in the grid's nested-dissection order: a run's free dof order[i] is its i-th dof
-        dissected = disc.partition.dissected(disc.space)
-        order = np.searchsorted(disc.partition.free, dissected.free)
-        A_nd, _ = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude)
-        M_nd = matrices.mass[dissected.free][:, dissected.free]
-        M_nd.sort_indices()
-        P_nd = A_nd - 1j * beta * M_nd
-        full = FrontalLdlt(P_nd, dissected.tree, "full P")
+        tree, order = full_tree(disc.space, disc.partition)
+        P_nd = renumbered(A - 1j * beta * matrices.mass[disc.partition.free][:, disc.partition.free], order)
+        full = FrontalLdlt(P_nd, tree, "full P")
         rng = np.random.default_rng(7)
         v = fold.matrix @ (rng.standard_normal(fold.n_unknowns) + 1j * rng.standard_normal(fold.n_unknowns))
         ref_nd = full.solve(v[order])
@@ -331,16 +328,15 @@ class TestMirrorFold:
     def test_run_matches_direct_solve_of_the_full_system(self, desk_fold):
         """GMRES on the full free system, preconditioned by the fold, lands on
         the full system's direct solution: 2.2e-14 and 2.8e-14 measured."""
-        from igarad.assembly import build_system
-        from igarad.solver import direct_solve
+        from igarad.solver import FrontalLdlt, direct_solve
 
-        cfg, result, matrices, _, _ = desk_fold
+        _, result, _, A, b = desk_fold
         disc = result.discretization
-        dissected = disc.partition.dissected(disc.space)
-        A, b = build_system(matrices, dissected, cfg.wavenumber, cfg.amplitude)
-        x = direct_solve(A, b, tree=dissected.tree)
+        tree, perm = full_tree(disc.space, disc.partition)
+        A = renumbered(A, perm)
+        x = direct_solve(A, b[perm], factor=FrontalLdlt(A, tree, "A"))
         assert result.solve_report.outer_iterations == 1
-        rel = np.linalg.norm(result.field.coefficients[dissected.free] - x) / np.linalg.norm(x)
+        rel = np.linalg.norm(result.field.coefficients[disc.partition.free[perm]] - x) / np.linalg.norm(x)
         assert rel <= 1e-12
 
 
@@ -357,7 +353,7 @@ class TestRunSystem:
                             lambda n, m, *orders: grids.append((n, m)) or nested_dissection(n, m, *orders))
         disc = discretize(RunConfig.from_json(CONFIG_DIR / "desk_radiation_k300.json", n=41, m=30))
         part = disc.partition
-        assert part.tree is None and np.all(np.diff(part.free) > 0)
+        assert np.all(np.diff(part.free) > 0)
         assert np.array_equal(np.union1d(part.free, part.dirichlet), np.arange(disc.space.size))
         assert grids == [((disc.space.n + 1) // 2, disc.space.m)]  # the fold's half grid alone
 
@@ -393,20 +389,21 @@ class TestRunSystem:
         assert np.array_equal(folded.indptr, ref.indptr) and np.array_equal(folded.indices, ref.indices)
         assert np.max(np.abs(folded.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
 
-    def test_study_partition_is_dissected(self):
-        """A study's free dofs follow the grid's nested dissection, and its
-        partition carries the tree the direct solve factors A on."""
-        from igarad.assembly import nested_dissection
-        from igarad.geometry import DomainConfig, make_semicircle_patch
-        from igarad.mms import PlaneWave
-        from igarad.pipeline import _manufactured_level
+    def test_study_builds_only_half_grid_trees(self, monkeypatch):
+        """A study keeps grid order and factors the even and odd blocks of
+        each mesh on the one tree of its left half: no tree of a full grid
+        is built."""
+        from igarad import assembly
+        from igarad.pipeline import convergence_study
 
-        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
-        disc, _ = _manufactured_level(cfg, make_semicircle_patch(cfg), 4, 20, PlaneWave(10.0))
-        part, space = disc.partition, disc.space
-        grid_order = nested_dissection(space.n, space.m, 4, 4).order
-        assert np.array_equal(part.free, grid_order[~np.isin(grid_order, part.dirichlet)])
-        assert np.array_equal(part.tree.order, part.free)
+        grids = []
+        nested_dissection = assembly.nested_dissection
+        monkeypatch.setattr(assembly, "nested_dissection",
+                            lambda n, m, *orders: grids.append((n, m)) or nested_dissection(n, m, *orders))
+        rows = convergence_study(order=3, levels=2, base_n=11, direction=(0.6, 0.8))
+        meshes = [(r.dofs // max(3, r.n // 2), max(3, r.n // 2)) for r in rows]  # (space.n, space.m)
+        assert meshes[0][0] % 2 != meshes[1][0] % 2  # one even and one odd number of xi functions
+        assert grids == [((n + 1) // 2, m) for n, m in meshes]
 
 
 class TestStudies:
@@ -428,7 +425,7 @@ class TestStudies:
         kvx = make_uniform_open_knots(4, row.n).with_breakpoints([xi_l, xi_r])
         kve = make_uniform_open_knots(4, max(4, row.n // 2))
         space = TensorProductSpace(kvx, kve)
-        part = classify_dofs(space, cfg).dissected(space)
+        part = classify_dofs(space, cfg)
         quad = QuadratureRule(space)
         mats = assemble(space, geometry, quad)
         wave = PlaneWave(20.0, (0.0, 1.0))
@@ -992,13 +989,14 @@ class TestCli:
             ("--beta=-1e-300",),
             ("--beta", "inf"),
             ("--beta", "1"),
+            ("--mass", "missing.mtx"),
         ],
     )
     def test_solve_mm_bad_setting_exit_code(self, tmp_path, flag):
         # the inputs do not exist: settings are checked before any file is read;
         # a shift that is NaN, negative (however small) or infinite (also by
-        # overflow) is rejected, and a shift without --mass is a bad setting,
-        # not one silently ignored
+        # overflow) is rejected, and a shift without --mass, or --mass without
+        # a shift, is a bad setting, not one silently ignored
         missing = str(tmp_path / "missing.mtx")
         proc = self._run("solve-mm", missing, missing, *flag)
         assert proc.returncode == 2, proc.stderr
@@ -1080,15 +1078,15 @@ class TestCli:
         save_vector(tmp_path / "b.mtx", np.ones(5, dtype=complex))
         proc = self._run(
             "solve-mm", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"),
-            "--mass", str(tmp_path / "M.mtx"),
+            "--mass", str(tmp_path / "M.mtx"), "--beta", "1",
         )
         assert proc.returncode == 2, proc.stderr
-        assert "bad configuration" in proc.stderr
+        assert "bad configuration" in proc.stderr and "6 x 6 mass matrix" in proc.stderr
 
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--mass", "M.mtx"), "singular shifted-Laplacian factorization"),
+            (("--mass", "M.mtx", "--beta", "1"), "singular shifted-Laplacian factorization"),
             ((), "singular shifted-Laplacian factorization"),
         ],
     )

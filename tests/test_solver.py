@@ -10,6 +10,7 @@ import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from dissection import full_tree, renumbered
 from forking import blas_at_two_threads, blas_threads, can_split, count_forks  # noqa: F401  a fixture
 from igarad import solver
 from igarad.solver import (
@@ -209,7 +210,7 @@ class TestDirectSolve:
         else:  # the finest mesh of the cubic manufactured-solution study
             cfg, space = mms_space(160, 80)
             A, b, _, tree = grid_system(space, cfg, 10.0)
-        x = direct_solve(A, b, tree=tree)
+        x = direct_solve(A, b, factor=FrontalLdlt(A, tree, "A"))
         oracle = direct_solve(A, b)
         assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) <= 1e-10
         assert relative_residual(A, x, b) <= 1e-13
@@ -221,7 +222,7 @@ class TestDirectSolve:
         A, b, tree = desk_physics_system(60, 45, 277.5)
         unrefined = FrontalLdlt(A, tree, "A").solve(b)
         assert relative_residual(A, unrefined, b) > 1e-10
-        assert relative_residual(A, direct_solve(A, b, tree=tree), b) <= 1e-13
+        assert relative_residual(A, direct_solve(A, b, factor=FrontalLdlt(A, tree, "A")), b) <= 1e-13
 
     def test_superlu_solve_is_refined(self, desk_system):
         """Without a tree the desk run's A is factored by SuperLU, whose
@@ -235,8 +236,8 @@ class TestDirectSolve:
 
         A = sp.csr_matrix(np.diag([2.0, 1.0, 0.0]).astype(complex))
         leaf_and_root = DissectionTree(np.arange(3), np.array([0, 1, 3]), np.array([1, -1]))
-        with pytest.raises(RuntimeError, match="^singular matrix in direct solve: "):
-            direct_solve(A, np.ones(3, dtype=complex), tree=leaf_and_root)
+        with pytest.raises(RuntimeError, match="^singular A: "):
+            direct_solve(A, np.ones(3, dtype=complex), factor=FrontalLdlt(A, leaf_and_root, "A"))
 
     def test_tree_solve_makes_no_copy_of_a(self, desk_system):
         """The direct solve on the tree allocates what the factor stores,
@@ -250,7 +251,7 @@ class TestDirectSolve:
         nnz, nbytes = frontal_storage(A, tree)
         tracemalloc.start()
         try:
-            direct_solve(A, b, tree=tree)
+            direct_solve(A, b, factor=FrontalLdlt(A, tree, "A"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -359,26 +360,29 @@ def _live_front_bytes(W, X):
 @pytest.fixture(scope="module")
 def desk_system():
     """``(A, b, M_ff, beta, tree)`` of the desk run (10,980 dofs), with the
-    free mass block and the nested-dissection tree of the free dofs."""
+    free mass block, numbered by the nested-dissection tree of the whole
+    grid's free dofs (:func:`dissection.full_tree`)."""
     from pathlib import Path
 
-    from igarad.assembly import assemble, build_system
+    from igarad.assembly import assemble
     from igarad.pipeline import RunConfig, discretize
 
     config = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
     disc = discretize(config)
-    partition = disc.partition.dissected(disc.space)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
-    k = config.wavenumber
-    A, b = build_system(mats, partition, k, config.amplitude)
-    return A, b, free_mass(mats, partition), config.beta_factor / k, partition.tree
+    A, b, mass, tree = dissected_system(mats, disc.space, disc.partition, config.wavenumber, config.amplitude)
+    return A, b, mass, config.beta_factor / config.wavenumber, tree
 
 
-def free_mass(mats, partition):
-    """The free-free block of the mass matrix, with sorted indices."""
-    block = mats.mass[partition.free][:, partition.free]
-    block.sort_indices()  # an unsorted index set leaves the rows unsorted
-    return block
+def dissected_system(mats, space, partition, k, values):
+    """``(A, b, M_ff, tree)``: the free system at ``k`` with Dirichlet values
+    ``values`` and the free mass block, renumbered by the whole grid's
+    nested-dissection tree."""
+    from igarad.assembly import build_system
+
+    tree, perm = full_tree(space, partition)
+    A, b = build_system(mats, partition, k, values)
+    return renumbered(A, perm), b[perm], renumbered(mats.mass[partition.free][:, partition.free], perm), tree
 
 
 def natural_splu(matrix):
@@ -412,7 +416,7 @@ class TestFactorize:
         A, b, mass, beta, tree = desk_system
         P = A - 1j * beta * mass
         assert natural_splu(P).nnz <= _SuperLU(P, "P").nnz
-        x = direct_solve(A, b, tree=tree)
+        x = direct_solve(A, b, factor=FrontalLdlt(A, tree, "A"))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_ordered_preconditioner_makes_no_copy_of_p(self, desk_system):
@@ -457,15 +461,13 @@ class TestFactorize:
 
 def grid_system(space, cfg, k):
     """``(A, b, M_ff, tree)`` of the semicircle problem on ``space`` at
-    wavenumber ``k``: the free mass block and the nested-dissection tree of
-    the free dofs."""
-    from igarad.assembly import QuadratureRule, assemble, build_system, classify_dofs
+    wavenumber ``k``, numbered by the whole grid's nested-dissection tree
+    (:func:`dissected_system`)."""
+    from igarad.assembly import QuadratureRule, assemble, classify_dofs
     from igarad.geometry import make_semicircle_patch
 
-    part = classify_dofs(space, cfg).dissected(space)
     mats = assemble(space, make_semicircle_patch(cfg), QuadratureRule(space))
-    A, b = build_system(mats, part, k, 1.0)
-    return A, b, free_mass(mats, part), part.tree
+    return dissected_system(mats, space, classify_dofs(space, cfg), k, 1.0)
 
 
 def relative_residual(P, x, b):
@@ -505,16 +507,15 @@ def desk_physics_system(n, m, k):
     from dataclasses import replace
     from pathlib import Path
 
-    from igarad.assembly import assemble, build_system
+    from igarad.assembly import assemble
     from igarad.pipeline import RunConfig, discretize
 
     base = RunConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "desk_radiation_k300.json")
     config = replace(base, n=n, m=m, frequency=k * base.sound_speed / (2 * math.pi))
     disc = discretize(config)
-    partition = disc.partition.dissected(disc.space)
     mats = assemble(disc.space, disc.geometry, disc.quadrature)
-    A, b = build_system(mats, partition, config.wavenumber, config.amplitude)
-    return A, b, partition.tree
+    A, b, _, tree = dissected_system(mats, disc.space, disc.partition, config.wavenumber, config.amplitude)
+    return A, b, tree
 
 
 def aperture_leaves_system():
@@ -610,7 +611,7 @@ class TestFrontalLdlt:
         x, rep = gmres(A, b, build_cslp(A - 1j * beta * mass, beta, tree=tree))
         assert rep.converged and rep.outer_iterations == 1
         assert rep.true_residual <= 1e-10
-        x_direct = direct_solve(A, b, tree=tree)
+        x_direct = direct_solve(A, b, factor=FrontalLdlt(A, tree, "A"))
         assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) <= 1e-7
 
     def test_node_without_free_dofs_passes_its_updates_on(self):
