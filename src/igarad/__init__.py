@@ -19,7 +19,6 @@ from .bspline import (
 from .geometry import (
     CoonsSurface,
     DomainConfig,
-    JacobianData,
     RationalCurve,
     coons_patch,
     make_arc,
@@ -68,7 +67,6 @@ __all__ = [
     "make_uniform_open_knots",
     "CoonsSurface",
     "DomainConfig",
-    "JacobianData",
     "RationalCurve",
     "coons_patch",
     "make_arc",

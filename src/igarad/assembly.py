@@ -222,11 +222,11 @@ class DofPartition:
     basis function vanishes identically on that segment.  ``dirichlet`` is
     sorted.  ``free`` numbers the free dofs in grid order (sorted): the
     restricted system's row and column ``i`` belong to dof ``free[i]``.
+    The aperture itself is the domain's
+    (:attr:`igarad.geometry.DomainConfig.aperture_preimage`).
     """
 
     dirichlet: np.ndarray
-    xi_left: float
-    xi_right: float
     free: np.ndarray
 
     @property
@@ -254,7 +254,7 @@ def classify_dofs(space: TensorProductSpace, cfg: DomainConfig) -> DofPartition:
     dirichlet = i_all[on_aperture].astype(np.int64)  # flat q = 0*n + i
     is_free = np.ones(space.size, dtype=bool)
     is_free[dirichlet] = False
-    return DofPartition(dirichlet=dirichlet, xi_left=xi_left, xi_right=xi_right, free=np.flatnonzero(is_free))
+    return DofPartition(dirichlet=dirichlet, free=np.flatnonzero(is_free))
 
 
 _ND_LEAF = 32  # blocks this small keep the natural order; 64 fills 3 % more at 27,936 dofs

@@ -303,27 +303,18 @@ def make_patch_boundary(cfg: DomainConfig):
     return c_b, c_t, c_l.reparametrized(_SIDE_MAP), c_r.reparametrized(_SIDE_MAP)
 
 
-@dataclass(frozen=True)
-class JacobianData:
-    """Surface Jacobian at one parametric point (columns F_xi, F_eta)."""
-
-    J: np.ndarray
-    det: float
-    mean_ratio: float
-
-
 class CoonsSurface:
     """Tensor-product rational B-spline surface (the domain parametrization).
 
     Control net ``ctrl[i, j]`` with weights ``w[i, j]``; ``i`` runs along
     xi (bottom/top direction), ``j`` along eta (left/right direction).
 
-    The mean-ratio quality reported by :meth:`jacobian` and
-    :meth:`quality_grid` is measured against a reference rectangle with
-    the patch's physical aspect ratio (width x height of the mapped
-    domain): it is 1 where the map is conformal up to that overall
-    aspect and tends to 0 at degenerate points.  For unit-aspect domains
-    this is the classical ``2 det J / (|F_xi|^2 + |F_eta|^2)``.
+    The mean-ratio quality reported by :meth:`quality_grid` is measured
+    against a reference rectangle with the patch's physical aspect ratio
+    (width x height of the mapped domain): it is 1 where the map is
+    conformal up to that overall aspect and tends to 0 at degenerate
+    points.  For unit-aspect domains this is the classical
+    ``2 det J / (|F_xi|^2 + |F_eta|^2)``.
     """
 
     def __init__(self, ctrl, weights, kv_xi: KnotVector, kv_eta: KnotVector) -> None:
@@ -408,13 +399,6 @@ class CoonsSurface:
     def evaluate(self, xi: float, eta: float) -> np.ndarray:
         """Single surface point."""
         return self.evaluate_grid([xi], [eta])[0, 0]
-
-    def jacobian(self, xi: float, eta: float) -> JacobianData:
-        """Jacobian data at a single parametric point."""
-        _, F_xi, F_eta, det = self.jacobian_grid([xi], [eta])
-        J = np.column_stack([F_xi[0, 0], F_eta[0, 0]])
-        mr = self._mean_ratio(F_xi, F_eta, det)
-        return JacobianData(J=J, det=float(det[0, 0]), mean_ratio=float(mr[0, 0]))
 
     def quality_grid(self, grid_res: int):
         """Mean-ratio samples on a uniform parametric grid.

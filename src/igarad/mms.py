@@ -10,24 +10,15 @@ Discretization errors against ``u*`` then measure the scheme directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assembly import (
-    DofPartition,
-    QuadratureRule,
-    SystemMatrices,
-    _direction_rule,
-    _tabulate,
-    build_system,
-    edge_load,
-    expand_solution,
-    fold_system,
-    mirror_fold,
-)
-from .bspline import TensorProductSpace
+from .assembly import SystemMatrices, _direction_rule, _tabulate, build_system, edge_load, expand_solution, fold_system
 from .bspline import basis_matrix, eval_basis  # noqa: F401  bench/layers.py traces these names
-from .geometry import CoonsSurface
+
+if TYPE_CHECKING:
+    from .pipeline import Discretization
 
 
 @dataclass(frozen=True)
@@ -62,21 +53,16 @@ class PlaneWave:
         return 1j * self.wavenumber * dn * self.value(points)
 
 
-def dirichlet_trace(
-    space: TensorProductSpace,
-    geometry: CoonsSurface,
-    partition: DofPartition,
-    wave: PlaneWave,
-) -> np.ndarray:
-    """L2 projection of the exact trace onto the aperture dofs.
+def dirichlet_trace(disc: Discretization, wave: PlaneWave) -> np.ndarray:
+    """L2 projection of the exact trace onto the aperture dofs of ``disc``.
 
     The Dirichlet dofs are the bottom-row functions supported on the
     aperture; their restrictions are linearly independent there, so the
     Gram system is well posed.
     """
-    kv = space.kv_xi
-    rule = _direction_rule(kv, kv.order + 2, partition.xi_left, partition.xi_right)
-    pts = geometry.evaluate_grid(rule.nodes.ravel(), [0.0])[:, 0, :]
+    kv, partition = disc.space.kv_xi, disc.partition
+    rule = _direction_rule(kv, kv.order + 2, *disc.domain.aperture_preimage)
+    pts = disc.geometry.evaluate_grid(rule.nodes.ravel(), [0.0])[:, 0, :]
     wv = rule.weights * wave.value(pts).reshape(rule.weights.shape)
     b, _, first = _tabulate(kv, rule)  # b[e, a, q]
     # every function active on the aperture is a Dirichlet dof; the flat
@@ -90,19 +76,15 @@ def dirichlet_trace(
     return np.linalg.solve(gram, rhs)
 
 
-def manufactured_data(
-    space: TensorProductSpace,
-    geometry: CoonsSurface,
-    quad: QuadratureRule,
-    partition: DofPartition,
-    wave: PlaneWave,
-):
-    """Boundary load vector and Dirichlet coefficients for ``wave``.
+def manufactured_data(disc: Discretization, wave: PlaneWave):
+    """Boundary load vector and Dirichlet coefficients for ``wave`` on ``disc``.
 
     Robin data ``du*/dn + i k u*`` acts on the three arc edges, Neumann
     data ``du*/dn`` on the baffle part of the bottom edge.
     """
     k = wave.wavenumber
+    space, geometry, quad = disc.space, disc.geometry, disc.quadrature
+    left, right = disc.domain.aperture_preimage
 
     def robin(pts, normals):
         return wave.normal_derivative(pts, normals) + 1j * k * wave.value(pts)
@@ -113,64 +95,47 @@ def manufactured_data(
     load = np.zeros(space.size, dtype=complex)
     for edge in ("left", "top", "right"):
         load += edge_load(space, geometry, quad, edge, robin)
-    load += edge_load(space, geometry, quad, "bottom", neumann, t_range=(0.0, partition.xi_left))
-    load += edge_load(space, geometry, quad, "bottom", neumann, t_range=(partition.xi_right, 1.0))
-    values = dirichlet_trace(space, geometry, partition, wave)
-    return load, values
+    load += edge_load(space, geometry, quad, "bottom", neumann, t_range=(0.0, left))
+    load += edge_load(space, geometry, quad, "bottom", neumann, t_range=(right, 1.0))
+    return load, dirichlet_trace(disc, wave)
 
 
-def solve_manufactured(
-    space: TensorProductSpace,
-    geometry: CoonsSurface,
-    quad: QuadratureRule,
-    partition: DofPartition,
-    matrices: SystemMatrices,
-    wave: PlaneWave,
-) -> np.ndarray:
-    """Full coefficient vector of the discrete solution for ``wave``.  The
-    problem (not the wave) is mirror-symmetric, so A's even and odd blocks
-    (:func:`igarad.assembly.mirror_fold`, ``ValueError`` if not) are
-    factored on their half grid's tree one after the other, and the direct
-    solve applies ``sum T F^-1 T^T`` (:class:`igarad.solver.FoldedSolve`)."""
+def solve_manufactured(disc: Discretization, matrices: SystemMatrices, wave: PlaneWave) -> np.ndarray:
+    """Full coefficient vector of the discrete solution for ``wave`` on
+    ``disc``, whose assembled ``matrices`` are given.  The problem (not the
+    wave) is mirror-symmetric, so A's even and odd blocks (on
+    ``disc.folds``) are factored on their half grid's tree one after the
+    other, and the direct solve applies ``sum T F^-1 T^T``
+    (:class:`igarad.solver.FoldedSolve`)."""
     from .solver import FoldedSolve, FrontalLdlt, direct_solve
 
-    load, values = manufactured_data(space, geometry, quad, partition, wave)
-    A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
-    blocks = [(fold.matrix, FrontalLdlt(fold_system(matrices, partition, fold, wave.wavenumber, 0.0), fold.tree,
-                                        f"{parity} block of A"))
-              for fold, parity in zip(mirror_fold(space, partition, geometry), ("even", "odd"))]
+    load, values = manufactured_data(disc, wave)
+    A, b = build_system(matrices, disc.partition, wave.wavenumber, values, load=load)
+    blocks = [(fold.matrix, FrontalLdlt(fold_system(matrices, disc.partition, fold, wave.wavenumber, 0.0),
+                                        fold.tree, f"{parity} block of A"))
+              for fold, parity in zip(disc.folds, ("even", "odd"))]
     x = direct_solve(A, b, factor=FoldedSolve(blocks))
-    return expand_solution(partition, x, values)
+    return expand_solution(disc.partition, x, values)
 
 
-def l2_error(
-    space: TensorProductSpace,
-    geometry: CoonsSurface,
-    alpha: np.ndarray,
-    wave: PlaneWave,
-    quad: QuadratureRule,
-) -> float:
-    """L2(domain) error of the coefficient field against the plane wave."""
+def l2_error(disc: Discretization, alpha: np.ndarray, wave: PlaneWave) -> float:
+    """L2(domain) error of the coefficient field ``alpha`` on ``disc`` against the plane wave."""
+    quad = disc.quadrature
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
-    F, _, _, det = geometry.jacobian_grid(xis, etas)
-    uh = space.evaluate(alpha, xis, etas)
+    F, _, _, det = disc.geometry.jacobian_grid(xis, etas)
+    uh = disc.space.evaluate(alpha, xis, etas)
     diff2 = np.abs(uh - wave.value(F)) ** 2
     w2d = np.outer(quad.xi.weights.ravel(), quad.eta.weights.ravel())
     return float(np.sqrt(np.sum(diff2 * det * w2d)))
 
 
-def h1_semi_error(
-    space: TensorProductSpace,
-    geometry: CoonsSurface,
-    alpha: np.ndarray,
-    wave: PlaneWave,
-    quad: QuadratureRule,
-) -> float:
-    """H1 seminorm (energy) error against the plane wave."""
+def h1_semi_error(disc: Discretization, alpha: np.ndarray, wave: PlaneWave) -> float:
+    """H1 seminorm (energy) error of ``alpha`` on ``disc`` against the plane wave."""
+    quad = disc.quadrature
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
-    F, F_xi, F_eta, det = geometry.jacobian_grid(xis, etas)
-    du_dxi = space.evaluate(alpha, xis, etas, (1, 0))
-    du_deta = space.evaluate(alpha, xis, etas, (0, 1))
+    F, F_xi, F_eta, det = disc.geometry.jacobian_grid(xis, etas)
+    du_dxi = disc.space.evaluate(alpha, xis, etas, (1, 0))
+    du_deta = disc.space.evaluate(alpha, xis, etas, (0, 1))
     # physical gradient via J^{-T} (columns F_xi, F_eta)
     gx = (F_eta[..., 1] * du_dxi - F_xi[..., 1] * du_deta) / det
     gy = (-F_eta[..., 0] * du_dxi + F_xi[..., 0] * du_deta) / det
@@ -180,9 +145,10 @@ def h1_semi_error(
     return float(np.sqrt(np.sum(diff2 * det * w2d)))
 
 
-def l2_norm(space, geometry, wave, quad) -> float:
-    """L2 norm of the exact solution (for relative errors)."""
+def l2_norm(disc: Discretization, wave: PlaneWave) -> float:
+    """L2 norm of the exact solution on ``disc``'s domain (for relative errors)."""
+    quad = disc.quadrature
     xis, etas = quad.xi.nodes.ravel(), quad.eta.nodes.ravel()
-    F, _, _, det = geometry.jacobian_grid(xis, etas)
+    F, _, _, det = disc.geometry.jacobian_grid(xis, etas)
     w2d = np.outer(quad.xi.weights.ravel(), quad.eta.weights.ravel())
     return float(np.sqrt(np.sum(np.abs(wave.value(F)) ** 2 * det * w2d)))

@@ -15,7 +15,7 @@ import logging
 import math
 import resource
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,17 +156,27 @@ class RunConfig:
 
 @dataclass
 class Discretization:
-    """Geometry, spaces and dof split shared by solves on one config.  The
-    free dofs are in grid order (:func:`igarad.assembly.classify_dofs`); a
-    run's (:func:`discretize`) has the even mirror ``fold`` its
-    preconditioner is factored on, and a study's solve folds its own."""
+    """A mesh: geometry, spaces, dof split, quadrature and mirror maps.  The
+    free dofs are in grid order (:func:`igarad.assembly.classify_dofs`);
+    ``folds`` are the even and the odd :class:`igarad.assembly.MirrorFold`
+    of them.  A run's preconditioner is factored on the even map; a
+    study's direct solve factors A's block on each.  The aperture is
+    ``domain.aperture_preimage``."""
 
     domain: DomainConfig
     geometry: CoonsSurface
     space: TensorProductSpace
     partition: DofPartition
     quadrature: QuadratureRule
-    fold: MirrorFold | None = None
+    folds: tuple[MirrorFold, MirrorFold]
+
+
+def _mesh_space(domain: DomainConfig, geometry: CoonsSurface, order_xi: int, order_eta: int,
+                n: int, m: int) -> TensorProductSpace:
+    """The spline space of :func:`build_discretization`."""
+    breaks = [*domain.aperture_preimage, *geometry.kv_xi.breakpoints[1:-1]]
+    kv_xi = make_uniform_open_knots(order_xi, n).with_breakpoints(breaks)
+    return TensorProductSpace(kv_xi, make_uniform_open_knots(order_eta, m))
 
 
 def build_discretization(
@@ -177,31 +187,38 @@ def build_discretization(
     n: int,
     m: int,
 ) -> Discretization:
-    """Uniform ``n x m`` B-spline spaces on ``geometry``, their dof split and quadrature.
+    """Uniform ``n x m`` B-spline spaces on ``geometry``, their dof split,
+    quadrature and mirror maps (:func:`igarad.assembly.mirror_fold`).
 
-    Runs (:func:`discretize`) and both studies build every mesh here.  The
-    aperture preimages are inserted as xi knots, so xi has ``n + 2`` functions,
-    and so are the geometry's interior xi breakpoints, so that no element
-    straddles a kink of the map: a patch with ``theta < pi/4`` is only C^0
-    across xi = 1/2, and a Gauss node on the kink would see one side's
-    Jacobian (xi gets one more function where the uniform knots miss 1/2).
+    Runs (:func:`discretize`) and both studies build every mesh here, and
+    ``ValueError`` rejects a problem that is not mirror-symmetric before
+    any assembly.  The aperture preimages are inserted as xi knots, so xi
+    has ``n + 2`` functions, and so are the geometry's interior xi
+    breakpoints, so that no element straddles a kink of the map: a patch
+    with ``theta < pi/4`` is only C^0 across xi = 1/2, and a Gauss node on
+    the kink would see one side's Jacobian (xi gets one more function
+    where the uniform knots miss 1/2).
     """
-    breaks = [*domain.aperture_preimage, *geometry.kv_xi.breakpoints[1:-1]]
-    kv_xi = make_uniform_open_knots(order_xi, n).with_breakpoints(breaks)
-    space = TensorProductSpace(kv_xi, make_uniform_open_knots(order_eta, m))
+    space = _mesh_space(domain, geometry, order_xi, order_eta, n, m)
     partition = classify_dofs(space, domain)
-    quadrature = QuadratureRule(space)
-    return Discretization(domain, geometry, space, partition, quadrature)
+    return Discretization(domain, geometry, space, partition, QuadratureRule(space),
+                          mirror_fold(space, partition, geometry))
 
 
 def discretize(config: RunConfig) -> Discretization:
-    """A run's :func:`build_discretization` with its even mirror fold
-    (:func:`igarad.assembly.mirror_fold`); ``ValueError`` if the problem is
-    not mirror-symmetric."""
+    """A run's :func:`build_discretization`.  A mesh of more than
+    ``FULL_SCALE_DOFS`` dofs without ``config.full_scale`` is refused with
+    ``ValueError`` from its knot vectors, before any per-dof work."""
     domain = config.domain()
     geometry = make_semicircle_patch(domain)
-    disc = build_discretization(domain, geometry, config.order_xi, config.order_eta, config.n, config.m)
-    return replace(disc, fold=mirror_fold(disc.space, disc.partition, geometry)[0])
+    mesh = (domain, geometry, config.order_xi, config.order_eta, config.n, config.m)
+    N = _mesh_space(*mesh).size
+    if N > FULL_SCALE_DOFS and not config.full_scale:
+        raise ValueError(
+            f"{N} dofs exceeds the desk-scale limit {FULL_SCALE_DOFS}; "
+            "pass full_scale=true (--full-scale) to proceed"
+        )
+    return build_discretization(*mesh)
 
 
 class SolutionField:
@@ -298,7 +315,7 @@ class RunResult:
                 "n_actual": disc.space.n,
                 "m_actual": disc.space.m,
                 "n_free": disc.partition.n_free,
-                "factor_unknowns": disc.fold.n_unknowns,
+                "factor_unknowns": disc.folds[0].n_unknowns,
                 "n_dirichlet": disc.partition.n_dirichlet,
                 "dirichlet_deviation": self.dirichlet_deviation,
                 "system_nnz": self.system_nnz,
@@ -340,25 +357,16 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     if write_outputs:
         Path(config.outdir).mkdir(parents=True, exist_ok=True)
     disc = stage("discretize", lambda: discretize(config))
-    N = disc.space.size
-    if N > FULL_SCALE_DOFS and not config.full_scale:
-        raise PipelineError(
-            "discretize",
-            ValueError(
-                f"{N} dofs exceeds the desk-scale limit {FULL_SCALE_DOFS}; "
-                "pass full_scale=true (--full-scale) to proceed"
-            ),
-        )
-
     matrices = stage("assemble", lambda: assemble(disc.space, disc.geometry, disc.quadrature))
 
     k = config.wavenumber
     beta = config.beta_factor / k
+    fold = disc.folds[0]
 
     def _system():
         # the folded T^T P T the preconditioner factors, then the full free
         # system GMRES solves
-        folded = fold_system(matrices, disc.partition, disc.fold, k, beta)
+        folded = fold_system(matrices, disc.partition, fold, k, beta)
         A, b = build_system(matrices, disc.partition, k, config.amplitude)
         return A, b, folded
 
@@ -367,7 +375,6 @@ def run(config: RunConfig, write_outputs: bool = True) -> RunResult:
     if not config.dump_matrices:
         matrices = None  # S, M and E are not needed past here
 
-    fold = disc.fold
     precond = stage("factor", lambda: build_cslp(folded, beta, tree=fold.tree, fold=fold.matrix))
     folded = None
     x, solve_report = stage("solve", lambda: gmres(A, b, precond))
@@ -501,8 +508,7 @@ def _write_report(result: RunResult) -> str:
 def _manufactured_level(domain: DomainConfig, geometry: CoonsSurface, order: int, n: int, wave):
     """One study mesh (``n x n/2``, aperture-aligned) and its discrete solution for ``wave``."""
     disc = build_discretization(domain, geometry, order, order, n, max(order, n // 2))
-    matrices = assemble(disc.space, geometry, disc.quadrature)
-    return disc, mms.solve_manufactured(disc.space, geometry, disc.quadrature, disc.partition, matrices, wave)
+    return disc, mms.solve_manufactured(disc, assemble(disc.space, geometry, disc.quadrature), wave)
 
 
 @dataclass
@@ -535,9 +541,9 @@ def convergence_study(
     n = base_n
     for level in range(levels):
         disc, alpha = _manufactured_level(cfg, geometry, order, n, wave)
-        space, quad = disc.space, disc.quadrature
-        e2 = mms.l2_error(space, geometry, alpha, wave, quad)
-        eh = mms.h1_semi_error(space, geometry, alpha, wave, quad)
+        space = disc.space
+        e2 = mms.l2_error(disc, alpha, wave)
+        eh = mms.h1_semi_error(disc, alpha, wave)
         h = float(np.max(np.diff(space.kv_xi.breakpoints)))
         if rows:
             ratio = math.log(rows[-1].mesh_size / h)
@@ -593,11 +599,8 @@ def pollution_study(
             n = max(order + 2, int(math.ceil(points_per_wavelength * k * radius / math.pi)))
             wave = mms.PlaneWave(k, (0.0, 1.0))
             disc, alpha = _manufactured_level(cfg, geometry, order, n, wave)
-            space, quad = disc.space, disc.quadrature
-            rel = mms.l2_error(space, geometry, alpha, wave, quad) / mms.l2_norm(
-                space, geometry, wave, quad
-            )
-            rows.append(PollutionRow(order, k, n, space.size, rel))
+            rel = mms.l2_error(disc, alpha, wave) / mms.l2_norm(disc, wave)
+            rows.append(PollutionRow(order, k, n, disc.space.size, rel))
     return rows
 
 

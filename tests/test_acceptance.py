@@ -164,8 +164,8 @@ class TestCriterion3AssemblyOracle:
 class TestCriterion4Dirichlet:
     def test_boundary_value_after_solve(self, desk_run):
         """max over 200 aperture samples of |u - C| after a desk solve."""
-        xi_l = desk_run.discretization.partition.xi_left
-        xi_r = desk_run.discretization.partition.xi_right
+        xi_l = desk_run.discretization.domain.aperture_preimage[0]
+        xi_r = desk_run.discretization.domain.aperture_preimage[1]
         xis = np.linspace(xi_l, xi_r, 200)
         vals = desk_run.field.evaluate_grid(xis, [0.0])[:, 0]
         dev = float(np.max(np.abs(vals - desk_run.config.amplitude)))

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from igarad.assembly import QuadratureRule, assemble, classify_dofs
-from igarad.bspline import TensorProductSpace, make_uniform_open_knots
+from igarad.assembly import assemble
 from igarad.geometry import DomainConfig, make_semicircle_patch
 from igarad.mms import (
     PlaneWave,
@@ -16,21 +15,15 @@ from igarad.mms import (
     l2_norm,
     solve_manufactured,
 )
+from igarad.pipeline import build_discretization
 
 
 @pytest.fixture(scope="module")
 def problem():
     cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
     geometry = make_semicircle_patch(cfg)
-    xi_l = (cfg.r - cfg.a) / (2 * cfg.r)
-    xi_r = (cfg.r + cfg.a) / (2 * cfg.r)
-    kvx = make_uniform_open_knots(4, 30).with_breakpoints([xi_l, xi_r])
-    kve = make_uniform_open_knots(4, 15)
-    space = TensorProductSpace(kvx, kve)
-    partition = classify_dofs(space, cfg)
-    quad = QuadratureRule(space)
-    matrices = assemble(space, geometry, quad)
-    return cfg, geometry, space, partition, quad, matrices
+    disc = build_discretization(cfg, geometry, 4, 4, 30, 15)
+    return disc, assemble(disc.space, geometry, disc.quadrature)
 
 
 class TestPlaneWave:
@@ -59,11 +52,12 @@ class TestPlaneWave:
 
 class TestDirichletTrace:
     def test_trace_reproduces_exact_values_on_aperture(self, problem):
-        cfg, geometry, space, partition, quad, _ = problem
+        disc, _ = problem
+        space, partition = disc.space, disc.partition
         wave = PlaneWave(10.0, (0.0, 1.0))
-        values = dirichlet_trace(space, geometry, partition, wave)
+        values = dirichlet_trace(disc, wave)
         # on y=0 the plane wave in +y has trace exactly 1
-        xis = np.linspace(partition.xi_left, partition.xi_right, 40)
+        xis = np.linspace(*disc.domain.aperture_preimage, 40)
         from igarad.bspline import basis_matrix
 
         bm = basis_matrix(space.kv_xi, xis)[:, partition.dirichlet]
@@ -71,14 +65,15 @@ class TestDirichletTrace:
         assert np.max(np.abs(approx - 1.0)) < 1e-12
 
     def test_oblique_trace_accuracy(self, problem):
-        cfg, geometry, space, partition, quad, _ = problem
+        disc, _ = problem
+        space, partition = disc.space, disc.partition
         d = (math.sin(0.4), math.cos(0.4))
         wave = PlaneWave(10.0, d)
-        values = dirichlet_trace(space, geometry, partition, wave)
+        values = dirichlet_trace(disc, wave)
         from igarad.bspline import basis_matrix
 
-        xis = np.linspace(partition.xi_left, partition.xi_right, 60)
-        pts = geometry.evaluate_grid(xis, [0.0])[:, 0, :]
+        xis = np.linspace(*disc.domain.aperture_preimage, 60)
+        pts = disc.geometry.evaluate_grid(xis, [0.0])[:, 0, :]
         bm = basis_matrix(space.kv_xi, xis)[:, partition.dirichlet]
         err = np.max(np.abs(bm @ values - wave.value(pts)))
         assert err < 3e-5  # projection-level accuracy at this resolution
@@ -86,42 +81,42 @@ class TestDirichletTrace:
 
 class TestSolveManufactured:
     def test_vertical_wave_small_error(self, problem):
-        cfg, geometry, space, partition, quad, matrices = problem
+        disc, matrices = problem
         wave = PlaneWave(10.0, (0.0, 1.0))
-        alpha = solve_manufactured(space, geometry, quad, partition, matrices, wave)
-        rel = l2_error(space, geometry, alpha, wave, quad) / l2_norm(space, geometry, wave, quad)
+        alpha = solve_manufactured(disc, matrices, wave)
+        rel = l2_error(disc, alpha, wave) / l2_norm(disc, wave)
         assert rel < 1.5e-3
 
     def test_energy_error_consistent(self, problem):
-        cfg, geometry, space, partition, quad, matrices = problem
+        disc, matrices = problem
         wave = PlaneWave(10.0, (0.0, 1.0))
-        alpha = solve_manufactured(space, geometry, quad, partition, matrices, wave)
-        eh = h1_semi_error(space, geometry, alpha, wave, quad)
+        alpha = solve_manufactured(disc, matrices, wave)
+        eh = h1_semi_error(disc, alpha, wave)
         assert 0.0 < eh < 5e-2
 
     def test_zero_wavenumber_reduces_to_laplace(self, problem):
         # k=0 turns the manufactured problem into Laplace with unit
         # Dirichlet data and homogeneous Neumann/Robin data: u == 1
-        cfg, geometry, space, partition, quad, matrices = problem
+        disc, matrices = problem
         wave = PlaneWave(0.0, (0.0, 1.0))
-        alpha = solve_manufactured(space, geometry, quad, partition, matrices, wave)
+        alpha = solve_manufactured(disc, matrices, wave)
         assert np.max(np.abs(alpha - 1.0)) < 1e-9
 
     def test_oblique_wave_converges(self, problem):
-        cfg, geometry, space, partition, quad, matrices = problem
+        disc, matrices = problem
         d = (math.sin(0.3), math.cos(0.3))
         wave = PlaneWave(10.0, d)
-        alpha = solve_manufactured(space, geometry, quad, partition, matrices, wave)
-        rel = l2_error(space, geometry, alpha, wave, quad) / l2_norm(space, geometry, wave, quad)
+        alpha = solve_manufactured(disc, matrices, wave)
+        rel = l2_error(disc, alpha, wave) / l2_norm(disc, wave)
         assert rel < 1.5e-3
 
     def test_zero_manufactured_solution_gives_zero_everything(self, problem):
-        cfg, geometry, space, partition, quad, matrices = problem
+        disc, matrices = problem
         wave = PlaneWave(10.0, (0.0, 1.0), amplitude=0.0)
-        alpha = solve_manufactured(space, geometry, quad, partition, matrices, wave)
+        alpha = solve_manufactured(disc, matrices, wave)
         assert np.max(np.abs(alpha)) == 0.0
-        assert l2_error(space, geometry, alpha, wave, quad) == 0.0
-        assert h1_semi_error(space, geometry, alpha, wave, quad) == 0.0
+        assert l2_error(disc, alpha, wave) == 0.0
+        assert h1_semi_error(disc, alpha, wave) == 0.0
 
 
 class TestFoldedSolve:
@@ -138,15 +133,13 @@ class TestFoldedSolve:
 
         cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
         geometry = make_semicircle_patch(cfg)
-        kvx = make_uniform_open_knots(4, n).with_breakpoints(cfg.aperture_preimage)
-        space = TensorProductSpace(kvx, make_uniform_open_knots(4, n // 2))
+        disc = build_discretization(cfg, geometry, 4, 4, n, n // 2)
+        space, partition = disc.space, disc.partition
         assert space.n % 2 == n % 2
-        partition = classify_dofs(space, cfg)
-        quad = QuadratureRule(space)
-        matrices = assemble(space, geometry, quad)
+        matrices = assemble(space, geometry, disc.quadrature)
         wave = PlaneWave(10.0, (0.6, 0.8))
-        x = solve_manufactured(space, geometry, quad, partition, matrices, wave)[partition.free]
-        load, values = manufactured_data(space, geometry, quad, partition, wave)
+        x = solve_manufactured(disc, matrices, wave)[partition.free]
+        load, values = manufactured_data(disc, wave)
         A, b = build_system(matrices, partition, wave.wavenumber, values, load=load)
         oracle = direct_solve(A, b)
         assert np.linalg.norm(x - oracle) <= 1e-14 * np.linalg.norm(oracle)
@@ -157,15 +150,15 @@ class TestErrorNorms:
     def test_zero_error_for_exact_coefficients(self, problem):
         # a field equal to a constant is in the spline space; measuring
         # it against a zero-wavenumber wave (u* = 1) gives zero error
-        cfg, geometry, space, partition, quad, _ = problem
+        disc, _ = problem
         wave = PlaneWave(0.0, (0.0, 1.0))
-        alpha = np.ones(space.size, dtype=complex)
-        assert l2_error(space, geometry, alpha, wave, quad) < 1e-14
-        assert h1_semi_error(space, geometry, alpha, wave, quad) < 1e-12
+        alpha = np.ones(disc.space.size, dtype=complex)
+        assert l2_error(disc, alpha, wave) < 1e-14
+        assert h1_semi_error(disc, alpha, wave) < 1e-12
 
     def test_l2_norm_matches_domain_area(self, problem):
         # |u*| = 1, so the L2 norm squared is the domain area
-        cfg, geometry, space, _, quad, _ = problem
+        disc, _ = problem
         wave = PlaneWave(5.0, (0.0, 1.0))
-        area = math.pi * cfg.r**2 / 2
-        assert l2_norm(space, geometry, wave, quad) == pytest.approx(math.sqrt(area), rel=1e-12)
+        area = math.pi * disc.domain.r**2 / 2
+        assert l2_norm(disc, wave) == pytest.approx(math.sqrt(area), rel=1e-12)

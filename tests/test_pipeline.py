@@ -129,9 +129,24 @@ class TestDiscretize:
     def test_aligned_knots_contain_aperture_preimages(self):
         cfg = smoke_config()
         disc = discretize(cfg)
-        assert disc.partition.xi_left in disc.space.kv_xi.knots
-        assert disc.partition.xi_right in disc.space.kv_xi.knots
+        xi_left, xi_right = disc.domain.aperture_preimage
+        assert xi_left in disc.space.kv_xi.knots
+        assert xi_right in disc.space.kv_xi.knots
         assert disc.space.n == cfg.n + 2
+
+    def test_asymmetric_study_mesh_rejected_before_assembly(self):
+        """A study mesh on a patch with one control point moved is refused
+        by the builder, which builds the mirror maps, not by the solve."""
+        from igarad.geometry import CoonsSurface, DomainConfig, make_semicircle_patch
+        from igarad.pipeline import build_discretization
+
+        cfg = DomainConfig(a=0.3, r=1.0, theta=math.pi / 4)
+        geometry = make_semicircle_patch(cfg)
+        ctrl = geometry.ctrl.copy()
+        ctrl[1, 2, 0] += 1e-6
+        moved = CoonsSurface(ctrl, geometry.weights, geometry.kv_xi, geometry.kv_eta)
+        with pytest.raises(ValueError, match="the patch is not mirror-symmetric in x"):
+            build_discretization(cfg, moved, 4, 4, 20, 10)
 
 
 class TestRun:
@@ -147,6 +162,20 @@ class TestRun:
         cfg = smoke_config(n=500, m=400)
         with pytest.raises(PipelineError, match="full_scale"):
             run(cfg, write_outputs=False)
+
+    def test_full_scale_guard_before_per_dof_work(self, monkeypatch):
+        """The dof count comes from the knot vectors: a mesh over the limit
+        is refused before its dofs are classified or its half grid dissected."""
+        from igarad import assembly, pipeline
+
+        def per_dof_work(*args):
+            raise AssertionError("per-dof work ran before the full-scale guard")
+
+        monkeypatch.setattr(pipeline, "classify_dofs", per_dof_work)
+        monkeypatch.setattr(assembly, "nested_dissection", per_dof_work)
+        with pytest.raises(PipelineError, match="exceeds the desk-scale limit") as info:
+            run(smoke_config(n=500, m=400), write_outputs=False)
+        assert info.value.stage == "discretize" and isinstance(info.value.cause, ValueError)
 
     def test_shifted_and_zero_shift_agree(self):
         res_s = run(smoke_config(beta_factor=1.0 / 3.0), write_outputs=False)
@@ -277,7 +306,7 @@ class TestMirrorFold:
         assert disc.space.n == cfg.n + 2  # so odd for the 41 x 30 mesh: a middle column
         derived = result.report()["derived"]
         middle = disc.space.m - 1 if disc.space.n % 2 else 0  # the middle column's free dofs
-        assert derived["factor_unknowns"] == disc.fold.n_unknowns == (derived["n_free"] + middle) // 2
+        assert derived["factor_unknowns"] == disc.folds[0].n_unknowns == (derived["n_free"] + middle) // 2
 
     def test_folded_solve_is_the_full_solve_on_even_vectors(self, desk_fold):
         """On a random even vector the folded preconditioner's solve is the
@@ -288,7 +317,7 @@ class TestMirrorFold:
         from igarad.solver import FrontalLdlt, build_cslp
 
         cfg, result, matrices, A, _ = desk_fold
-        disc, fold = result.discretization, result.discretization.fold
+        disc, fold = result.discretization, result.discretization.folds[0]
         beta = cfg.beta_factor / cfg.wavenumber
         precond = build_cslp(fold_system(matrices, disc.partition, fold, cfg.wavenumber, beta), beta,
                              tree=fold.tree, fold=fold.matrix)
@@ -379,10 +408,10 @@ class TestRunSystem:
         cfg, result, matrices, A, _ = desk_fold
         part = result.discretization.partition
         beta = cfg.beta_factor / cfg.wavenumber
-        folded = fold_system(matrices, part, result.discretization.fold, cfg.wavenumber, beta)
+        folded = fold_system(matrices, part, result.discretization.folds[0], cfg.wavenumber, beta)
         mass = matrices.mass[part.free][:, part.free]
         mass.sort_indices()
-        T = result.discretization.fold.matrix
+        T = result.discretization.folds[0].matrix
         ref = (T.T @ (A - 1j * beta * mass) @ T).tocsr()
         ref.sort_indices()
         assert folded.has_sorted_indices
@@ -410,27 +439,20 @@ class TestStudies:
     def test_pollution_single_k_matches_direct_solve(self):
         import math as _math
 
-        from igarad.assembly import QuadratureRule, assemble, classify_dofs
-        from igarad.bspline import TensorProductSpace, make_uniform_open_knots
+        from igarad.assembly import assemble
         from igarad.geometry import DomainConfig, make_semicircle_patch
         from igarad.mms import PlaneWave, l2_error, l2_norm, solve_manufactured
-        from igarad.pipeline import pollution_study
+        from igarad.pipeline import build_discretization, pollution_study
 
         rows = pollution_study(wavenumbers=(20.0,), orders=(4,), points_per_wavelength=8.0)
         row = rows[0]
         cfg = DomainConfig(a=0.3 * 0.35, r=0.35, theta=_math.pi / 4)
         geometry = make_semicircle_patch(cfg)
-        xi_l = (cfg.r - cfg.a) / (2 * cfg.r)
-        xi_r = (cfg.r + cfg.a) / (2 * cfg.r)
-        kvx = make_uniform_open_knots(4, row.n).with_breakpoints([xi_l, xi_r])
-        kve = make_uniform_open_knots(4, max(4, row.n // 2))
-        space = TensorProductSpace(kvx, kve)
-        part = classify_dofs(space, cfg)
-        quad = QuadratureRule(space)
-        mats = assemble(space, geometry, quad)
+        disc = build_discretization(cfg, geometry, 4, 4, row.n, max(4, row.n // 2))
+        mats = assemble(disc.space, geometry, disc.quadrature)
         wave = PlaneWave(20.0, (0.0, 1.0))
-        alpha = solve_manufactured(space, geometry, quad, part, mats, wave)
-        rel = l2_error(space, geometry, alpha, wave, quad) / l2_norm(space, geometry, wave, quad)
+        alpha = solve_manufactured(disc, mats, wave)
+        rel = l2_error(disc, alpha, wave) / l2_norm(disc, wave)
         assert rel == row.rel_l2_error  # same deterministic computation
 
     def test_error_depends_on_k_times_r(self):
@@ -445,8 +467,7 @@ class TestStudies:
             geometry = make_semicircle_patch(cfg)
             wave = mms.PlaneWave(k, (0.6, 0.8))
             disc, alpha = _manufactured_level(cfg, geometry, 3, 12, wave)
-            space, quad = disc.space, disc.quadrature
-            return mms.l2_error(space, geometry, alpha, wave, quad) / mms.l2_norm(space, geometry, wave, quad)
+            return mms.l2_error(disc, alpha, wave) / mms.l2_norm(disc, wave)
 
         e = rel_error(30.0, 0.35)
         assert e > 1e-6  # a resolved but inexact solve, so the comparison means something
@@ -585,8 +606,8 @@ class TestEnergyBalance:
         dbe0 = basis_matrix(space.kv_eta, [0.0], deriv=1)
         flux = 0.0 + 0.0j
         for s in kv.spans():
-            t0 = max(kv.knots[s], disc.partition.xi_left)
-            t1 = min(kv.knots[s + 1], disc.partition.xi_right)
+            t0 = max(kv.knots[s], disc.domain.aperture_preimage[0])
+            t1 = min(kv.knots[s + 1], disc.domain.aperture_preimage[1])
             if t1 - t0 <= 1e-14:
                 continue
             ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * ref_x
@@ -703,9 +724,10 @@ class TestOutputs:
         # pass counts from the folded pattern, over the mirror-even unknowns
         disc = result.discretization
         matrices = assemble(disc.space, disc.geometry, disc.quadrature)
-        folded = fold_system(matrices, disc.partition, disc.fold, cfg.wavenumber, cfg.beta_factor / cfg.wavenumber)
-        assert frontal_storage(folded, disc.fold.tree) == (lu_nnz, report["derived"]["factor_bytes"])
-        assert folded.shape[0] == report["derived"]["factor_unknowns"] == disc.fold.n_unknowns
+        fold = disc.folds[0]
+        folded = fold_system(matrices, disc.partition, fold, cfg.wavenumber, cfg.beta_factor / cfg.wavenumber)
+        assert frontal_storage(folded, fold.tree) == (lu_nnz, report["derived"]["factor_bytes"])
+        assert folded.shape[0] == report["derived"]["factor_unknowns"] == fold.n_unknowns
         solve = report["solve"]
         assert sum(solve["cycle_lengths"]) == solve["inner_iterations"]
         assert solve["cycle_residuals"][-1] == solve["preconditioned_residual"]
